@@ -6,8 +6,12 @@ the separating objects and the separated witnesses must be interior
 vertices, because finite balls of infinite graphs develop spurious cuts
 near their truncation boundary.
 
-The searches are deliberately brute force (pair enumeration plus BFS);
-balls at desk scale have at most a few hundred vertices.
+The separator, hinge and type V (nos) searches are still enumeration:
+every candidate vertex pair or edge costs a full component sweep of the
+ball, so their cost grows with the square of the ball or faster.
+``two_basis_check`` is linear in the closed relator walks of the ball;
+``cycle_space_span_check`` still searches the spanning forest once per
+fundamental cycle.
 """
 
 from __future__ import annotations
@@ -311,33 +315,21 @@ def independent_paths(ball: CayleyBall, x: int, y: int) -> int:
 # GF(2) cycle space
 # ---------------------------------------------------------------------------
 
-def _closed_trace_mask(ball: CayleyBall, v: int, rel: Word,
-                       interior_only: bool) -> Optional[int]:
-    walk = ball.trace_walk(v, rel)
-    if walk is None:
-        return None
-    verts, eids = walk
-    if verts[-1] != v:
-        return None
-    if interior_only and any(u not in ball.interior for u in verts):
-        return None
-    mask = 0
-    for eid in eids:
-        mask ^= 1 << eid
-    return mask
-
-
 def _relator_circuit_masks(ball: CayleyBall, p: Presentation,
                            interior_only: bool) -> List[int]:
+    """Distinct nonzero edge-XOR masks of closed relator walks, in order."""
     masks = []
     seen = set()
-    base = sorted(ball.interior) if interior_only else list(ball.vertices())
-    for v in base:
-        for rel in p.relators:
-            mask = _closed_trace_mask(ball, v, rel, interior_only)
-            if mask and mask not in seen:
-                seen.add(mask)
-                masks.append(mask)
+    base = sorted(ball.interior) if interior_only else ball.vertices()
+    for verts, eids in ball.closed_relator_walks(base, p.relators):
+        if interior_only and any(u not in ball.interior for u in verts):
+            continue
+        mask = 0
+        for eid in eids:
+            mask ^= 1 << eid
+        if mask and mask not in seen:
+            seen.add(mask)
+            masks.append(mask)
     return masks
 
 
@@ -415,12 +407,16 @@ def cycle_space_span_check(ball: CayleyBall, p: Presentation) -> bool:
 
 def two_basis_check(ball: CayleyBall, p: Presentation) -> dict:
     """Count, per interior edge, the distinct relator-induced circuits
-    through it; MacLane's criterion needs multiplicity at most 2."""
-    masks = _relator_circuit_masks(ball, p, interior_only=False)
-    counts: Dict[int, int] = {}
-    for i, e in enumerate(ball.edges):
-        if e.u in ball.interior and e.v in ball.interior:
-            counts[i] = sum(1 for m in masks if m >> i & 1)
+    through it; MacLane's criterion needs multiplicity at most 2.
+    Cost: one step per set bit of each circuit mask."""
+    hits = [0] * len(ball.edges)
+    for m in _relator_circuit_masks(ball, p, interior_only=False):
+        while m:
+            low = m & -m
+            hits[low.bit_length() - 1] += 1
+            m ^= low
+    counts = {i: hits[i] for i, e in enumerate(ball.edges)
+              if e.u in ball.interior and e.v in ball.interior}
     if not counts:
         return {"ok": True, "max_multiplicity": 0, "witness_edge": None,
                 "per_colour": {}}
@@ -442,12 +438,8 @@ def _relator_cycles(ball: CayleyBall, rel: Word):
     """Interior cycles induced by ``rel``: (vertex tuple, eid frozenset)."""
     cycles = []
     seen = set()
-    for v in sorted(ball.interior):
-        walk = ball.trace_walk(v, rel)
-        if walk is None:
-            continue
-        verts, eids = walk
-        if verts[-1] != v or any(u not in ball.interior for u in verts):
+    for verts, eids in ball.closed_relator_walks(sorted(ball.interior), [rel]):
+        if any(u not in ball.interior for u in verts):
             continue
         key = frozenset(eids)
         if key in seen or len(key) != len(eids):

@@ -115,6 +115,15 @@ class CayleyBall:
             verts.append(v)
         return verts, eids
 
+    def closed_relator_walks(self, bases, relators):
+        """Walks (verts, eids) of each relator from each base, in order,
+        that stay in the ball and return to their base."""
+        for v in bases:
+            for rel in relators:
+                walk = self.trace_walk(v, rel)
+                if walk is not None and walk[0][-1] == v:
+                    yield walk
+
     # -- serialisation -----------------------------------------------------
 
     def to_dict(self) -> dict:

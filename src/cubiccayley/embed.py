@@ -259,21 +259,22 @@ def trace_faces(emb: RotationEmbedding, bound: int) -> List[FaceWalk]:
 
 
 def _relator_circuit_keys(ball: CayleyBall):
-    keys = set()
-    for v in ball.vertices():
-        for rel in ball.presentation.relators:
-            walk = ball.trace_walk(v, rel)
-            if walk is None or walk[0][-1] != v:
-                continue
-            eids = walk[1]
-            if len(set(eids)) == len(eids) and len(eids) > 1:
-                keys.add(frozenset(eids))
-    return keys
+    return {frozenset(eids) for _, eids in ball.closed_relator_walks(
+        ball.vertices(), ball.presentation.relators)
+        if len(set(eids)) == len(eids) > 1}
 
 
 def face_relator_match(ball: CayleyBall, face: FaceWalk) -> bool:
-    """True iff the closed face's edge set is a relator-induced circuit."""
-    return face.closed and frozenset(face.edge_ids()) in _relator_circuit_keys(ball)
+    """True iff the closed face's edge set is a relator-induced circuit.
+    Cost: |relators| walks per face-edge endpoint, where any match starts."""
+    key = frozenset(face.edge_ids())
+    if not face.closed or len(key) < 2:
+        return False
+    bases = sorted({x for eid in key
+                    for x in (ball.edges[eid].u, ball.edges[eid].v)})
+    return any(len(eids) == len(key) and frozenset(eids) == key
+               for _, eids in ball.closed_relator_walks(
+                   bases, ball.presentation.relators))
 
 
 def check_consistency(emb: RotationEmbedding) -> bool:
@@ -291,7 +292,8 @@ def check_consistency(emb: RotationEmbedding) -> bool:
 
 def _translation_spot_check(emb: RotationEmbedding) -> bool:
     """Left-translation by each generator must map closed interior faces
-    to faces (margin permitting)."""
+    to faces (margin permitting).
+    Cost: per letter, one pass over the ball and one slot lookup per dart."""
     ball = emb.ball
     p = ball.presentation
     faces = trace_faces(emb, 4 * len(ball.edges) + 4)
@@ -330,9 +332,8 @@ def _translation_spot_check(emb: RotationEmbedding) -> bool:
                 if iu is None or iv is None:
                     ok = False
                     break
-                hit = next((i for i, e2 in enumerate(ball.edges)
-                            if e2.colour == e.colour and
-                            {e2.u, e2.v} == {iu, iv}), None)
+                hit = min((i for (g, _), (i, w) in ball.slots(iu).items()
+                           if g == e.colour and w == iv), default=None)
                 if hit is None:
                     ok = False
                     break
@@ -399,26 +400,22 @@ def planarity_check(g):
 
 
 def _count_faces(mg: nx.MultiGraph, rotation: dict) -> int:
-    darts = set()
-    for u, v, k in mg.edges(keys=True):
-        darts.add((u, v, k))
-        darts.add((v, u, k))
+    """Number of face orbits of the rotation; cost: one step per dart."""
     index = {v: {pair: i for i, pair in enumerate(rot)}
              for v, rot in rotation.items()}
+    seen = set()
     count = 0
-    while darts:
-        start = min(darts)
-        cur = start
-        count += 1
-        while True:
-            darts.discard(cur)
-            u, v, k = cur
-            rot = rotation[v]
-            i = index[v][(u, k)]
-            w, k2 = rot[(i + 1) % len(rot)]
-            cur = (v, w, k2)
-            if cur == start:
-                break
+    for u, v, k in mg.edges(keys=True):
+        for cur in ((u, v, k), (v, u, k)):
+            if cur in seen:
+                continue
+            count += 1
+            while cur not in seen:
+                seen.add(cur)
+                a, b, key = cur
+                rot = rotation[b]
+                w, k2 = rot[(index[b][(a, key)] + 1) % len(rot)]
+                cur = (b, w, k2)
     return count
 
 

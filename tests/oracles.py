@@ -1,0 +1,192 @@
+"""Brute-force routines kept as test-only oracles.
+
+These are the original whole-ball versions of the face and GF(2)
+certification checks, which rescanned the ball for every face, face edge
+or mask.  The library now runs linear-time versions; the differential
+tests compare the two.  Do not import this module from ``src``.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional
+
+import networkx as nx
+
+from cubiccayley.ball import CayleyBall
+from cubiccayley.embed import FaceWalk, RotationEmbedding, trace_faces
+from cubiccayley.presentation import Presentation, Word
+
+
+# ---------------------------------------------------------------------------
+# embed
+# ---------------------------------------------------------------------------
+
+def _relator_circuit_keys(ball: CayleyBall):
+    keys = set()
+    for v in ball.vertices():
+        for rel in ball.presentation.relators:
+            walk = ball.trace_walk(v, rel)
+            if walk is None or walk[0][-1] != v:
+                continue
+            eids = walk[1]
+            if len(set(eids)) == len(eids) and len(eids) > 1:
+                keys.add(frozenset(eids))
+    return keys
+
+
+def face_relator_match(ball: CayleyBall, face: FaceWalk) -> bool:
+    """True iff the closed face's edge set is a relator-induced circuit."""
+    return face.closed and frozenset(face.edge_ids()) in _relator_circuit_keys(ball)
+
+
+def _translation_spot_check(emb: RotationEmbedding) -> bool:
+    """Left-translation by each generator must map closed interior faces
+    to faces (margin permitting)."""
+    ball = emb.ball
+    p = ball.presentation
+    faces = trace_faces(emb, 4 * len(ball.edges) + 4)
+    closed_keys = {frozenset(f.edge_ids()) for f in faces if f.closed}
+    letters = []
+    for g in p.generator_names:
+        if g in p.involutions:
+            letters.append((g, 1))
+        else:
+            letters.append((g, 1))
+            letters.append((g, -1))
+    for letter in letters:
+        # propagate the colour-automorphism phi(center) = center * letter
+        phi = {ball.center: ball.step(ball.center, letter)}
+        queue = [ball.center]
+        for v in queue:
+            if phi.get(v) is None:
+                continue
+            for slot, (eid, w) in ball.slots(v).items():
+                g, kind = slot
+                s = 1 if kind != "in" else -1
+                img = ball.step(phi[v], (g, s))
+                if w not in phi:
+                    phi[w] = img
+                    queue.append(w)
+                elif img is not None and phi[w] != img:
+                    return False
+        for f in faces:
+            if not f.closed:
+                continue
+            mapped = set()
+            ok = True
+            for eid, _ in f.darts:
+                e = ball.edges[eid]
+                iu, iv = phi.get(e.u), phi.get(e.v)
+                if iu is None or iv is None:
+                    ok = False
+                    break
+                hit = next((i for i, e2 in enumerate(ball.edges)
+                            if e2.colour == e.colour and
+                            {e2.u, e2.v} == {iu, iv}), None)
+                if hit is None:
+                    ok = False
+                    break
+                mapped.add(hit)
+            if ok and all(ball.edges[i].u in ball.interior and
+                          ball.edges[i].v in ball.interior for i in mapped):
+                if frozenset(mapped) not in closed_keys:
+                    return False
+    return True
+
+
+def _count_faces(mg: nx.MultiGraph, rotation: dict) -> int:
+    darts = set()
+    for u, v, k in mg.edges(keys=True):
+        darts.add((u, v, k))
+        darts.add((v, u, k))
+    index = {v: {pair: i for i, pair in enumerate(rot)}
+             for v, rot in rotation.items()}
+    count = 0
+    while darts:
+        start = min(darts)
+        cur = start
+        count += 1
+        while True:
+            darts.discard(cur)
+            u, v, k = cur
+            rot = rotation[v]
+            i = index[v][(u, k)]
+            w, k2 = rot[(i + 1) % len(rot)]
+            cur = (v, w, k2)
+            if cur == start:
+                break
+    return count
+
+
+# ---------------------------------------------------------------------------
+# analyze
+# ---------------------------------------------------------------------------
+
+def _closed_trace_mask(ball: CayleyBall, v: int, rel: Word,
+                       interior_only: bool) -> Optional[int]:
+    walk = ball.trace_walk(v, rel)
+    if walk is None:
+        return None
+    verts, eids = walk
+    if verts[-1] != v:
+        return None
+    if interior_only and any(u not in ball.interior for u in verts):
+        return None
+    mask = 0
+    for eid in eids:
+        mask ^= 1 << eid
+    return mask
+
+
+def _relator_circuit_masks(ball: CayleyBall, p: Presentation,
+                           interior_only: bool) -> List[int]:
+    masks = []
+    seen = set()
+    base = sorted(ball.interior) if interior_only else list(ball.vertices())
+    for v in base:
+        for rel in p.relators:
+            mask = _closed_trace_mask(ball, v, rel, interior_only)
+            if mask and mask not in seen:
+                seen.add(mask)
+                masks.append(mask)
+    return masks
+
+
+def two_basis_check(ball: CayleyBall, p: Presentation) -> dict:
+    """Count, per interior edge, the distinct relator-induced circuits
+    through it; MacLane's criterion needs multiplicity at most 2."""
+    masks = _relator_circuit_masks(ball, p, interior_only=False)
+    counts: Dict[int, int] = {}
+    for i, e in enumerate(ball.edges):
+        if e.u in ball.interior and e.v in ball.interior:
+            counts[i] = sum(1 for m in masks if m >> i & 1)
+    if not counts:
+        return {"ok": True, "max_multiplicity": 0, "witness_edge": None,
+                "per_colour": {}}
+    max_mult = max(counts.values())
+    witness = min(i for i, c in counts.items() if c == max_mult)
+    per_colour: Dict[str, set] = {}
+    for i, c in counts.items():
+        per_colour.setdefault(ball.edges[i].colour, set()).add(c)
+    return {"ok": max_mult <= 2, "max_multiplicity": max_mult,
+            "witness_edge": ball.edges[witness],
+            "per_colour": {g: sorted(v) for g, v in per_colour.items()}}
+
+
+def _relator_cycles(ball: CayleyBall, rel: Word):
+    """Interior cycles induced by ``rel``: (vertex tuple, eid frozenset)."""
+    cycles = []
+    seen = set()
+    for v in sorted(ball.interior):
+        walk = ball.trace_walk(v, rel)
+        if walk is None:
+            continue
+        verts, eids = walk
+        if verts[-1] != v or any(u not in ball.interior for u in verts):
+            continue
+        key = frozenset(eids)
+        if key in seen or len(key) != len(eids):
+            continue
+        seen.add(key)
+        cycles.append((tuple(verts[:-1]), key))
+    return cycles
