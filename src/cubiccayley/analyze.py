@@ -6,9 +6,12 @@ the separating objects and the separated witnesses must be interior
 vertices, because finite balls of infinite graphs develop spurious cuts
 near their truncation boundary.
 
-The separator, hinge and type V (nos) searches are still enumeration:
-every candidate vertex pair or edge costs a full component sweep of the
-ball, so their cost grows with the square of the ball or faster.
+The separator search at the center costs one cut-vertex pass over the
+ball minus the center, then one confirming component sweep per cut
+vertex it tries.  The all-pairs separator, hinge and type V (nos)
+searches are still enumeration: every candidate vertex pair or edge
+costs a full component sweep of the ball, so their cost grows with the
+square of the ball or faster.
 ``two_basis_check`` is linear in the closed relator walks of the ball;
 ``cycle_space_span_check`` still searches the spanning forest once per
 fundamental cycle.
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -35,10 +38,6 @@ class SeparationCertificate:
     path: Tuple[int, ...]
     z: Word
     checks: dict = field(default_factory=dict, compare=False)
-
-    @property
-    def path_colours(self) -> Tuple[str, ...]:
-        return tuple(sorted({g for g, _ in self.z}))
 
     def to_dict(self) -> dict:
         return {"x": self.x, "y": self.y, "z_word": self.z.pretty(),
@@ -105,6 +104,61 @@ def _separates(ball, adj, witnesses, removed_vertices=frozenset(),
             if hit > 1:
                 return True
     return False
+
+
+def _cut_vertices(adj, witnesses, removed) -> Optional[Set[int]]:
+    """Cut vertices of G minus ``removed``, or None when removing
+    ``removed`` alone already separates ``witnesses``.
+
+    If ``removed`` does not separate the witnesses, one more vertex can
+    separate them only if it is a cut vertex here.  Cost: one iterative
+    depth-first pass (Hopcroft & Tarjan), linear in the ball.  The pass
+    skips the parent edge by id, so parallel edges count as cycles.
+    """
+    disc = [0] * len(adj)  # discovery time; 0 unvisited, -1 removed
+    low = [0] * len(adj)
+    for v in removed:
+        disc[v] = -1
+    cuts = set()
+    t = witness_trees = 0
+    for root in range(len(adj)):
+        if disc[root]:
+            continue
+        t += 1
+        disc[root] = low[root] = t
+        hit = root in witnesses
+        root_children = 0
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, parent_eid, edges = stack[-1]
+            for w, eid in edges:
+                if eid == parent_eid:
+                    continue
+                if not disc[w]:
+                    t += 1
+                    disc[w] = low[w] = t
+                    hit = hit or w in witnesses
+                    stack.append((w, eid, iter(adj[w])))
+                    break
+                if 0 < disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    if u == root:
+                        root_children += 1
+                    else:
+                        cuts.add(u)
+        if root_children > 1:
+            cuts.add(root)
+        witness_trees += hit
+        if witness_trees > 1:
+            return None
+    return cuts
 
 
 def _shortest_path(ball, adj, x: int, y: int) -> Tuple[int, ...]:
@@ -231,15 +285,20 @@ def shortest_separating_path(ball: CayleyBall, margin: int = 1,
     With ``center_only`` the first endpoint is pinned to the center
     (sound by vertex-transitivity) and candidates are scanned in
     distance order, so the first hit is minimal.
+    Cost: with ``center_only``, one cut-vertex pass over G - center and
+    a component sweep per cut vertex tried; else a component sweep per
+    deep pair.
     """
     adj = _adjacency(ball)
     deep = sorted(_deep_vertices(ball, margin))
     witnesses = set(deep)
     if center_only:
+        c = ball.center
+        cuts = _cut_vertices(adj, witnesses, (c,))
         for y in sorted(deep, key=lambda v: (ball.distances[v], v)):
-            if y != ball.center and \
-                    _separates(ball, adj, witnesses, frozenset((ball.center, y))):
-                return _certificate(ball, adj, ball.center, y)
+            if y != c and (cuts is None or y in cuts) and \
+                    _separates(ball, adj, witnesses, frozenset((c, y))):
+                return _certificate(ball, adj, c, y)
         raise NoSeparatorFound(
             "no separating pair at the center at this radius")
     best = None

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .errors import CubicCayleyError
+from .errors import CubicCayleyError, ParseError
 from .presentation import Presentation, Word
 
 Slot = Tuple[str, Optional[str]]  # (colour, "out"/"in"/None)
@@ -75,9 +75,6 @@ class CayleyBall:
 
     def degree(self, v: int) -> int:
         return len(self._slots[v])
-
-    def neighbours(self, v: int):
-        return [other for _, other in self._slots[v].values()]
 
     def incident_edges(self, v: int):
         return [eid for eid, _ in self._slots[v].values()]
@@ -142,22 +139,63 @@ class CayleyBall:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CayleyBall":
+        """The ball ``to_dict`` wrote.  One linear pass checks the schema
+        (dense vertex ids, edge endpoints and interior among them, a
+        valid center, one edge per slot) and raises ParseError on any
+        other input."""
         from .presentation import parse_presentation
-        pres = parse_presentation(data["presentation"]) if data.get("presentation") else None
-        words = [None] * len(data["vertices"])
-        for item in data["vertices"]:
-            words[item["id"]] = item["word"]
-        edges = [Edge(e["u"], e["v"], e["colour"], e["directed"])
-                 for e in data["edges"]]
-        ball = cls.__new__(cls)
-        ball.presentation = pres
-        ball.center = data["center"]
-        ball.radius = data["radius"]
-        ball.edges = edges
-        ball.words = words
-        ball.interior = frozenset(data["interior"])
-        ball.distances = _bfs_distances(len(words), edges, data["center"])
-        ball._slots = ball._build_slots()
+        if not isinstance(data, dict):
+            raise ParseError(
+                f"ball JSON must be an object, not {type(data).__name__}")
+        try:
+            text = data.get("presentation")
+            if text is not None and not isinstance(text, str):
+                raise ParseError("ball presentation must be a string")
+            pres = parse_presentation(text) if text else None
+            words = [None] * len(data["vertices"])
+            n = len(words)
+            for item in data["vertices"]:
+                i, word = item["id"], item["word"]
+                # n ids in 0..n-1, none twice, leave no gap
+                if not (type(i) is int and 0 <= i < n and words[i] is None
+                        and isinstance(word, str)):
+                    raise ParseError(
+                        f"vertex ids must be 0..{n - 1}, each once, with a "
+                        f"word: bad vertex {item!r}")
+                words[i] = word
+            edges = []
+            for e in data["edges"]:
+                u, v, colour, directed = (e["u"], e["v"], e["colour"],
+                                          e["directed"])
+                if not (type(u) is int and type(v) is int and 0 <= u < n
+                        and 0 <= v < n and isinstance(colour, str)
+                        and isinstance(directed, bool)):
+                    raise ParseError(
+                        f"edge endpoints must be vertex ids: bad edge {e!r}")
+                edges.append(Edge(u, v, colour, directed))
+            interior = frozenset(data["interior"])
+            if not all(type(v) is int and 0 <= v < n for v in interior):
+                raise ParseError("ball interior must be a set of vertex ids")
+            center, radius = data["center"], data["radius"]
+            if not (type(center) is int and 0 <= center < n):
+                raise ParseError(f"ball center {center!r} is not a vertex id")
+            if not (type(radius) is int and radius >= 0):
+                raise ParseError(f"ball radius {radius!r} is not a count")
+            ball = cls.__new__(cls)
+            ball.presentation = pres
+            ball.center = center
+            ball.radius = radius
+            ball.edges = edges
+            ball.words = words
+            ball.interior = interior
+            ball.distances = _bfs_distances(n, edges, center)
+            ball._slots = ball._build_slots()
+        except ParseError:
+            raise
+        # ValueError: an overlong exponent in the presentation;
+        # CubicCayleyError: two edges in one slot
+        except (KeyError, TypeError, ValueError, CubicCayleyError) as exc:
+            raise ParseError(f"malformed ball: {exc!r}")
         return ball
 
     @classmethod

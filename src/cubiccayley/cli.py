@@ -75,9 +75,12 @@ def _type_params(args) -> TypeParams:
 def _load_ball(path) -> CayleyBall:
     try:
         with open(path) as fh:
-            return CayleyBall.from_json(fh.read())
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+            data = json.loads(fh.read())
+    # ValueError covers bad JSON, bad encodings and overlong integers;
+    # RecursionError covers JSON nested deeper than the parser's stack
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read ball file {path}: {exc}")
+    return CayleyBall.from_dict(data)
 
 
 def _source_ball(args) -> CayleyBall:
@@ -259,7 +262,6 @@ def cmd_verify(args) -> int:
 def _add_common(sub):
     sub.add_argument("--radius", type=int, default=6)
     sub.add_argument("--cap", type=int, default=100000)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=("json", "dot", "svg"), default=None)
     sub.add_argument("-o", "--output", default=None)
     sub.add_argument("--type", choices=TYPE_IDS, default=None)

@@ -368,8 +368,7 @@ def construct_presentation_ball(p: Presentation, radius: int,
     return ball
 
 
-def _oracle_ball(p: Presentation, radius: int, cap: int,
-                 strict_boundary: bool = False) -> CayleyBall:
+def _oracle_ball(p: Presentation, radius: int, cap: int) -> CayleyBall:
     """Enumeration-derived ball, certified by cap doubling when truncated."""
     table = enumerate_cosets(p, cap)
     if table.complete:

@@ -2,8 +2,11 @@
 
 These are the original whole-ball versions of the face and GF(2)
 certification checks, which rescanned the ball for every face, face edge
-or mask.  The library now runs linear-time versions; the differential
-tests compare the two.  Do not import this module from ``src``.
+or mask, and of the separator search at the center, which ran a full
+component sweep per candidate.  The library now runs linear-time checks
+and prunes the center's candidates with one cut-vertex pass; the
+differential tests compare the two.  Do not import this module from
+``src``.
 """
 
 from __future__ import annotations
@@ -12,8 +15,11 @@ from typing import Dict, List, Optional
 
 import networkx as nx
 
+from cubiccayley.analyze import (SeparationCertificate, _adjacency,
+                                 _certificate, _deep_vertices, _separates)
 from cubiccayley.ball import CayleyBall
 from cubiccayley.embed import FaceWalk, RotationEmbedding, trace_faces
+from cubiccayley.errors import NoSeparatorFound
 from cubiccayley.presentation import Presentation, Word
 
 
@@ -190,3 +196,23 @@ def _relator_cycles(ball: CayleyBall, rel: Word):
         seen.add(key)
         cycles.append((tuple(verts[:-1]), key))
     return cycles
+
+
+# ---------------------------------------------------------------------------
+# separator at the center: one component sweep per candidate
+# ---------------------------------------------------------------------------
+
+def center_separating_path(ball: CayleyBall,
+                           margin: int = 1) -> SeparationCertificate:
+    """``shortest_separating_path(center_only=True)`` as it was: the
+    first deep y in (distance, id) order such that {center, y} separates
+    the deep vertices."""
+    adj = _adjacency(ball)
+    deep = sorted(_deep_vertices(ball, margin))
+    witnesses = set(deep)
+    for y in sorted(deep, key=lambda v: (ball.distances[v], v)):
+        if y != ball.center and \
+                _separates(ball, adj, witnesses, frozenset((ball.center, y))):
+            return _certificate(ball, adj, ball.center, y)
+    raise NoSeparatorFound(
+        "no separating pair at the center at this radius")

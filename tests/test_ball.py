@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from cubiccayley.ball import CayleyBall, certify_ball, make_ball, rooted_isomorphic
 from cubiccayley.construct import TypeParams, construct
+from cubiccayley.errors import ParseError
 from cubiccayley.presentation import parse_presentation
 
 
@@ -90,3 +91,45 @@ def test_ball_monotone_in_radius(type_id, radius):
     big = construct(tp, radius)
     assert small.n_vertices <= big.n_vertices
     assert len(small.interior) <= len(big.interior)
+
+
+def _mangled(ball, how):
+    """A ball dict broken in one way; ``[1, 2]`` stands in for a file
+    that is not a ball at all."""
+    data = json.loads(ball.to_json())
+    if how == "list":
+        return [1, 2]
+    if how == "sparse-id":
+        data["vertices"][-1]["id"] += 1
+    elif how == "duplicate-id":
+        data["vertices"][-1]["id"] = 0
+    elif how == "negative-id":
+        data["vertices"][-1]["id"] = -1
+    elif how == "endpoint":
+        data["edges"][0]["v"] = len(data["vertices"])
+    elif how == "string-endpoint":
+        data["edges"][0]["u"] = "0"
+    elif how == "interior":
+        data["interior"].append(len(data["vertices"]))
+    elif how == "center":
+        data["center"] = -1
+    elif how == "missing-key":
+        del data["edges"]
+    elif how == "vertex-not-object":
+        data["vertices"][0] = 0
+    elif how == "duplicate-edge":
+        data["edges"].append(dict(data["edges"][0]))
+    elif how == "overlong-exponent":
+        data["presentation"] = "<a,b | b^2, a^" + "9" * 5000 + ">"
+    return data
+
+
+MANGLED = ["list", "sparse-id", "duplicate-id", "negative-id", "endpoint",
+           "string-endpoint", "interior", "center", "missing-key",
+           "vertex-not-object", "duplicate-edge", "overlong-exponent"]
+
+
+@pytest.mark.parametrize("how", MANGLED)
+def test_from_dict_rejects_malformed(ball_i2, how):
+    with pytest.raises(ParseError):
+        CayleyBall.from_dict(_mangled(ball_i2, how))

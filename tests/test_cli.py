@@ -127,3 +127,30 @@ def test_verify_grid_smoke(tmp_path, capsys):
     assert report["pass"]
     assert len(report["grid"]) == 18
     assert len(list(out.glob("*.svg"))) == 18
+
+
+@pytest.mark.parametrize("how", ["list", "sparse-id", "endpoint",
+                                 "duplicate-edge"])
+def test_verify_malformed_ball_is_parse_error(tmp_path, capsys, how):
+    from cubiccayley.construct import TypeParams, construct
+    from test_ball import _mangled
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        _mangled(construct(TypeParams("I", n=2), 4), how)))
+    code, _, err = run(capsys, "verify", str(bad), "--check",
+                       "separator-involution")
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["[" * 100000,
+                                  "{\"center\": " + "1" * 5000 + "}",
+                                  "\udcff"])
+def test_verify_unreadable_ball_is_parse_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, errors="surrogateescape")
+    code, _, err = run(capsys, "verify", str(bad), "--check",
+                       "separator-involution")
+    assert code == 1
+    assert err.startswith("error: cannot read ball file")

@@ -1,0 +1,145 @@
+"""Differential tests: the separator search at the center, which prunes
+candidates with one cut-vertex pass, agrees with the per-candidate
+brute-force oracle in ``oracles.py``; the pass itself agrees with
+removal counting; and the search confirms at most two candidates, so
+per-candidate sweeps cannot come back unnoticed."""
+
+import random
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import oracles as O
+from test_acceptance import z_length
+from test_embed_linear import _MIN_PARAMS
+from cubiccayley import analyze as A
+from cubiccayley import cli
+from cubiccayley.construct import (TypeParams, construct,
+                                   construct_presentation_ball)
+from cubiccayley.errors import BallTooSmall, NoSeparatorFound
+from cubiccayley.presentation import parse_presentation
+
+# the oracle sweeps the ball once per candidate
+_ORACLE_MAX_VERTICES = 2000
+
+
+def _outcome(fn, *args, **kwargs):
+    """A comparable result: the certificate with its checks, or the
+    error the search reported."""
+    try:
+        out = fn(*args, **kwargs)
+    except (NoSeparatorFound, BallTooSmall) as exc:
+        return type(exc), str(exc)
+    return out, out.checks
+
+
+def _assert_agree(ball, margin):
+    new = _outcome(A.shortest_separating_path, ball, margin, center_only=True)
+    assert new == _outcome(O.center_separating_path, ball, margin)
+
+
+def _criterion_2_ball(type_id, n, m):
+    tp = TypeParams(type_id, n=n, m=m)
+    margin = A.sound_margin(tp.presentation())
+    return construct(tp, margin + z_length(type_id, n) + 1), margin
+
+
+_GRID_UP_TO_VII_2_2 = [c for c in cli.SMOKE_GRID if c != ("VII", 3, 2)]
+
+
+@pytest.mark.parametrize("type_id,n,m", _GRID_UP_TO_VII_2_2)
+def test_grid_matches_oracle(type_id, n, m):
+    # VII(3,2) is left out: its oracle search alone takes about 9 s
+    _assert_agree(*_criterion_2_ball(type_id, n, m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_MIN_PARAMS)), st.integers(0, 2),
+       st.integers(0, 2), st.integers(2, 9), st.sampled_from([0, 1, None]))
+def test_random_cells_match_oracle(type_id, dn, dm, radius, margin):
+    min_n, min_m = _MIN_PARAMS[type_id]
+    tp = TypeParams(type_id,
+                    n=None if min_n is None else min_n + dn,
+                    m=None if min_m is None else min_m + dm)
+    # construct builds IX only from radius n up
+    assume(type_id != "IX" or radius >= tp.n)
+    ball = construct(tp, radius)
+    assume(ball.n_vertices <= _ORACLE_MAX_VERTICES)
+    if margin is None:
+        margin = A.sound_margin(tp.presentation())
+    _assert_agree(ball, margin)
+
+
+def test_k4_has_no_separator():
+    p = parse_presentation("<b,c,d | b^2,c^2,d^2,(bc)^2, bcd>")
+    ball = construct_presentation_ball(p, 3)
+    for margin in (0, 1):
+        _assert_agree(ball, margin)
+    with pytest.raises(NoSeparatorFound):
+        A.shortest_separating_path(ball, 0, center_only=True)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ix_parallel_edges(n):
+    ball = construct(TypeParams("IX", n=n), 6)
+    for margin in (0, 1):
+        _assert_agree(ball, margin)
+
+
+def _components(adj, removed):
+    seen, comps = set(removed), []
+    for s in range(len(adj)):
+        if s in seen:
+            continue
+        seen.add(s)
+        comp = [s]
+        for v in comp:
+            for w, _ in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        comps.append(comp)
+    return comps
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2 ** 16))
+def test_cut_pass_matches_removal(n, seed):
+    # random multigraphs with parallel edges and loops, minus a random
+    # vertex; cut vertices by brute force: remove each, count components
+    rng = random.Random(seed)
+    edges = [(rng.randrange(n), rng.randrange(n))
+             for _ in range(rng.randrange(2 * n + 1))]
+    adj = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(edges):
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    removed = frozenset(rng.sample(range(n), rng.randrange(2)))
+    base = len(_components(adj, removed))
+    live = [v for v in range(n) if v not in removed]
+    cuts = {v for v in live if len(_components(adj, removed | {v})) > base}
+    assert A._cut_vertices(adj, set(), removed) == cuts
+    # with witnesses on both sides of a cut the pass keeps everything
+    witnesses = set(rng.sample(live, min(len(live), 3)))
+    separated = sum(any(v in witnesses for v in comp)
+                    for comp in _components(adj, removed)) > 1
+    assert (A._cut_vertices(adj, witnesses, removed) is None) == separated
+
+
+@pytest.mark.parametrize("type_id,n,m", _GRID_UP_TO_VII_2_2)
+def test_center_search_confirms_at_most_two(monkeypatch, type_id, n, m):
+    # the oracle made up to 46 component sweeps here (VII(2,2))
+    ball, margin = _criterion_2_ball(type_id, n, m)
+    calls = []
+    real = A._separates
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(A, "_separates", counting)
+    try:
+        A.shortest_separating_path(ball, margin, center_only=True)
+    except NoSeparatorFound:
+        assert (type_id, n) == ("IX", 1)
+    assert len(calls) <= 2
