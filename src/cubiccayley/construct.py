@@ -270,50 +270,40 @@ def _amalgam_for(tp: TypeParams):
 
 
 def _build_amalgam(tp: TypeParams, radius: int):
+    """One BFS over normal forms: each element gets a dense int id when it
+    is discovered, each colour's image is computed once per vertex, and
+    the raw edges come out on int ids in the same pass.  An undirected edge
+    is kept from its lower id, a directed edge from its tail; inverse images
+    of directed colours serve discovery only."""
     am, actions = _amalgam_for(tp)
+    mul = am.mul_factor
+    moves = []  # (colour, factor steps, directed); colour None: discovery only
+    for colour, (steps, directed) in actions.items():
+        moves.append((colour, steps, directed))
+        if directed:
+            moves.append((None, [(tag, am.groups[tag].inv(x))
+                                 for tag, x in reversed(steps)], False))
 
-    def images(u):
-        out = []
-        for colour, (steps, directed) in actions.items():
-            v = u
-            for tag, elem in steps:
-                v = am.mul_factor(v, tag, elem)
-            out.append((colour, v, directed))
-            if directed:
-                w = u
-                for tag, elem in reversed(steps):
-                    grp = am.groups[tag]
-                    w = am.mul_factor(w, tag, grp.inv(elem))
-                out.append((colour + "^-1", w, False))  # discovery only
-        return out
-
-    root = am.identity
-    order = {root: 0}
-    dist = {root: 0}
-    queue = [root]
-    for u in queue:
-        if dist[u] >= radius:
-            continue
-        for _, v, _ in images(u):
-            if v not in order:
-                order[v] = len(order)
-                dist[v] = dist[u] + 1
-                queue.append(v)
-
+    ids = {am.identity: 0}
+    elements = [am.identity]
+    dist = [0]
     raw_edges = []
-    seen = set()
-    for u in order:
-        for colour, v, directed in images(u):
-            if colour.endswith("^-1") or v not in order:
+    for i, u in enumerate(elements):
+        inner = dist[i] < radius
+        for colour, steps, directed in moves:
+            if colour is None and not inner:
                 continue
-            if directed:
-                raw_edges.append((u, v, colour, True))
-            else:
-                key = (min(order[u], order[v]), max(order[u], order[v]), colour)
-                if key not in seen:
-                    seen.add(key)
-                    raw_edges.append((u, v, colour, False))
-    return root, raw_edges
+            v = u
+            for tag, x in steps:
+                v = mul(v, tag, x)
+            j = ids.get(v)
+            if j is None and inner:
+                j = ids[v] = len(elements)
+                elements.append(v)
+                dist.append(dist[i] + 1)
+            if colour is not None and j is not None and (directed or i <= j):
+                raw_edges.append((i, j, colour, directed))
+    return 0, raw_edges
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +331,10 @@ def construct(tp: TypeParams, radius: int) -> CayleyBall:
         raise InvalidParams("radius must be >= 0")
     pres = tp.presentation()
     if tp.type_id == "IX":
+        # the whole graph, whatever radius is asked: the 2n-cycle has
+        # diameter n, and a truncated copy would leave interior slots empty
         root, raw = _build_type_ix(tp.n)
-        radius = min(radius, tp.n)
+        radius = tp.n
     elif tp.type_id in ("I", "II", "VI", "VIII"):
         root, raw = _build_glue_tree(tp, radius)
     else:

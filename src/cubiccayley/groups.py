@@ -7,15 +7,16 @@ element is uniquely c * t1 * t2 * ... * tk with c in the amalgamated Z2 and
 the ti alternating nontrivial right-coset representatives of the two
 factors.  Right multiplication by a factor element renormalises in O(k).
 
-Concrete factor elements are plain hashable tuples; a factor group object
-supplies identity / multiply / inverse and a deterministic total order used
-to pick coset representatives.
+An amalgam element is the plain tuple ``(c, seq)``, so elements hash and
+compare at C speed.  Concrete factor elements are plain hashable ints or
+tuples; a factor group object supplies identity / multiply / inverse, and
+the ``repr`` order picks each coset representative.  Representatives are
+memoised per amalgam, once per distinct factor element.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 
 class Cyclic:
@@ -57,19 +58,14 @@ class Dihedral:
         return (self._norm(-k if f == 0 else k), f)
 
 
-@dataclass(frozen=True)
-class AmalgamElement:
-    """Normal form: c (bool: the amalgamated involution) followed by an
-    alternating sequence of tagged coset representatives."""
-    c: bool
-    seq: Tuple[Tuple[str, object], ...]
-
-
 class Amalgam:
     """A *_C B with C = {1, w} of order 2, or the free product when w is None.
 
-    ``factors`` maps tag -> group object; ``w`` maps tag -> the amalgamated
-    involution in that factor (or None for a free product).
+    ``groups`` maps tag -> factor group object; ``w`` maps tag -> the
+    amalgamated involution in that factor (or None for a free product).
+    An element is the tuple ``(c, seq)``: c (bool: the amalgamated
+    involution) followed by an alternating tuple of ``(tag, t)`` coset
+    representatives.
     """
 
     def __init__(self, factor_a, factor_b, w_a=None, w_b=None):
@@ -78,15 +74,23 @@ class Amalgam:
         self.trivial_c = w_a is None
         if (w_a is None) != (w_b is None):
             raise ValueError("amalgamated involution must be set in both factors")
+        # _split results per tag, bounded by the factor's order (for an
+        # infinite factor, by the elements a computation reaches)
+        self._splits = {"A": {}, "B": {}}
 
-    @property
-    def identity(self) -> AmalgamElement:
-        return AmalgamElement(False, ())
+    identity = (False, ())
 
     def _split(self, tag, x):
         """Decompose x = c * t with t the canonical representative of Cx.
 
         Returns (c: bool, t or None if x lies in C)."""
+        memo = self._splits[tag]
+        hit = memo.get(x)
+        if hit is None:
+            hit = memo[x] = self._split_uncached(tag, x)
+        return hit
+
+    def _split_uncached(self, tag, x):
         grp = self.groups[tag]
         if x == grp.identity:
             return False, None
@@ -110,24 +114,21 @@ class Amalgam:
             if not carry:
                 break
             tag, t = seq[i]
-            grp = self.groups[tag]
-            u = grp.mul(t, self.w[tag])
+            u = self.groups[tag].mul(t, self.w[tag])
             carry, t2 = self._split(tag, u)
             seq[i] = (tag, t2)  # u is never in C since t is not
         return tuple(seq), carry
 
-    def mul_factor(self, g: AmalgamElement, tag: str, x) -> AmalgamElement:
+    def mul_factor(self, g, tag: str, x):
         """g * x with x an element of the tagged factor."""
-        grp = self.groups[tag]
-        seq = g.seq
+        c, seq = g
         if seq and seq[-1][0] == tag:
-            u = grp.mul(seq[-1][1], x)
+            u = self.groups[tag].mul(seq[-1][1], x)
             seq = seq[:-1]
         else:
             u = x
         carry, t = self._split(tag, u)
-        if t is None:
-            seq2, carry2 = self._apply_c(seq, carry)
-            return AmalgamElement(g.c ^ carry2, seq2)
-        seq2, carry2 = self._apply_c(seq, carry)
-        return AmalgamElement(g.c ^ carry2, seq2 + ((tag, t),))
+        seq, carry = self._apply_c(seq, carry)
+        if t is not None:
+            seq += ((tag, t),)
+        return (c ^ carry, seq)

@@ -20,6 +20,9 @@ from .errors import EmptyRelator, ParseError, UnknownGenerator
 
 Letter = Tuple[str, int]  # (generator name, sign in {+1, -1})
 
+# longest relator the parser expands; checked before each power is expanded
+MAX_RELATOR_LETTERS = 10_000
+
 
 @dataclass(frozen=True)
 class GeneratorSymbol:
@@ -169,10 +172,16 @@ class _Parser:
             self.error(f"expected generator name, found {tok!r}")
         return self.take()
 
+    def check_length(self, length: int):
+        if length > MAX_RELATOR_LETTERS:
+            self.error(f"relator longer than {MAX_RELATOR_LETTERS} letters")
+
     def parse_relator(self, names) -> list:
         letters = self.parse_factor(names)
+        self.check_length(len(letters))
         while self.peek() not in (",", ">", ")", None):
             letters += self.parse_factor(names)
+            self.check_length(len(letters))
         return letters
 
     def parse_factor(self, names) -> list:
@@ -201,6 +210,7 @@ class _Parser:
             if k < 0:
                 letters = [(g, -s) for g, s in reversed(letters)]
                 k = -k
+            self.check_length(len(letters) * k)
             letters = letters * k
         return letters
 
@@ -234,6 +244,7 @@ class _Parser:
             g, s = letters.pop()
             if k < 0:
                 s, k = -s, -k
+            self.check_length(len(letters) + k)
             letters.extend([(g, s)] * k)
         return letters
 

@@ -2,22 +2,26 @@
 
 These are the original whole-ball versions of the face and GF(2)
 certification checks, which rescanned the ball for every face, face edge
-or mask, and of the separator search at the center, which ran a full
-component sweep per candidate.  The library now runs linear-time checks
-and prunes the center's candidates with one cut-vertex pass; the
-differential tests compare the two.  Do not import this module from
-``src``.
+or mask, of the separator search at the center, which ran a full
+component sweep per candidate, and of the amalgam builder, whose normal
+forms were frozen dataclasses keyed by their own hash.  The library now
+runs linear-time checks, prunes the center's candidates with one
+cut-vertex pass and builds amalgam balls from plain tuples numbered by
+dense ints; the differential tests compare the two.  Do not import this
+module from ``src``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
 from cubiccayley.analyze import (SeparationCertificate, _adjacency,
                                  _certificate, _deep_vertices, _separates)
 from cubiccayley.ball import CayleyBall
+from cubiccayley.construct import _amalgam_for
 from cubiccayley.embed import FaceWalk, RotationEmbedding, trace_faces
 from cubiccayley.errors import NoSeparatorFound
 from cubiccayley.presentation import Presentation, Word
@@ -216,3 +220,139 @@ def center_separating_path(ball: CayleyBall,
             return _certificate(ball, adj, ball.center, y)
     raise NoSeparatorFound(
         "no separating pair at the center at this radius")
+
+
+# ---------------------------------------------------------------------------
+# amalgam normal forms as frozen dataclasses, two sweeps per ball
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AmalgamElement:
+    """Normal form: c (bool: the amalgamated involution) followed by an
+    alternating sequence of tagged coset representatives."""
+    c: bool
+    seq: Tuple[Tuple[str, object], ...]
+
+
+class Amalgam:
+    """A *_C B with C = {1, w} of order 2, or the free product when w is None.
+
+    ``factors`` maps tag -> group object; ``w`` maps tag -> the amalgamated
+    involution in that factor (or None for a free product).
+    """
+
+    def __init__(self, factor_a, factor_b, w_a=None, w_b=None):
+        self.groups = {"A": factor_a, "B": factor_b}
+        self.w = {"A": w_a, "B": w_b}
+        self.trivial_c = w_a is None
+        if (w_a is None) != (w_b is None):
+            raise ValueError("amalgamated involution must be set in both factors")
+
+    @property
+    def identity(self) -> AmalgamElement:
+        return AmalgamElement(False, ())
+
+    def _split(self, tag, x):
+        """Decompose x = c * t with t the canonical representative of Cx.
+
+        Returns (c: bool, t or None if x lies in C)."""
+        grp = self.groups[tag]
+        if x == grp.identity:
+            return False, None
+        if self.trivial_c:
+            return False, x
+        w = self.w[tag]
+        if x == w:
+            return True, None
+        wx = grp.mul(w, x)
+        if repr(x) <= repr(wx):
+            return False, x
+        return True, wx
+
+    def _apply_c(self, seq, flip: bool):
+        """Right-multiply the sequence by c (the involution if flip)."""
+        if not flip:
+            return seq, False
+        seq = list(seq)
+        carry = True
+        for i in range(len(seq) - 1, -1, -1):
+            if not carry:
+                break
+            tag, t = seq[i]
+            grp = self.groups[tag]
+            u = grp.mul(t, self.w[tag])
+            carry, t2 = self._split(tag, u)
+            seq[i] = (tag, t2)  # u is never in C since t is not
+        return tuple(seq), carry
+
+    def mul_factor(self, g: AmalgamElement, tag: str, x) -> AmalgamElement:
+        """g * x with x an element of the tagged factor."""
+        grp = self.groups[tag]
+        seq = g.seq
+        if seq and seq[-1][0] == tag:
+            u = grp.mul(seq[-1][1], x)
+            seq = seq[:-1]
+        else:
+            u = x
+        carry, t = self._split(tag, u)
+        if t is None:
+            seq2, carry2 = self._apply_c(seq, carry)
+            return AmalgamElement(g.c ^ carry2, seq2)
+        seq2, carry2 = self._apply_c(seq, carry)
+        return AmalgamElement(g.c ^ carry2, seq2 + ((tag, t),))
+
+
+def oracle_amalgam(am) -> Amalgam:
+    """The dataclass amalgam over the same factors as the library's ``am``."""
+    return Amalgam(am.groups["A"], am.groups["B"], am.w["A"], am.w["B"])
+
+
+def build_amalgam(tp, radius: int):
+    """``construct._build_amalgam`` as it was: a BFS over dataclass
+    elements, then a second sweep that recomputes every image to emit
+    the raw edges."""
+    lib_am, actions = _amalgam_for(tp)
+    am = oracle_amalgam(lib_am)
+
+    def images(u):
+        out = []
+        for colour, (steps, directed) in actions.items():
+            v = u
+            for tag, elem in steps:
+                v = am.mul_factor(v, tag, elem)
+            out.append((colour, v, directed))
+            if directed:
+                w = u
+                for tag, elem in reversed(steps):
+                    grp = am.groups[tag]
+                    w = am.mul_factor(w, tag, grp.inv(elem))
+                out.append((colour + "^-1", w, False))  # discovery only
+        return out
+
+    root = am.identity
+    order = {root: 0}
+    dist = {root: 0}
+    queue = [root]
+    for u in queue:
+        if dist[u] >= radius:
+            continue
+        for _, v, _ in images(u):
+            if v not in order:
+                order[v] = len(order)
+                dist[v] = dist[u] + 1
+                queue.append(v)
+
+    raw_edges = []
+    seen = set()
+    for u in order:
+        for colour, v, directed in images(u):
+            if colour.endswith("^-1") or v not in order:
+                continue
+            if directed:
+                raw_edges.append((u, v, colour, True))
+            else:
+                key = (min(order[u], order[v]), max(order[u], order[v]), colour)
+                if key not in seen:
+                    seen.add(key)
+                    raw_edges.append((u, v, colour, False))
+    return root, raw_edges

@@ -1,0 +1,123 @@
+"""Differential and axiom tests for the amalgam route: the int-keyed
+builder on ``(c, seq)`` tuples gives the same balls and the same normal
+forms as the dataclass builder kept in ``oracles.py``, and the normal-form
+arithmetic obeys the group axioms on random factor words."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles as O
+from cubiccayley import cli
+from cubiccayley.ball import make_ball
+from cubiccayley.construct import TypeParams, _amalgam_for, _build_amalgam
+from cubiccayley.groups import Cyclic
+
+AMALGAM_TYPES = ("III", "IV", "V", "VII")
+_GRID = [c for c in cli.SMOKE_GRID if c[0] in AMALGAM_TYPES]
+
+
+def _ball(tp, radius, builder):
+    return make_ball(tp.presentation(), *builder(tp, radius), radius)
+
+
+def _assert_same_ball(tp, radius):
+    new = _ball(tp, radius, _build_amalgam)
+    old = _ball(tp, radius, O.build_amalgam)
+    assert new.canonical_form() == old.canonical_form()
+    assert new.words == old.words
+    assert new.distances == old.distances
+    assert new.interior == old.interior
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 3, 6])
+@pytest.mark.parametrize("type_id,n,m", _GRID)
+def test_grid_matches_oracle(type_id, n, m, radius):
+    _assert_same_ball(TypeParams(type_id, n=n, m=m), radius)
+
+
+def _type_params(type_id, n, m):
+    return TypeParams(type_id, n=None if type_id == "IV" else n,
+                      m=None if type_id == "III" else m)
+
+
+_CELLS = st.builds(_type_params, st.sampled_from(AMALGAM_TYPES),
+                   st.integers(2, 4), st.integers(2, 4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_CELLS, st.integers(0, 8))
+def test_random_cells_match_oracle(tp, radius):
+    _assert_same_ball(tp, radius)
+
+
+def test_raw_edges_use_dense_int_ids():
+    root, raw = _build_amalgam(TypeParams("VII", n=2, m=2), 4)
+    assert root == 0
+    ends = {x for u, v, _, _ in raw for x in (u, v)}
+    assert ends == set(range(len(ends)))
+    for u, v, _, directed in raw:
+        assert directed or u <= v
+
+
+# ---------------------------------------------------------------------------
+# normal-form arithmetic on random factor words
+# ---------------------------------------------------------------------------
+
+def _factor_element(grp, draw_int):
+    if isinstance(grp, Cyclic):
+        return draw_int % grp.n
+    k, f = divmod(draw_int, 2)
+    return (k if grp.n is None else k % grp.n, f)
+
+
+def _word(am, raw):
+    return [(tag, _factor_element(am.groups[tag], x)) for tag, x in raw]
+
+
+_RAW_WORDS = st.lists(st.tuples(st.sampled_from("AB"),
+                                st.integers(-40, 40)), max_size=12)
+_DECOMPOSITIONS = st.sampled_from([
+    TypeParams("III", n=3), TypeParams("IV", m=3),
+    TypeParams("V", n=2, m=3), TypeParams("VII", n=3, m=2)])
+
+
+def _evaluate(am, word, g=None):
+    g = am.identity if g is None else g
+    for tag, x in word:
+        g = am.mul_factor(g, tag, x)
+    return g
+
+
+def _times(am, g, h):
+    """g * h on normal forms: right-multiply g by h's letters."""
+    c, seq = h
+    if c:
+        g = am.mul_factor(g, "A", am.w["A"])
+    return _evaluate(am, seq, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DECOMPOSITIONS, _RAW_WORDS)
+def test_tuples_equal_oracle_normal_forms(tp, raw):
+    am, _ = _amalgam_for(tp)
+    old_am = O.oracle_amalgam(am)
+    word = _word(am, raw)
+    g = old_am.identity
+    for tag, x in word:
+        g = old_am.mul_factor(g, tag, x)
+    assert _evaluate(am, word) == (g.c, g.seq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DECOMPOSITIONS, _RAW_WORDS, _RAW_WORDS, st.sampled_from("AB"))
+def test_group_axioms(tp, raw_u, raw_v, tag):
+    am, _ = _amalgam_for(tp)
+    u, v = _word(am, raw_u), _word(am, raw_v)
+    gu, gv = _evaluate(am, u), _evaluate(am, v)
+    # right identity
+    assert am.mul_factor(gu, tag, am.groups[tag].identity) == gu
+    # a word followed by its inverse
+    inverse = [(t, am.groups[t].inv(x)) for t, x in reversed(u)]
+    assert _evaluate(am, u + inverse) == am.identity
+    # evaluating u then v equals evaluating the concatenation uv
+    assert _times(am, gu, gv) == _evaluate(am, u + v)

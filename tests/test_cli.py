@@ -1,6 +1,7 @@
 """CLI subcommands and exit-code mapping."""
 
 import json
+import time
 
 import pytest
 
@@ -63,6 +64,16 @@ def test_classify_not_in_catalogue(capsys):
 def test_classify_parse_error(capsys):
     code, _, err = run(capsys, "classify", "a,b|b^2")
     assert code == 1
+
+
+def test_classify_oversized_power_is_parse_error(capsys):
+    # the power is rejected before it is expanded, not after building
+    # a 20M-letter relator
+    start = time.perf_counter()
+    code, _, err = run(capsys, "classify", "<a,b|b^2,(ab)^10000000>")
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert "longer than 10000 letters" in err
 
 
 def test_embed_json(capsys):

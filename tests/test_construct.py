@@ -94,6 +94,18 @@ def test_finite_types_have_full_interior():
         assert ball.interior == frozenset(ball.vertices())
 
 
+@pytest.mark.parametrize("n,radius", [(n, r) for n in range(1, 5)
+                                      for r in range(n + 2)])
+def test_type_ix_whole_graph_at_any_radius(n, radius):
+    # below radius n the graph used to be truncated, leaving interior
+    # slots empty
+    ball = construct(TypeParams("IX", n=n), radius)
+    assert ball.radius == n
+    assert ball.n_vertices == 2 * n
+    assert len(ball.edges) == 3 * n
+    assert ball.interior == frozenset(ball.vertices())
+
+
 def test_presentation_ball_arbitrary_group():
     p = parse_presentation("<a,b | b^2, a^3>")
     ball = construct_presentation_ball(p, 4)

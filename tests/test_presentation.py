@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cubiccayley.errors import EmptyRelator, ParseError, UnknownGenerator
-from cubiccayley.presentation import (Word, free_reduce, parse_presentation,
+from cubiccayley.presentation import (MAX_RELATOR_LETTERS, Word, free_reduce,
+                                      parse_presentation,
                                       relator_multiset_normal_form,
                                       subword_in_closure)
 
@@ -101,3 +102,24 @@ def test_subword_in_closure():
     rel = Word((("a", 1), ("b", 1), ("a", 1), ("b", 1)))
     assert subword_in_closure(Word((("b", 1), ("a", 1))), rel)
     assert not subword_in_closure(Word((("a", 1), ("a", 1))), rel)
+
+
+@pytest.mark.parametrize("text", [
+    "<a,b|b^2,(ab)^10000000>",
+    "<a,b|b^2,a^10000000>",
+    "<a,b|b^2,ba^-10000000>",
+    "<a,b|b^2,((ab)^100)^100>",
+    "<a,b|b^2," + "(ab)^4000" * 3 + ">",
+    "<a,b|b^2," + "ab" * 6000 + ">",
+])
+def test_relator_length_bound(text):
+    with pytest.raises(ParseError, match=f"longer than {MAX_RELATOR_LETTERS}"):
+        parse_presentation(text)
+
+
+def test_relator_at_length_bound_parses():
+    half = MAX_RELATOR_LETTERS // 2
+    p = parse_presentation(f"<a,b|b^2,(ab)^{half}>")
+    assert len(p.relators[1]) == MAX_RELATOR_LETTERS
+    p = parse_presentation(f"<a,b|b^2,a^{MAX_RELATOR_LETTERS}>")
+    assert len(p.relators[1]) == MAX_RELATOR_LETTERS
