@@ -6,15 +6,30 @@ the separating objects and the separated witnesses must be interior
 vertices, because finite balls of infinite graphs develop spurious cuts
 near their truncation boundary.
 
+Every reachability question on a ball is answered by one traversal,
+``CayleyBall.bfs``, over the ball's slot map: here the component sweeps,
+separation tests, shortest paths (a walk up its parent map), the type V
+(nos) detour and linkage tests and the cycle space forest; elsewhere the
+distances of a loaded ball and the spin propagation of an embedding.
+The loops that stay do something else:
+
+* ``_cut_vertices`` is a low-link depth-first pass, another algorithm;
+* ``embed._translation_spot_check`` stops at vertices whose image
+  under the translation leaves the ball;
+* ``render`` orders each vertex's children by the embedding's rotation,
+  which shapes the drawn tree;
+* ``ball.make_ball``, the polygon graph of ``construct`` and
+  ``coset._ball_distances`` walk raw vertices, a growing graph or a
+  coset table, not a ``CayleyBall``.
+
 The separator search at the center costs one cut-vertex pass over the
-ball minus the center, then one confirming component sweep per cut
-vertex it tries.  The all-pairs separator, hinge and type V (nos)
-searches are still enumeration: every candidate vertex pair or edge
-costs a full component sweep of the ball, so their cost grows with the
-square of the ball or faster.
+ball minus the center, then one confirming search per cut vertex it
+tries.  The all-pairs separator, hinge and nos searches are still
+enumeration: every candidate vertex pair or edge costs one search of
+the ball, so their cost grows with the square of the ball or faster.
 ``two_basis_check`` is linear in the closed relator walks of the ball;
-``cycle_space_span_check`` still searches the spanning forest once per
-fundamental cycle.
+``cycle_space_span_check`` builds one breadth-first forest of the
+interior and reads each fundamental cycle off its root-path masks.
 """
 
 from __future__ import annotations
@@ -63,82 +78,52 @@ class ColourPairOrder:
 # reachability helpers
 # ---------------------------------------------------------------------------
 
-def _adjacency(ball: CayleyBall) -> List[List[Tuple[int, int]]]:
-    adj: List[List[Tuple[int, int]]] = [[] for _ in ball.vertices()]
-    for eid, e in enumerate(ball.edges):
-        adj[e.u].append((e.v, eid))
-        adj[e.v].append((e.u, eid))
-    return adj
-
-
-def _components(ball, adj, removed_vertices=frozenset(), removed_edges=frozenset()):
-    seen = set(removed_vertices)
-    comps = []
-    for start in ball.vertices():
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        for v in comp:
-            for w, eid in adj[v]:
-                if eid in removed_edges or w in seen:
-                    continue
-                seen.add(w)
-                comp.append(w)
-        comps.append(comp)
-    return comps
-
-
-def _separates(ball, adj, witnesses, removed_vertices=frozenset(),
+def _separates(ball, witnesses, removed_vertices=frozenset(),
                removed_edges=frozenset()) -> bool:
     """True iff two witnesses (outside the removed set) end up in
-    different components."""
+    different components: one search from the first live witness."""
     live = [w for w in witnesses if w not in removed_vertices]
     if len(live) < 2:
         return False
-    comps = _components(ball, adj, removed_vertices, removed_edges)
-    hit = 0
-    for comp in comps:
-        if any(v in witnesses for v in comp):
-            hit += 1
-            if hit > 1:
-                return True
-    return False
+    reach = ball.bfs(live[:1], removed_vertices, removed_edges)
+    return any(w not in reach for w in live)
 
 
-def _cut_vertices(adj, witnesses, removed) -> Optional[Set[int]]:
+def _cut_vertices(slots, witnesses, removed) -> Optional[Set[int]]:
     """Cut vertices of G minus ``removed``, or None when removing
-    ``removed`` alone already separates ``witnesses``.
+    ``removed`` alone already separates ``witnesses``.  ``slots`` is the
+    ball's slot map: per vertex, a dict whose values are (edge id,
+    neighbour).
 
     If ``removed`` does not separate the witnesses, one more vertex can
     separate them only if it is a cut vertex here.  Cost: one iterative
     depth-first pass (Hopcroft & Tarjan), linear in the ball.  The pass
     skips the parent edge by id, so parallel edges count as cycles.
     """
-    disc = [0] * len(adj)  # discovery time; 0 unvisited, -1 removed
-    low = [0] * len(adj)
+    disc = [0] * len(slots)  # discovery time; 0 unvisited, -1 removed
+    low = [0] * len(slots)
     for v in removed:
         disc[v] = -1
     cuts = set()
     t = witness_trees = 0
-    for root in range(len(adj)):
+    for root in range(len(slots)):
         if disc[root]:
             continue
         t += 1
         disc[root] = low[root] = t
         hit = root in witnesses
         root_children = 0
-        stack = [(root, -1, iter(adj[root]))]
+        stack = [(root, -1, iter(slots[root].values()))]
         while stack:
             v, parent_eid, edges = stack[-1]
-            for w, eid in edges:
+            for eid, w in edges:
                 if eid == parent_eid:
                     continue
                 if not disc[w]:
                     t += 1
                     disc[w] = low[w] = t
                     hit = hit or w in witnesses
-                    stack.append((w, eid, iter(adj[w])))
+                    stack.append((w, eid, iter(slots[w].values())))
                     break
                 if 0 < disc[w] < low[v]:
                     low[v] = disc[w]
@@ -161,21 +146,14 @@ def _cut_vertices(adj, witnesses, removed) -> Optional[Set[int]]:
     return cuts
 
 
-def _shortest_path(ball, adj, x: int, y: int) -> Tuple[int, ...]:
-    prev = {x: None}
-    queue = [x]
-    for v in queue:
-        if v == y:
-            break
-        for w, _ in adj[v]:
-            if w not in prev:
-                prev[w] = v
-                queue.append(w)
-    if y not in prev:
+def _shortest_path(ball, x: int, y: int) -> Tuple[int, ...]:
+    """The path from x to y in the breadth-first tree from x."""
+    tree = ball.bfs((x,))
+    if y not in tree:
         raise NoSeparatorFound(f"no path between {x} and {y} inside the ball")
     path = [y]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
+    while tree[path[-1]][0] is not None:
+        path.append(tree[path[-1]][0])
     return tuple(reversed(path))
 
 
@@ -194,12 +172,18 @@ def _path_word(ball: CayleyBall, path: Sequence[int]) -> Word:
     return Word(tuple(letters))
 
 
-def _certificate(ball, adj, x: int, y: int) -> SeparationCertificate:
-    comps = _components(ball, adj, frozenset((x, y)))
-    path = _shortest_path(ball, adj, x, y)
+def _certificate(ball, x: int, y: int) -> SeparationCertificate:
+    removed = frozenset((x, y))
+    seen = set(removed)
+    comps = []
+    for start in ball.vertices():
+        if start not in seen:
+            comp = ball.bfs((start,), removed)
+            seen.update(comp)
+            comps.append(tuple(sorted(comp)))
+    path = _shortest_path(ball, x, y)
     z = _path_word(ball, path)
-    cert = SeparationCertificate(
-        x, y, tuple(tuple(sorted(c)) for c in comps), path, z)
+    cert = SeparationCertificate(x, y, tuple(comps), path, z)
     twice = Word(z.letters + z.letters)
     cert.checks["z_squared_closes"] = ball.trace_word(x, twice) == x
     colours = {g for g, _ in z}
@@ -245,15 +229,14 @@ def connectivity_diagnostics(ball: CayleyBall, margin: int = 1) -> dict:
     possible truncation artifact.  The default margin is the minimal
     discipline; ``sound_margin`` gives the relator-aware one.
     """
-    adj = _adjacency(ball)
     deep = sorted(_deep_vertices(ball, margin))
     witnesses = set(deep)
-    cut = any(_separates(ball, adj, witnesses, frozenset((v,)))
+    cut = any(_separates(ball, witnesses, frozenset((v,)))
               for v in deep)
     separators = []
     for x, y in itertools.combinations(deep, 2):
-        if _separates(ball, adj, witnesses, frozenset((x, y))):
-            separators.append(_certificate(ball, adj, x, y))
+        if _separates(ball, witnesses, frozenset((x, y))):
+            separators.append(_certificate(ball, x, y))
     return {"has_interior_cutvertex": cut, "two_separators": separators}
 
 
@@ -265,14 +248,13 @@ def find_hinges(ball: CayleyBall, margin: int = 1,
     vertex-transitivity of Cayley graphs every edge is a translate of a
     center edge, and the center enjoys the best truncation margin.
     """
-    adj = _adjacency(ball)
     deep = set(_deep_vertices(ball, margin))
     hinges = []
     for e in ball.edges:
         if center_only and ball.center not in (e.u, e.v):
             continue
         if e.u in deep and e.v in deep and \
-                _separates(ball, adj, deep, frozenset((e.u, e.v))):
+                _separates(ball, deep, frozenset((e.u, e.v))):
             hinges.append(e)
     return hinges
 
@@ -286,27 +268,25 @@ def shortest_separating_path(ball: CayleyBall, margin: int = 1,
     (sound by vertex-transitivity) and candidates are scanned in
     distance order, so the first hit is minimal.
     Cost: with ``center_only``, one cut-vertex pass over G - center and
-    a component sweep per cut vertex tried; else a component sweep per
-    deep pair.
+    one search per cut vertex tried; else one search per deep pair.
     """
-    adj = _adjacency(ball)
     deep = sorted(_deep_vertices(ball, margin))
     witnesses = set(deep)
     if center_only:
         c = ball.center
-        cuts = _cut_vertices(adj, witnesses, (c,))
+        cuts = _cut_vertices(ball._slots, witnesses, (c,))
         for y in sorted(deep, key=lambda v: (ball.distances[v], v)):
             if y != c and (cuts is None or y in cuts) and \
-                    _separates(ball, adj, witnesses, frozenset((c, y))):
-                return _certificate(ball, adj, c, y)
+                    _separates(ball, witnesses, frozenset((c, y))):
+                return _certificate(ball, c, y)
         raise NoSeparatorFound(
             "no separating pair at the center at this radius")
     best = None
     best_key = None
     for x, y in itertools.combinations(deep, 2):
-        if not _separates(ball, adj, witnesses, frozenset((x, y))):
+        if not _separates(ball, witnesses, frozenset((x, y))):
             continue
-        path = _shortest_path(ball, adj, x, y)
+        path = _shortest_path(ball, x, y)
         key = (len(path), ball.distances[x] + ball.distances[y], x, y)
         if best_key is None or key < best_key:
             best_key = key
@@ -315,7 +295,7 @@ def shortest_separating_path(ball: CayleyBall, margin: int = 1,
         raise NoSeparatorFound(
             "no interior separating pair at this radius; report, do not guess")
     x, y, _ = best
-    return _certificate(ball, adj, x, y)
+    return _certificate(ball, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -415,51 +395,25 @@ def cycle_space_span_check(ball: CayleyBall, p: Presentation) -> bool:
     every fundamental cycle of the interior subgraph."""
     if ball.radius < 2 and len(ball.interior) != ball.n_vertices:
         raise BallTooSmall("radius >= 2 required")
-    interior_eids = [i for i, e in enumerate(ball.edges)
-                     if e.u in ball.interior and e.v in ball.interior]
+    interior = ball.interior
     basis: Dict[int, int] = {}
     for mask in _relator_circuit_masks(ball, p, interior_only=True):
         _gf2_insert(basis, mask)
 
-    # spanning forest of the interior subgraph; non-tree edges give
-    # fundamental cycles
-    parent = {v: v for v in ball.interior}
+    # one breadth-first forest of the interior subgraph, with the edge
+    # mask of each vertex's path to its root
+    outside = frozenset(v for v in ball.vertices() if v not in interior)
+    root_path: Dict[int, int] = {}
+    for root in sorted(interior):
+        if root not in root_path:
+            for v, (u, eid) in ball.bfs((root,), outside).items():
+                root_path[v] = 0 if u is None else root_path[u] ^ (1 << eid)
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree_adj: Dict[int, List[Tuple[int, int]]] = {v: [] for v in ball.interior}
-    non_tree = []
-    for eid in interior_eids:
-        e = ball.edges[eid]
-        ru, rv = find(e.u), find(e.v)
-        if ru == rv:
-            non_tree.append(eid)
-        else:
-            parent[ru] = rv
-            tree_adj[e.u].append((e.v, eid))
-            tree_adj[e.v].append((e.u, eid))
-
-    for eid in non_tree:
-        e = ball.edges[eid]
-        prev = {e.u: (None, None)}
-        queue = [e.u]
-        for v in queue:
-            if v == e.v:
-                break
-            for w, teid in tree_adj[v]:
-                if w not in prev:
-                    prev[w] = (v, teid)
-                    queue.append(w)
-        mask = 1 << eid
-        v = e.v
-        while prev[v][0] is not None:
-            v, teid = prev[v]
-            mask ^= 1 << teid
-        if _gf2_reduce(basis, mask):
+    # edge e = uv closes the fundamental cycle e + path(u) + path(v); a
+    # tree edge gives the empty mask, which always reduces to zero
+    for eid, e in enumerate(ball.edges):
+        if e.u in interior and e.v in interior and _gf2_reduce(
+                basis, (1 << eid) ^ root_path[e.u] ^ root_path[e.v]):
             return False
     return True
 
@@ -508,20 +462,6 @@ def _relator_cycles(ball: CayleyBall, rel: Word):
     return cycles
 
 
-def _reachable(ball, adj, sources, targets, removed_vertices) -> bool:
-    seen = set(removed_vertices)
-    queue = [s for s in sources if s not in seen]
-    seen.update(queue)
-    for v in queue:
-        if v in targets:
-            return True
-        for w, _ in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return False
-
-
 def nos_properties_check(ball: CayleyBall) -> dict:
     """Verify the five separation properties of the type V graphs on
     interior witnesses; returns per-property pass/fail with witnesses."""
@@ -534,7 +474,6 @@ def nos_properties_check(ball: CayleyBall) -> dict:
         raise BallTooSmall(
             f"radius {ball.radius} < {len(rel) // 2 + 2}: no full relator "
             "cycle with margin fits in the interior")
-    adj = _adjacency(ball)
     margin = sound_margin(p)
     deep = set(_deep_vertices(ball, margin))
     deep_eids = [i for i, e in enumerate(ball.edges)
@@ -548,14 +487,14 @@ def nos_properties_check(ball: CayleyBall) -> dict:
         ei, ej = ball.edges[i], ball.edges[j]
         if ei.colour == "d" and ej.colour == "d":
             continue
-        if _separates(ball, adj, deep, removed_edges=frozenset((i, j))):
+        if _separates(ball, deep, removed_edges=frozenset((i, j))):
             violations.append(("edges", ei, ej))
     for v in sorted(deep):
         for i in deep_eids:
             e = ball.edges[i]
             if e.colour == "d" or v in (e.u, e.v):
                 continue
-            if _separates(ball, adj, deep, frozenset((v,)),
+            if _separates(ball, deep, frozenset((v,)),
                           frozenset((i,))):
                 violations.append(("vertex+edge", v, e))
     report["nosii"] = {"ok": not violations, "violations": violations}
@@ -591,24 +530,9 @@ def nos_properties_check(ball: CayleyBall) -> dict:
             e = ball.edges[eid]
             if e.colour != "b" or e.u not in deep or e.v not in deep:
                 continue
+            # the b edge itself is not a detour
             removed = frozenset(vset - {e.u, e.v})
-            prev = {e.u}
-            queue = [e.u]
-            found = False
-            for v in queue:
-                for w, weid in adj[v]:
-                    if weid == eid and v == e.u and w == e.v:
-                        continue  # the b edge itself is not a detour
-                    if w in removed or w in prev:
-                        continue
-                    if w == e.v:
-                        found = True
-                        break
-                    prev.add(w)
-                    queue.append(w)
-                if found:
-                    break
-            if not found:
+            if e.v not in ball.bfs((e.u,), removed, (eid,)):
                 violations.append((e, verts))
     report["nosvi"] = {"ok": not violations, "violations": violations}
 
@@ -623,7 +547,7 @@ def nos_properties_check(ball: CayleyBall) -> dict:
             removed = frozenset((e.u, e.v))
             src = [v for v in va if v not in removed]
             dst = {v for v in vb if v not in removed}
-            if not _reachable(ball, adj, src, dst, removed):
+            if dst.isdisjoint(ball.bfs(src, removed)):
                 violations.append((e, va, vb))
     report["nosv"] = {"ok": not violations, "violations": violations}
 

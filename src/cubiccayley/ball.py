@@ -79,6 +79,32 @@ class CayleyBall:
     def incident_edges(self, v: int):
         return [eid for eid, _ in self._slots[v].values()]
 
+    def bfs(self, sources, removed_vertices=(), removed_edges=()
+            ) -> Dict[int, Tuple[Optional[int], Optional[int]]]:
+        """Breadth-first tree ``{vertex: (parent, edge id)}`` of the ball
+        minus the removed vertices and edges, in discovery order; each
+        source maps to ``(None, None)``.
+
+        Order rule: the sources are enqueued in the order given, and each
+        dequeued vertex scans its edges in edge-id order, the order of
+        its slot map.  A vertex's parent is its first discoverer under
+        this rule, so the paths read off the tree, and the separator
+        certificates and tie-breaks built on them, depend on nothing else.
+        """
+        tree = {}
+        for s in sources:
+            if s not in removed_vertices:
+                tree.setdefault(s, (None, None))
+        queue = list(tree)
+        slots = self._slots
+        for v in queue:
+            for eid, w in slots[v].values():
+                if w not in tree and w not in removed_vertices and \
+                        eid not in removed_edges:
+                    tree[w] = (v, eid)
+                    queue.append(w)
+        return tree
+
     def step(self, v: int, letter) -> Optional[int]:
         """Follow one letter (gen, sign) from v; None if the edge is absent."""
         hit = self.step_edge(v, letter)
@@ -141,8 +167,8 @@ class CayleyBall:
     def from_dict(cls, data: dict) -> "CayleyBall":
         """The ball ``to_dict`` wrote.  One linear pass checks the schema
         (dense vertex ids, edge endpoints and interior among them, a
-        valid center, one edge per slot) and raises ParseError on any
-        other input."""
+        valid center, one edge per slot, every vertex reachable from the
+        center) and raises ParseError on any other input."""
         from .presentation import parse_presentation
         if not isinstance(data, dict):
             raise ParseError(
@@ -188,8 +214,16 @@ class CayleyBall:
             ball.edges = edges
             ball.words = words
             ball.interior = interior
-            ball.distances = _bfs_distances(n, edges, center)
             ball._slots = ball._build_slots()
+            tree = ball.bfs((center,))
+            if len(tree) < n:
+                raise ParseError(
+                    f"ball is not connected: {n - len(tree)} vertices "
+                    "unreachable from the center")
+            ball.distances = dist = [0] * n
+            for v, (u, _) in tree.items():
+                if u is not None:
+                    dist[v] = dist[u] + 1
         except ParseError:
             raise
         # ValueError: an overlong exponent in the presentation;
@@ -209,22 +243,6 @@ class CayleyBall:
              e.u if e.directed else min(e.u, e.v))
             for e in self.edges)
         return (len(self.words), self.center, tuple(edge_keys))
-
-
-def _bfs_distances(n: int, edges: List[Edge], root: int) -> List[int]:
-    adj: List[List[int]] = [[] for _ in range(n)]
-    for e in edges:
-        adj[e.u].append(e.v)
-        adj[e.v].append(e.u)
-    dist = [-1] * n
-    dist[root] = 0
-    queue = [root]
-    for v in queue:
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
 
 
 def make_ball(presentation: Optional[Presentation], root,

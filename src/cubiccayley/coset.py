@@ -268,21 +268,13 @@ def ball_from_table(table: CosetTable, radius: int,
     """
     p = table.presentation
     root = table.rep(0)
-    dist = {root: 0}
-    queue = [root]
-    for v in queue:
-        if dist[v] >= radius:
-            continue
-        for col in table.columns:
-            w = table.get(v, col)
-            if w is None:
-                if dist[v] <= radius - 1:
+    dist = _ball_distances(table, radius)
+    for v, d in dist.items():
+        if d < radius:
+            for col in table.columns:
+                if table.get(v, col) is None:
                     raise UndefinedInterior(
-                        f"coset at distance {dist[v]} lacks image under {col}")
-                continue
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
+                        f"coset at distance {d} lacks image under {col}")
 
     if table.complete and clamp:
         radius = min(radius, max(dist.values(), default=0))

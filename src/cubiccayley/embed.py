@@ -110,19 +110,22 @@ def _base_slots(p: Presentation):
 
 
 def _propagate(ball: CayleyBall, colour_spin: Dict[str, str]) -> List[int]:
+    """Spins that the colour table forces from spin 0 at the center.
+
+    Each vertex takes its breadth-first parent's spin, flipped across a
+    reversing edge; then every edge is checked.  SpinConflict names the
+    lowest edge id whose ends' spins break its colour's rule, which is
+    never a tree edge.
+    """
+    flip = {c: int(s != PRESERVING) for c, s in colour_spin.items()}
+    edges = ball.edges
     spin = [-1] * ball.n_vertices
-    spin[ball.center] = 0
-    queue = [ball.center]
-    for v in queue:
-        for slot, (eid, w) in sorted(ball.slots(v).items()):
-            colour = ball.edges[eid].colour
-            want = spin[v] ^ (0 if colour_spin[colour] == PRESERVING else 1)
-            if spin[w] < 0:
-                spin[w] = want
-                queue.append(w)
-            elif spin[w] != want:
-                raise SpinConflict(
-                    f"edge {eid} ({colour}) cannot satisfy the spin table")
+    for v, (u, eid) in ball.bfs((ball.center,)).items():
+        spin[v] = 0 if u is None else spin[u] ^ flip[edges[eid].colour]
+    for eid, e in enumerate(edges):
+        if spin[e.u] ^ spin[e.v] != flip[e.colour]:
+            raise SpinConflict(
+                f"edge {eid} ({e.colour}) cannot satisfy the spin table")
     return spin
 
 

@@ -3,27 +3,36 @@
 These are the original whole-ball versions of the face and GF(2)
 certification checks, which rescanned the ball for every face, face edge
 or mask, of the separator search at the center, which ran a full
-component sweep per candidate, and of the amalgam builder, whose normal
-forms were frozen dataclasses keyed by their own hash.  The library now
-runs linear-time checks, prunes the center's candidates with one
-cut-vertex pass and builds amalgam balls from plain tuples numbered by
-dense ints; the differential tests compare the two.  Do not import this
+component sweep per candidate, of the reachability searches, each its
+own loop over an adjacency list rebuilt on every call, of the cycle
+space check, which searched a union-find forest once per fundamental
+cycle, and of the amalgam builder, whose normal forms were frozen
+dataclasses keyed by their own hash.  The library now runs linear-time
+checks, prunes the center's candidates with one cut-vertex pass, answers
+every reachability question with ``CayleyBall.bfs`` and builds amalgam
+balls from plain tuples numbered by dense ints; the differential tests
+compare the two.  The oracles keep their own copies of every traversal,
+so they cannot follow a change in the library.  Do not import this
 module from ``src``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
-from cubiccayley.analyze import (SeparationCertificate, _adjacency,
-                                 _certificate, _deep_vertices, _separates)
-from cubiccayley.ball import CayleyBall
+from cubiccayley.analyze import (SeparationCertificate, _deep_vertices,
+                                 _gf2_insert, _gf2_reduce, _path_word,
+                                 sound_margin)
+from cubiccayley.ball import CayleyBall, Edge
 from cubiccayley.construct import _amalgam_for
-from cubiccayley.embed import FaceWalk, RotationEmbedding, trace_faces
-from cubiccayley.errors import NoSeparatorFound
+from cubiccayley.embed import (PRESERVING, FaceWalk, RotationEmbedding,
+                               trace_faces)
+from cubiccayley.errors import (BallTooSmall, InvalidParams,
+                                NoSeparatorFound, SpinConflict)
 from cubiccayley.presentation import Presentation, Word
 
 
@@ -203,8 +212,85 @@ def _relator_cycles(ball: CayleyBall, rel: Word):
 
 
 # ---------------------------------------------------------------------------
-# separator at the center: one component sweep per candidate
+# analyze and embed: a hand-rolled search per question over a (w, eid)
+# adjacency list rebuilt on every call; the union-find spanning forest of
+# the cycle space check with one tree search per fundamental cycle
 # ---------------------------------------------------------------------------
+
+def _adjacency(ball: CayleyBall) -> List[List[Tuple[int, int]]]:
+    adj: List[List[Tuple[int, int]]] = [[] for _ in ball.vertices()]
+    for eid, e in enumerate(ball.edges):
+        adj[e.u].append((e.v, eid))
+        adj[e.v].append((e.u, eid))
+    return adj
+
+
+def _components(ball, adj, removed_vertices=frozenset(), removed_edges=frozenset()):
+    seen = set(removed_vertices)
+    comps = []
+    for start in ball.vertices():
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        for v in comp:
+            for w, eid in adj[v]:
+                if eid in removed_edges or w in seen:
+                    continue
+                seen.add(w)
+                comp.append(w)
+        comps.append(comp)
+    return comps
+
+
+def _separates(ball, adj, witnesses, removed_vertices=frozenset(),
+               removed_edges=frozenset()) -> bool:
+    """True iff two witnesses (outside the removed set) end up in
+    different components."""
+    live = [w for w in witnesses if w not in removed_vertices]
+    if len(live) < 2:
+        return False
+    comps = _components(ball, adj, removed_vertices, removed_edges)
+    hit = 0
+    for comp in comps:
+        if any(v in witnesses for v in comp):
+            hit += 1
+            if hit > 1:
+                return True
+    return False
+
+
+def _shortest_path(ball, adj, x: int, y: int) -> Tuple[int, ...]:
+    prev = {x: None}
+    queue = [x]
+    for v in queue:
+        if v == y:
+            break
+        for w, _ in adj[v]:
+            if w not in prev:
+                prev[w] = v
+                queue.append(w)
+    if y not in prev:
+        raise NoSeparatorFound(f"no path between {x} and {y} inside the ball")
+    path = [y]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    return tuple(reversed(path))
+
+
+def _certificate(ball, adj, x: int, y: int) -> SeparationCertificate:
+    comps = _components(ball, adj, frozenset((x, y)))
+    path = _shortest_path(ball, adj, x, y)
+    z = _path_word(ball, path)
+    cert = SeparationCertificate(
+        x, y, tuple(tuple(sorted(c)) for c in comps), path, z)
+    twice = Word(z.letters + z.letters)
+    cert.checks["z_squared_closes"] = ball.trace_word(x, twice) == x
+    colours = {g for g, _ in z}
+    cert.checks["monochromatic"] = len(colours) == 1
+    cert.checks["two_coloured"] = len(colours) == 2
+    return cert
+
 
 def center_separating_path(ball: CayleyBall,
                            margin: int = 1) -> SeparationCertificate:
@@ -220,6 +306,264 @@ def center_separating_path(ball: CayleyBall,
             return _certificate(ball, adj, ball.center, y)
     raise NoSeparatorFound(
         "no separating pair at the center at this radius")
+
+
+def connectivity_diagnostics(ball: CayleyBall, margin: int = 1) -> dict:
+    """Enumerate deep cut vertices and deep 2-separators.
+
+    Witnesses as well as separating vertices must sit ``margin`` layers
+    inside the interior; anything closer to the boundary is dropped as a
+    possible truncation artifact.  The default margin is the minimal
+    discipline; ``sound_margin`` gives the relator-aware one.
+    """
+    adj = _adjacency(ball)
+    deep = sorted(_deep_vertices(ball, margin))
+    witnesses = set(deep)
+    cut = any(_separates(ball, adj, witnesses, frozenset((v,)))
+              for v in deep)
+    separators = []
+    for x, y in itertools.combinations(deep, 2):
+        if _separates(ball, adj, witnesses, frozenset((x, y))):
+            separators.append(_certificate(ball, adj, x, y))
+    return {"has_interior_cutvertex": cut, "two_separators": separators}
+
+
+def find_hinges(ball: CayleyBall, margin: int = 1,
+                center_only: bool = False) -> List[Edge]:
+    """Deep edges whose endpoint pair separates deep vertices.
+
+    ``center_only`` restricts to the edges at the center vertex: by
+    vertex-transitivity of Cayley graphs every edge is a translate of a
+    center edge, and the center enjoys the best truncation margin.
+    """
+    adj = _adjacency(ball)
+    deep = set(_deep_vertices(ball, margin))
+    hinges = []
+    for e in ball.edges:
+        if center_only and ball.center not in (e.u, e.v):
+            continue
+        if e.u in deep and e.v in deep and \
+                _separates(ball, adj, deep, frozenset((e.u, e.v))):
+            hinges.append(e)
+    return hinges
+
+
+def shortest_separating_path(ball: CayleyBall,
+                             margin: int = 1) -> SeparationCertificate:
+    """``shortest_separating_path(center_only=False)`` as it was: a
+    component sweep per deep pair."""
+    adj = _adjacency(ball)
+    deep = sorted(_deep_vertices(ball, margin))
+    witnesses = set(deep)
+    best = None
+    best_key = None
+    for x, y in itertools.combinations(deep, 2):
+        if not _separates(ball, adj, witnesses, frozenset((x, y))):
+            continue
+        path = _shortest_path(ball, adj, x, y)
+        key = (len(path), ball.distances[x] + ball.distances[y], x, y)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (x, y, path)
+    if best is None:
+        raise NoSeparatorFound(
+            "no interior separating pair at this radius; report, do not guess")
+    x, y, _ = best
+    return _certificate(ball, adj, x, y)
+
+
+def cycle_space_span_check(ball: CayleyBall, p: Presentation) -> bool:
+    """True iff relator-induced circuits based at interior vertices span
+    every fundamental cycle of the interior subgraph."""
+    if ball.radius < 2 and len(ball.interior) != ball.n_vertices:
+        raise BallTooSmall("radius >= 2 required")
+    interior_eids = [i for i, e in enumerate(ball.edges)
+                     if e.u in ball.interior and e.v in ball.interior]
+    basis: Dict[int, int] = {}
+    for mask in _relator_circuit_masks(ball, p, interior_only=True):
+        _gf2_insert(basis, mask)
+
+    # spanning forest of the interior subgraph; non-tree edges give
+    # fundamental cycles
+    parent = {v: v for v in ball.interior}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    tree_adj: Dict[int, List[Tuple[int, int]]] = {v: [] for v in ball.interior}
+    non_tree = []
+    for eid in interior_eids:
+        e = ball.edges[eid]
+        ru, rv = find(e.u), find(e.v)
+        if ru == rv:
+            non_tree.append(eid)
+        else:
+            parent[ru] = rv
+            tree_adj[e.u].append((e.v, eid))
+            tree_adj[e.v].append((e.u, eid))
+
+    for eid in non_tree:
+        e = ball.edges[eid]
+        prev = {e.u: (None, None)}
+        queue = [e.u]
+        for v in queue:
+            if v == e.v:
+                break
+            for w, teid in tree_adj[v]:
+                if w not in prev:
+                    prev[w] = (v, teid)
+                    queue.append(w)
+        mask = 1 << eid
+        v = e.v
+        while prev[v][0] is not None:
+            v, teid = prev[v]
+            mask ^= 1 << teid
+        if _gf2_reduce(basis, mask):
+            return False
+    return True
+
+
+def _reachable(ball, adj, sources, targets, removed_vertices) -> bool:
+    seen = set(removed_vertices)
+    queue = [s for s in sources if s not in seen]
+    seen.update(queue)
+    for v in queue:
+        if v in targets:
+            return True
+        for w, _ in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return False
+
+
+def nos_properties_check(ball: CayleyBall) -> dict:
+    """Verify the five separation properties of the type V graphs on
+    interior witnesses; returns per-property pass/fail with witnesses."""
+    p = ball.presentation
+    rel = next((r for r in p.relators if any(g == "d" for g, _ in r)
+                and len(r) > 2), None)
+    if rel is None:
+        raise InvalidParams("ball does not carry a d-relator")
+    if ball.radius < len(rel) // 2 + 2:
+        raise BallTooSmall(
+            f"radius {ball.radius} < {len(rel) // 2 + 2}: no full relator "
+            "cycle with margin fits in the interior")
+    adj = _adjacency(ball)
+    margin = sound_margin(p)
+    deep = set(_deep_vertices(ball, margin))
+    deep_eids = [i for i, e in enumerate(ball.edges)
+                 if e.u in deep and e.v in deep]
+    report: Dict[str, dict] = {}
+
+    # (nosii): no deep 2-edge-cut unless both edges are d edges, and no
+    # mixed vertex-plus-edge cut unless the edge is a d edge
+    violations = []
+    for i, j in itertools.combinations(deep_eids, 2):
+        ei, ej = ball.edges[i], ball.edges[j]
+        if ei.colour == "d" and ej.colour == "d":
+            continue
+        if _separates(ball, adj, deep, removed_edges=frozenset((i, j))):
+            violations.append(("edges", ei, ej))
+    for v in sorted(deep):
+        for i in deep_eids:
+            e = ball.edges[i]
+            if e.colour == "d" or v in (e.u, e.v):
+                continue
+            if _separates(ball, adj, deep, frozenset((v,)),
+                          frozenset((i,))):
+                violations.append(("vertex+edge", v, e))
+    report["nosii"] = {"ok": not violations, "violations": violations}
+
+    cycles = _relator_cycles(ball, rel)
+    sep_pairs = [(c.x, c.y) for c in
+                 connectivity_diagnostics(ball, margin)["two_separators"]]
+
+    # (nosiii): separating pairs on a relator cycle sit on its d edges
+    violations = []
+    for verts, eids in cycles:
+        d_touch = set()
+        for eid in eids:
+            if ball.edges[eid].colour == "d":
+                d_touch.update((ball.edges[eid].u, ball.edges[eid].v))
+        vset = set(verts)
+        for s, t in sep_pairs:
+            if s in vset and t in vset and not (s in d_touch and t in d_touch):
+                violations.append((s, t, verts))
+    report["nosiii"] = {"ok": not violations, "violations": violations}
+
+    # (nosiv): no hinge
+    hinges = find_hinges(ball, margin)
+    report["nosiv"] = {"ok": not hinges, "violations": hinges}
+
+    # (nosvi): b edges of a relator cycle have a detour avoiding the cycle;
+    # only deep b edges are judged, a missing detour nearer the boundary
+    # may have been cut off by the truncation
+    violations = []
+    for verts, eids in cycles:
+        vset = set(verts)
+        for eid in eids:
+            e = ball.edges[eid]
+            if e.colour != "b" or e.u not in deep or e.v not in deep:
+                continue
+            removed = frozenset(vset - {e.u, e.v})
+            prev = {e.u}
+            queue = [e.u]
+            found = False
+            for v in queue:
+                for w, weid in adj[v]:
+                    if weid == eid and v == e.u and w == e.v:
+                        continue  # the b edge itself is not a detour
+                    if w in removed or w in prev:
+                        continue
+                    if w == e.v:
+                        found = True
+                        break
+                    prev.add(w)
+                    queue.append(w)
+                if found:
+                    break
+            if not found:
+                violations.append((e, verts))
+    report["nosvi"] = {"ok": not violations, "violations": violations}
+
+    # (nosv): relator cycles sharing an edge stay linked off that edge
+    violations = []
+    for (va, ea), (vb, eb) in itertools.combinations(cycles, 2):
+        shared = ea & eb
+        for eid in shared:
+            e = ball.edges[eid]
+            if e.u not in deep or e.v not in deep:
+                continue
+            removed = frozenset((e.u, e.v))
+            src = [v for v in va if v not in removed]
+            dst = {v for v in vb if v not in removed}
+            if not _reachable(ball, adj, src, dst, removed):
+                violations.append((e, va, vb))
+    report["nosv"] = {"ok": not violations, "violations": violations}
+
+    report["ok"] = all(item["ok"] for item in report.values())
+    return report
+
+
+def _propagate(ball: CayleyBall, colour_spin: Dict[str, str]) -> List[int]:
+    spin = [-1] * ball.n_vertices
+    spin[ball.center] = 0
+    queue = [ball.center]
+    for v in queue:
+        for slot, (eid, w) in sorted(ball.slots(v).items()):
+            colour = ball.edges[eid].colour
+            want = spin[v] ^ (0 if colour_spin[colour] == PRESERVING else 1)
+            if spin[w] < 0:
+                spin[w] = want
+                queue.append(w)
+            elif spin[w] != want:
+                raise SpinConflict(
+                    f"edge {eid} ({colour}) cannot satisfy the spin table")
+    return spin
 
 
 # ---------------------------------------------------------------------------

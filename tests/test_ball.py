@@ -133,3 +133,18 @@ MANGLED = ["list", "sparse-id", "duplicate-id", "negative-id", "endpoint",
 def test_from_dict_rejects_malformed(ball_i2, how):
     with pytest.raises(ParseError):
         CayleyBall.from_dict(_mangled(ball_i2, how))
+
+
+def _disconnected():
+    """An I(2) ball dict plus one isolated interior vertex."""
+    data = construct(TypeParams("I", n=2), 6).to_dict()
+    n = len(data["vertices"])
+    data["vertices"].append({"id": n, "word": "zz"})
+    data["interior"].append(n)
+    return data
+
+
+def test_from_dict_rejects_disconnected():
+    # an unreachable vertex used to get distance -1 and pass as deep
+    with pytest.raises(ParseError, match="1 vertices unreachable"):
+        CayleyBall.from_dict(_disconnected())

@@ -165,3 +165,16 @@ def test_verify_unreadable_ball_is_parse_error(tmp_path, capsys, text):
                        "separator-involution")
     assert code == 1
     assert err.startswith("error: cannot read ball file")
+
+
+@pytest.mark.parametrize("argv", [["verify", "--check", "separator-involution"],
+                                  ["classify", "--blind"]])
+def test_disconnected_ball_is_parse_error(tmp_path, capsys, argv):
+    # verify used to exit 6 on a bogus separator, classify --blind 0
+    from test_ball import _disconnected
+    bad = tmp_path / "disc.json"
+    bad.write_text(json.dumps(_disconnected()))
+    code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "not connected" in err

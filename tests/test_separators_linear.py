@@ -61,8 +61,6 @@ def test_random_cells_match_oracle(type_id, dn, dm, radius, margin):
     tp = TypeParams(type_id,
                     n=None if min_n is None else min_n + dn,
                     m=None if min_m is None else min_m + dm)
-    # construct builds IX only from radius n up
-    assume(type_id != "IX" or radius >= tp.n)
     ball = construct(tp, radius)
     assume(ball.n_vertices <= _ORACLE_MAX_VERTICES)
     if margin is None:
@@ -94,7 +92,7 @@ def _components(adj, removed):
         seen.add(s)
         comp = [s]
         for v in comp:
-            for w, _ in adj[v]:
+            for _, w in adj[v].values():
                 if w not in seen:
                     seen.add(w)
                     comp.append(w)
@@ -110,10 +108,11 @@ def test_cut_pass_matches_removal(n, seed):
     rng = random.Random(seed)
     edges = [(rng.randrange(n), rng.randrange(n))
              for _ in range(rng.randrange(2 * n + 1))]
-    adj = [[] for _ in range(n)]
+    # slot-map format: per vertex, {slot: (edge id, neighbour)}
+    adj = [{} for _ in range(n)]
     for eid, (u, v) in enumerate(edges):
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
+        adj[u][eid, 0] = (eid, v)
+        adj[v][eid, 1] = (eid, u)
     removed = frozenset(rng.sample(range(n), rng.randrange(2)))
     base = len(_components(adj, removed))
     live = [v for v in range(n) if v not in removed]
