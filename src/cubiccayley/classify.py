@@ -9,6 +9,7 @@ at the relators.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -193,6 +194,13 @@ def _catalogue_hint(p: Presentation) -> str:
     return "3-generator relator multiset matches no catalogue family"
 
 
+@functools.lru_cache(maxsize=256)
+def _catalogue_normal_form(tp: TypeParams) -> str:
+    """Relator normal form of a catalogue presentation; the candidates of
+    every call repeat, so each is parsed once."""
+    return relator_multiset_normal_form(tp.presentation())
+
+
 def classify_presentation(p: Presentation) -> ClassificationReport:
     """Match against the nine families up to generator renaming."""
     if not p.cubic_eligible:
@@ -208,7 +216,7 @@ def classify_presentation(p: Presentation) -> ClassificationReport:
                     tp = TypeParams(type_id, **guess)
                 except InvalidParams:
                     continue
-                if relator_multiset_normal_form(tp.presentation()) == nf:
+                if _catalogue_normal_form(tp) == nf:
                     if type_id == "VI" and tp.n > tp.m:
                         # VI is symmetric in (n, m) under swapping c and d
                         continue

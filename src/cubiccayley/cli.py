@@ -261,7 +261,13 @@ def cmd_verify(args) -> int:
 
 def _add_common(sub):
     sub.add_argument("--radius", type=int, default=6)
-    sub.add_argument("--cap", type=int, default=100000)
+    sub.add_argument(
+        "--cap", type=int, default=100000,
+        help="ceiling of the coset enumeration: a truncated ball must agree "
+             "at two successive sizes of a doubling schedule that ends with "
+             "CAP and 2*CAP cosets; verify --grid starts it small under the "
+             "ceiling min(CAP, 5000), a presentation's ball starts it at "
+             "CAP (exit 7 when the last pair still disagrees)")
     sub.add_argument("--format", choices=("json", "dot", "svg"), default=None)
     sub.add_argument("-o", "--output", default=None)
     sub.add_argument("--type", choices=TYPE_IDS, default=None)

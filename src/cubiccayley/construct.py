@@ -351,8 +351,12 @@ def construct(tp: TypeParams, radius: int) -> CayleyBall:
 
 def construct_presentation_ball(p: Presentation, radius: int,
                                 cap: int = 100000) -> CayleyBall:
-    """Ball of an arbitrary presentation via certified truncated enumeration."""
-    ball = _oracle_ball(p, radius, cap)
+    """Ball of an arbitrary presentation via certified truncated enumeration.
+
+    A truncated table must give the same ball at ``cap`` and ``2·cap``
+    cosets: with no builder to compare against, agreement at a smaller
+    size is no evidence (see the ``coset`` docstring)."""
+    ball = _doubling_ball(p, radius, cap, cap)
     violations = certify_ball(ball, p)
     if violations:
         raise ConstructionIncomplete(
@@ -360,23 +364,59 @@ def construct_presentation_ball(p: Presentation, radius: int,
     return ball
 
 
+def _cap_schedule(start: int, cap: int) -> List[int]:
+    """``start, 2·start, 4·start, …`` while below ``cap``, then ``cap`` and
+    ``2·cap``: the ceiling pair is always the last comparison."""
+    steps = []
+    step = max(start, 1)
+    while step < cap:
+        steps.append(step)
+        step *= 2
+    return steps + [cap, 2 * cap]
+
+
 def _oracle_ball(p: Presentation, radius: int, cap: int) -> CayleyBall:
-    """Enumeration-derived ball, certified by cap doubling when truncated."""
-    table = enumerate_cosets(p, cap)
-    if table.complete:
-        return ball_from_table(table, radius)
-    try:
-        complete_ball_region(table, radius, hard_cap=4 * cap)
-        first = ball_from_table(table, radius)
-        table2 = enumerate_cosets(p, 2 * cap)
-        complete_ball_region(table2, radius, hard_cap=8 * cap)
-        second = ball_from_table(table2, radius)
-    except UndefinedInterior as exc:
-        raise OracleInconclusive(str(exc))
-    if not rooted_isomorphic(first, second):
-        raise OracleInconclusive(
-            "truncated enumeration unstable under cap doubling")
-    return second
+    """Enumeration-derived ball for ``cross_check``, on a doubling schedule
+    whose first step is sized from the ball, (radius + longest relator)
+    cosets per generator; ``cap`` is its ceiling, not the amount of work.
+    """
+    longest = max((len(rel) for rel in p.relators), default=0)
+    start = min(cap, (radius + longest) * len(p.generator_names))
+    return _doubling_ball(p, radius, start, cap)
+
+
+def _doubling_ball(p: Presentation, radius: int, start: int,
+                   cap: int) -> CayleyBall:
+    """Run ``_cap_schedule(start, cap)``: enumerate, complete the ball
+    region (up to four times the step) and cut the ball at every step.
+
+    A complete table is the whole group and ends the run.  Otherwise the
+    run ends when the balls of two successive steps are rooted-isomorphic;
+    a step whose table cannot certify the ball just doubles.  The last
+    pair compared is (``cap``, ``2·cap``), so whatever a fixed run at
+    ``cap`` and ``2·cap`` certifies, this certifies too.  The ``coset``
+    docstring says when a match at a smaller step can be trusted.
+    """
+    steps = _cap_schedule(start, cap)
+    unstable = "truncated enumeration unstable under cap doubling"
+    reason, previous = unstable, None
+    for step in steps:
+        table = enumerate_cosets(p, step)
+        if table.complete:
+            return ball_from_table(table, radius)
+        try:
+            complete_ball_region(table, radius, hard_cap=4 * step)
+            ball = ball_from_table(table, radius)
+        except (UndefinedInterior, OracleInconclusive) as exc:
+            reason, previous = str(exc), None
+            continue
+        if previous is not None:
+            if rooted_isomorphic(previous, ball):
+                return ball
+            reason = unstable
+        previous = ball
+    raise OracleInconclusive(
+        f"{reason} (radius {radius}; caps {', '.join(map(str, steps))})")
 
 
 def cross_check(tp: TypeParams, radius: int, cap: int = 5000) -> bool:

@@ -6,9 +6,31 @@ union-find.  Every table entry is a consequence of a relator trace or
 involution symmetry, so a truncated (overflowed) table is still sound and
 can be cut into a ball around the identity coset.
 
-The cap bounds the number of cosets ever created (live or dead).  Hitting
-it is reported as ``complete = False`` on the returned table, not as an
-error: the partial table is a legitimate result.
+``max_cosets`` bounds the number of cosets one table ever creates (live or
+dead).  Hitting it is reported as ``complete = False`` on the returned
+table, not as an error: the partial table is a legitimate result.  The
+oracle (``construct._doubling_ball``) runs such tables on a doubling
+schedule that ends with the pair (cap, 2·cap), so the user's cap is a
+ceiling.  ``cross_check`` starts the schedule at a size taken from the
+ball; ``construct_presentation_ball`` starts it at the cap.
+
+Why a small start is safe for ``cross_check``.  Each coset of a truncated
+table stands for a word, and each entry ``a -> b`` under a generator holds
+in the group for the words of ``a`` and ``b``, since entries are only ever
+derived from the relators.  So sending a coset to its word's group element
+maps the table's ball onto the true ball, respecting colours; it is
+one-to-one only once the table has found every coincidence the ball
+needs.  Under-enumeration can therefore give a ball that is larger than
+the true one, and so a mismatch against a correct, certified builder,
+never a spurious match with it.
+
+Why it is not safe on its own.  Two successive truncated tables can agree
+on the same too-large ball.  ``<a,b|b^2,a^5,(ab)^5,(a^2ba^-2b)^2>`` is a
+group of order 80; at radius 4 its tables of 56 and 112 cosets, the
+second and third steps of a small-start schedule, give the same 38-vertex
+ball, where the group has 36 vertices; a table first closes at 448
+cosets.  With no builder to compare against, an arbitrary presentation
+therefore keeps the costlier check at the cap.
 """
 
 from __future__ import annotations
@@ -264,7 +286,8 @@ def ball_from_table(table: CosetTable, radius: int,
     Raises UndefinedInterior if a vertex within radius-1 is missing a
     generator image (the table cannot certify the requested radius).
     For complete tables the radius is clamped to the eccentricity of the
-    identity coset.
+    identity coset, and a ball that holds every live coset (the whole
+    group) has no boundary: all its vertices are interior.
     """
     p = table.presentation
     root = table.rep(0)
@@ -292,7 +315,7 @@ def ball_from_table(table: CosetTable, radius: int,
             else:
                 raw_edges.append((v, w, g, True))
     ball = make_ball(p, root, raw_edges, radius)
-    if table.complete:
+    if table.complete and len(dist) == len(table.live_cosets()):
         # whole graph: no truncation boundary
         ball.interior = frozenset(ball.vertices())
     return ball

@@ -65,19 +65,23 @@ def to_dot(ball: CayleyBall) -> str:
 # layout
 # ---------------------------------------------------------------------------
 
-def _bfs_children(ball: CayleyBall, rotation):
+def _bfs_children(ball: CayleyBall, rotation, depth: int):
     """BFS tree as parent -> ordered children, child order following the
-    vertex rotation (indexed by vertex) when an embedding supplies one."""
-    children: Dict[int, List[int]] = {v: [] for v in ball.vertices()}
-    seen = {ball.center}
+    vertex rotation (indexed by vertex) when an embedding supplies one.
+
+    Vertices at distance ``depth`` or more are not expanded: their
+    children lie beyond the drawing, and the tree up to ``depth`` is the
+    one a walk of the whole ball finds."""
+    children: Dict[int, List[int]] = {ball.center: []}
     queue = [ball.center]
-    while queue:
-        v = queue.pop(0)
+    for v in queue:
+        if ball.distances[v] >= depth:
+            continue
         eids = rotation[v] if rotation is not None else ball.incident_edges(v)
         for eid in eids:
             w = ball.edges[eid].other(v)
-            if w not in seen:
-                seen.add(w)
+            if w not in children:
+                children[w] = []
                 children[v].append(w)
                 queue.append(w)
     return children
@@ -95,7 +99,7 @@ def layout_positions(ball: CayleyBall, spec: RenderSpec,
     max_d = max((ball.distances[v] for v in shown), default=0)
     unit = (min(spec.width, spec.height) / 2 - 40) / max(max_d, 1)
     cx, cy = spec.width / 2, spec.height / 2
-    children = _bfs_children(ball, rotation)
+    children = _bfs_children(ball, rotation, depth)
     pos = {ball.center: (cx, cy)}
     wedge = {ball.center: (0.0, 2 * math.pi)}
 

@@ -6,14 +6,18 @@ or mask, of the separator search at the center, which ran a full
 component sweep per candidate, of the reachability searches, each its
 own loop over an adjacency list rebuilt on every call, of the cycle
 space check, which searched a union-find forest once per fundamental
-cycle, and of the amalgam builder, whose normal forms were frozen
-dataclasses keyed by their own hash.  The library now runs linear-time
-checks, prunes the center's candidates with one cut-vertex pass, answers
-every reachability question with ``CayleyBall.bfs`` and builds amalgam
-balls from plain tuples numbered by dense ints; the differential tests
-compare the two.  The oracles keep their own copies of every traversal,
-so they cannot follow a change in the library.  Do not import this
-module from ``src``.
+cycle, of the amalgam builder, whose normal forms were frozen
+dataclasses keyed by their own hash, and of the enumeration oracle, which
+ran a fixed ``cap`` and ``2·cap`` cosets whatever the ball.  The library
+now runs linear-time checks, prunes the center's candidates with one
+cut-vertex pass, answers every reachability question with
+``CayleyBall.bfs``, builds amalgam balls from plain tuples numbered by
+dense ints and runs the oracle of ``cross_check`` on a doubling schedule
+up to ``cap``; the differential tests compare the two.  The render
+layout's tree walk, which dequeued from the front of a list and walked
+the whole ball, is kept too: the library stops at the drawn depth.  The
+oracles keep their own copies of every traversal, so they cannot follow
+a change in the library.  Do not import this module from ``src``.
 """
 
 from __future__ import annotations
@@ -27,12 +31,15 @@ import networkx as nx
 from cubiccayley.analyze import (SeparationCertificate, _deep_vertices,
                                  _gf2_insert, _gf2_reduce, _path_word,
                                  sound_margin)
-from cubiccayley.ball import CayleyBall, Edge
+from cubiccayley.ball import CayleyBall, Edge, rooted_isomorphic
 from cubiccayley.construct import _amalgam_for
+from cubiccayley.coset import (ball_from_table, complete_ball_region,
+                               enumerate_cosets)
 from cubiccayley.embed import (PRESERVING, FaceWalk, RotationEmbedding,
                                trace_faces)
 from cubiccayley.errors import (BallTooSmall, InvalidParams,
-                                NoSeparatorFound, SpinConflict)
+                                NoSeparatorFound, OracleInconclusive,
+                                SpinConflict, UndefinedInterior)
 from cubiccayley.presentation import Presentation, Word
 
 
@@ -700,3 +707,48 @@ def build_amalgam(tp, radius: int):
                     seen.add(key)
                     raw_edges.append((u, v, colour, False))
     return root, raw_edges
+
+
+# ---------------------------------------------------------------------------
+# construct: the enumeration oracle at a fixed cap and twice that cap
+# ---------------------------------------------------------------------------
+
+def oracle_ball(p: Presentation, radius: int, cap: int) -> CayleyBall:
+    """Enumeration-derived ball, certified by cap doubling when truncated."""
+    table = enumerate_cosets(p, cap)
+    if table.complete:
+        return ball_from_table(table, radius)
+    try:
+        complete_ball_region(table, radius, hard_cap=4 * cap)
+        first = ball_from_table(table, radius)
+        table2 = enumerate_cosets(p, 2 * cap)
+        complete_ball_region(table2, radius, hard_cap=8 * cap)
+        second = ball_from_table(table2, radius)
+    except UndefinedInterior as exc:
+        raise OracleInconclusive(str(exc))
+    if not rooted_isomorphic(first, second):
+        raise OracleInconclusive(
+            "truncated enumeration unstable under cap doubling")
+    return second
+
+
+# ---------------------------------------------------------------------------
+# render: the layout tree from a walk of the whole ball
+# ---------------------------------------------------------------------------
+
+def bfs_children(ball: CayleyBall, rotation):
+    """BFS tree as parent -> ordered children, child order following the
+    vertex rotation (indexed by vertex) when an embedding supplies one."""
+    children: Dict[int, List[int]] = {v: [] for v in ball.vertices()}
+    seen = {ball.center}
+    queue = [ball.center]
+    while queue:
+        v = queue.pop(0)
+        eids = rotation[v] if rotation is not None else ball.incident_edges(v)
+        for eid in eids:
+            w = ball.edges[eid].other(v)
+            if w not in seen:
+                seen.add(w)
+                children[v].append(w)
+                queue.append(w)
+    return children

@@ -2,12 +2,14 @@
 
 import pytest
 
+from cubiccayley import classify as C
 from cubiccayley.classify import (classify_ball, classify_presentation,
                                   finite_case_report, nonplanar_screen)
 from cubiccayley.construct import TypeParams, construct
 from cubiccayley.errors import (Inconclusive, NotCubic, NotInCatalogue,
                                 Overflow)
-from cubiccayley.presentation import parse_presentation
+from cubiccayley.presentation import (parse_presentation,
+                                      relator_multiset_normal_form)
 
 GRID = [
     ("I", 2, None), ("I", 3, None), ("II", 1, None), ("II", 2, None),
@@ -141,3 +143,29 @@ def test_classification_report_json_shape():
                              "vap_free": False}
     assert data["colour_spin"]["c"] == "preserving"
     assert data["kappa"]["claim"] == 2
+
+
+GRID_PARAMS = [TypeParams(t, n=n, m=m) for t, n, m in GRID]
+
+
+@pytest.mark.parametrize("tp", GRID_PARAMS, ids=str)
+def test_catalogue_normal_form_matches_uncached(tp):
+    want = relator_multiset_normal_form(
+        parse_presentation(tp.presentation_text()))
+    assert C._catalogue_normal_form(tp) == want
+
+
+def test_classify_grid_same_with_and_without_cache(monkeypatch):
+    C._catalogue_normal_form.cache_clear()
+    cached = [classify_presentation(tp.presentation()).to_dict()
+              for tp in GRID_PARAMS]
+    misses = C._catalogue_normal_form.cache_info().misses
+    # a second pass parses no catalogue presentation again
+    assert [classify_presentation(tp.presentation()).to_dict()
+            for tp in GRID_PARAMS] == cached
+    assert C._catalogue_normal_form.cache_info().misses == misses
+    monkeypatch.setattr(C, "_catalogue_normal_form",
+                        lambda tp: relator_multiset_normal_form(
+                            tp.presentation()))
+    assert [classify_presentation(tp.presentation()).to_dict()
+            for tp in GRID_PARAMS] == cached
