@@ -158,17 +158,13 @@ def _shortest_path(ball, x: int, y: int) -> Tuple[int, ...]:
 
 
 def _path_word(ball: CayleyBall, path: Sequence[int]) -> Word:
-    p = ball.presentation
+    alphabet = ball.presentation.letters
     letters = []
     for u, v in zip(path, path[1:]):
-        for g in p.generator_names:
-            signs = (1,) if g in p.involutions else (1, -1)
-            found = next((s for s in signs if ball.step(u, (g, s)) == v), None)
-            if found is not None:
-                letters.append((g, found))
-                break
-        else:
+        found = next((x for x in alphabet if ball.step(u, x) == v), None)
+        if found is None:
             raise InvalidParams(f"no edge between {u} and {v}")
+        letters.append(found)
     return Word(tuple(letters))
 
 

@@ -6,9 +6,13 @@ generators are directed (u -> v means v = u * g), involution edges are
 stored once, undirected.  Parallel edges are permitted (they occur for the
 finite degenerate family where two involution colours coincide).
 
+Each vertex keeps one slot per letter ``(g, ±1)`` it has an edge for: a
+directed edge u -> v fills ``(g, 1)`` at u and ``(g, -1)`` at v, an
+involution edge fills ``(g, 1)`` at both ends.
+
 Vertex ids are assigned canonically: breadth-first from the center, letters
-explored in declared generator order (positive direction first), which makes
-vertex ``i``'s word label the shortlex-minimal representative.
+explored in the order of ``Presentation.letters``, which makes vertex
+``i``'s word label the shortlex-minimal representative.
 """
 
 from __future__ import annotations
@@ -18,9 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import CubicCayleyError, ParseError
-from .presentation import Presentation, Word
-
-Slot = Tuple[str, Optional[str]]  # (colour, "out"/"in"/None)
+from .presentation import Letter, Presentation, Word
 
 
 @dataclass(frozen=True)
@@ -56,13 +58,11 @@ class CayleyBall:
     def vertices(self):
         return range(len(self.words))
 
-    def _build_slots(self) -> List[Dict[Slot, Tuple[int, int]]]:
-        slots: List[Dict[Slot, Tuple[int, int]]] = [dict() for _ in self.words]
+    def _build_slots(self) -> List[Dict[Letter, Tuple[int, int]]]:
+        slots: List[Dict[Letter, Tuple[int, int]]] = [dict() for _ in self.words]
         for i, e in enumerate(self.edges):
-            if e.directed:
-                a, b = (e.colour, "out"), (e.colour, "in")
-            else:
-                a = b = (e.colour, None)
+            a = (e.colour, 1)
+            b = (e.colour, -1) if e.directed else a
             for end, slot, other in ((e.u, a, e.v), (e.v, b, e.u)):
                 if slot in slots[end]:
                     raise CubicCayleyError(
@@ -70,7 +70,7 @@ class CayleyBall:
                 slots[end][slot] = (i, other)
         return slots
 
-    def slots(self, v: int) -> Dict[Slot, Tuple[int, int]]:
+    def slots(self, v: int) -> Dict[Letter, Tuple[int, int]]:
         return self._slots[v]
 
     def degree(self, v: int) -> int:
@@ -111,12 +111,17 @@ class CayleyBall:
         return hit[1] if hit else None
 
     def step_edge(self, v: int, letter):
-        g, s = letter
-        # involution edges sit in the (g, None) slot; directedness is a
-        # property of the stored edges, not of the attached presentation
-        hit = self._slots[v].get((g, None))
-        if hit is None:
-            hit = self._slots[v].get((g, "out" if s > 0 else "in"))
+        """(edge id, neighbour) of the edge at v for the letter, or None.
+
+        An involution colour answers ``(g, -1)``, which ``Word.inverse``
+        writes, with its ``(g, 1)`` edge.  Directedness is a property of
+        the stored edges, not of the attached presentation.
+        """
+        hit = self._slots[v].get(letter)
+        if hit is None and letter[1] < 0:
+            hit = self._slots[v].get((letter[0], 1))
+            if hit is not None and self.edges[hit[0]].directed:
+                return None
         return hit
 
     def trace_word(self, v: int, word: Word) -> Optional[int]:
@@ -166,9 +171,10 @@ class CayleyBall:
     @classmethod
     def from_dict(cls, data: dict) -> "CayleyBall":
         """The ball ``to_dict`` wrote.  One linear pass checks the schema
-        (dense vertex ids, edge endpoints and interior among them, a
-        valid center, one edge per slot, every vertex reachable from the
-        center) and raises ParseError on any other input."""
+        (dense vertex ids, edge endpoints and interior among them, each
+        colour directed on every edge or on none, a valid center, one edge
+        per slot, every vertex reachable from the center) and raises
+        ParseError on any other input."""
         from .presentation import parse_presentation
         if not isinstance(data, dict):
             raise ParseError(
@@ -190,6 +196,7 @@ class CayleyBall:
                         f"word: bad vertex {item!r}")
                 words[i] = word
             edges = []
+            directed_by_colour = {}
             for e in data["edges"]:
                 u, v, colour, directed = (e["u"], e["v"], e["colour"],
                                           e["directed"])
@@ -198,6 +205,10 @@ class CayleyBall:
                         and isinstance(directed, bool)):
                     raise ParseError(
                         f"edge endpoints must be vertex ids: bad edge {e!r}")
+                if directed_by_colour.setdefault(colour, directed) != directed:
+                    raise ParseError(
+                        f"colour {colour!r} is directed on one edge and "
+                        f"undirected on another: bad edge {e!r}")
                 edges.append(Edge(u, v, colour, directed))
             interior = frozenset(data["interior"])
             if not all(type(v) is int and 0 <= v < n for v in interior):
@@ -245,7 +256,7 @@ class CayleyBall:
         return (len(self.words), self.center, tuple(edge_keys))
 
 
-def make_ball(presentation: Optional[Presentation], root,
+def make_ball(presentation: Presentation, root,
               edges: List[Tuple[object, object, str, bool]],
               radius: int) -> CayleyBall:
     """Truncate a raw edge list to the radius-``radius`` ball around ``root``
@@ -254,18 +265,11 @@ def make_ball(presentation: Optional[Presentation], root,
     Raw vertices may be arbitrary hashable objects.  Directed edges are given
     as (u, v, colour, True) with v = u * colour.
     """
-    inv = presentation.involutions if presentation else frozenset()
-    gens = presentation.generator_names if presentation else \
-        sorted({c for _, _, c, _ in edges})
-
-    # adjacency by slot on the raw vertices
-    slot_map: Dict[object, Dict[Slot, object]] = {}
-    raw_parallel = []  # involution-pair colours sharing endpoints are fine
+    # adjacency by letter on the raw vertices
+    slot_map: Dict[object, Dict[Letter, object]] = {}
     for u, v, colour, directed in edges:
-        if directed:
-            su, sv = (colour, "out"), (colour, "in")
-        else:
-            su = sv = (colour, None)
+        su = (colour, 1)
+        sv = (colour, -1) if directed else su
         slot_map.setdefault(u, {})
         slot_map.setdefault(v, {})
         if su in slot_map[u] or sv in slot_map[v]:
@@ -273,14 +277,10 @@ def make_ball(presentation: Optional[Presentation], root,
         slot_map[u][su] = v
         slot_map[v][sv] = u
 
-    # letters in shortlex alphabet order
-    letters = []
-    for g in gens:
-        if g in inv:
-            letters.append(((g, None), (g, 1)))
-        else:
-            letters.append((((g, "out")), (g, 1)))
-            letters.append((((g, "in")), (g, -1)))
+    # each letter with its text in a word label
+    letters = [(letter, Word((letter,)).pretty())
+               for letter in presentation.letters]
+    sep = presentation.word_separator
 
     order: Dict[object, int] = {root: 0}
     words = {root: ""}
@@ -289,16 +289,12 @@ def make_ball(presentation: Optional[Presentation], root,
     for v in queue:
         if dist[v] >= radius:
             continue
-        for slot, (g, s) in letters:
-            w = slot_map.get(v, {}).get(slot)
+        for letter, text in letters:
+            w = slot_map.get(v, {}).get(letter)
             if w is not None and w not in order:
                 order[w] = len(order)
                 dist[w] = dist[v] + 1
-                piece = g if s > 0 else f"{g}^-1"
-                if len(g) == 1:
-                    words[w] = words[v] + piece
-                else:
-                    words[w] = (words[v] + " " + piece).strip()
+                words[w] = words[v] + sep + text if words[v] else text
                 queue.append(w)
 
     kept_edges = []
@@ -328,19 +324,11 @@ def certify_ball(ball: CayleyBall, p: Presentation) -> List[tuple]:
     trace identifies two distinct vertices mid-relator.
     """
     violations = []
-    inv = p.involutions
-    expected: List[Slot] = []
-    for g in p.generator_names:
-        if g in inv:
-            expected.append((g, None))
-        else:
-            expected.append((g, "out"))
-            expected.append((g, "in"))
-
+    letters = p.letters
     for v in sorted(ball.interior):
-        for slot in expected:
-            if slot not in ball.slots(v):
-                violations.append((v, slot, "missing-slot"))
+        for letter in letters:
+            if letter not in ball.slots(v):
+                violations.append((v, letter, "missing-slot"))
 
     for v in ball.vertices():
         for rel in p.relators:

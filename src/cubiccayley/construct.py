@@ -22,7 +22,7 @@ from .coset import ball_from_table, complete_ball_region, enumerate_cosets
 from .errors import (ConstructionIncomplete, InvalidParams, OracleInconclusive,
                      UndefinedInterior)
 from .groups import Amalgam, Cyclic, Dihedral
-from .presentation import Presentation, parse_presentation
+from .presentation import Letter, Presentation, parse_presentation
 
 TYPE_IDS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX")
 
@@ -89,32 +89,26 @@ class TypeParams:
 
 class _PolygonGraph:
     """Partial cubic coloured graph grown by gluing relator polygons along
-    the shared involution colour ``b``."""
+    the shared involution colour ``b``; slots are keyed by letter, and
+    involution letters are written ``(g, 1)``."""
 
     def __init__(self, involutions):
         self.involutions = involutions
-        self.slots: List[Dict[tuple, int]] = []
+        self.slots: List[Dict[Letter, int]] = []
         self.edges: List[Tuple[int, int, str, bool]] = []
 
     def new_vertex(self) -> int:
         self.slots.append({})
         return len(self.slots) - 1
 
-    def _slot(self, g, s):
-        if g in self.involutions:
-            return (g, None)
-        return (g, "out" if s > 0 else "in")
-
     def add_edge(self, u: int, v: int, g: str, s: int):
+        """The edge at u for the letter (g, s), ending at v."""
         if g in self.involutions:
-            su = sv = (g, None)
+            su = sv = (g, 1)
             self.edges.append((u, v, g, False))
-        elif s > 0:
-            su, sv = (g, "out"), (g, "in")
-            self.edges.append((u, v, g, True))
         else:
-            su, sv = (g, "in"), (g, "out")
-            self.edges.append((v, u, g, True))
+            su, sv = (g, s), (g, -s)
+            self.edges.append((u, v, g, True) if s > 0 else (v, u, g, True))
         for end, slot in ((u, su), (v, sv)):
             if slot in self.slots[end]:
                 raise ConstructionIncomplete(
@@ -129,7 +123,7 @@ class _PolygonGraph:
         cur = start
         for i, (g, s) in enumerate(seq):
             last = i == len(seq) - 1
-            hit = self.slots[cur].get(self._slot(g, s))
+            hit = self.slots[cur].get((g, s))
             if hit is not None:
                 cur = hit
                 if last and cur != start:
@@ -162,45 +156,40 @@ class _PolygonGraph:
 def _build_glue_tree(tp: TypeParams, radius: int):
     n, m = tp.n, tp.m
     if tp.type_id == "I":
-        involutions = frozenset("b")
         seed = [("a", 1), ("b", 1)] * n
-        candidates = [("a", "out"), ("a", "in")]
 
         def glue_seq(g, v):
-            # start the trace at the endpoint whose a-in slot is free
-            x = v if g.free_slot(v, [("a", "in")]) else g.slots[v][("b", None)]
+            # start the trace at the endpoint whose a^-1 slot is free
+            x = v if g.free_slot(v, [("a", -1)]) else g.slots[v][("b", 1)]
             return x, [("b", 1), ("a", 1)] * n
     elif tp.type_id == "II":
-        involutions = frozenset("b")
         seed = [("a", 1), ("b", 1), ("a", -1), ("b", 1)] * n
-        candidates = [("a", "out"), ("a", "in")]
 
         def glue_seq(g, v):
-            if g.free_slot(v, [("a", "out")]):
+            if g.free_slot(v, [("a", 1)]):
                 return v, [("b", 1), ("a", 1), ("b", 1), ("a", -1)] * n
             return v, [("b", 1), ("a", -1), ("b", 1), ("a", 1)] * n
     elif tp.type_id == "VI":
-        involutions = frozenset("bcd")
         seed = [("b", 1), ("c", 1)] * n
-        candidates = [("c", None), ("d", None)]
 
         def glue_seq(g, v):
-            if g.free_slot(v, [("c", None)]):
+            if g.free_slot(v, [("c", 1)]):
                 return v, [("b", 1), ("c", 1)] * n
             return v, [("b", 1), ("d", 1)] * m
     elif tp.type_id == "VIII":
-        involutions = frozenset("bcd")
         seed = [("b", 1), ("c", 1), ("b", 1), ("d", 1)] * m
-        candidates = [("c", None), ("d", None)]
 
         def glue_seq(g, v):
-            if g.free_slot(v, [("c", None)]):
+            if g.free_slot(v, [("c", 1)]):
                 return v, [("b", 1), ("d", 1), ("b", 1), ("c", 1)] * m
             return v, [("b", 1), ("c", 1), ("b", 1), ("d", 1)] * m
     else:  # pragma: no cover
         raise InvalidParams(tp.type_id)
 
-    graph = _PolygonGraph(involutions)
+    # polygons are glued at every free slot but those of the shared b
+    p = tp.presentation()
+    candidates = [letter for letter in p.letters if letter[0] != "b"]
+    graph = _PolygonGraph(p.involutions)
     root = graph.new_vertex()
     graph.trace_cycle(root, seed)
     while True:

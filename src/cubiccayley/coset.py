@@ -36,51 +36,35 @@ therefore keeps the costlier check at the cap.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .ball import CayleyBall, make_ball
-from .errors import OracleInconclusive, UndefinedInterior
-from .presentation import Presentation, Word
-
-Column = Tuple[str, int]  # (generator, +1/-1); involutions use +1 only
+from .errors import NotCubic, OracleInconclusive, UndefinedInterior
+from .presentation import Letter, Presentation
 
 
 class CosetTable:
-    """Partial map (coset, signed generator) -> coset, closed under inverse
-    symmetry, plus union-find bookkeeping for coincidences."""
+    """Partial map (coset, letter) -> coset, closed under inverse symmetry,
+    plus union-find bookkeeping for coincidences.  The columns are the
+    letters of ``Presentation.letters``: an involution has ``(g, 1)`` only."""
 
     def __init__(self, presentation: Presentation, max_cosets: int):
         self.presentation = presentation
         self.max_cosets = max_cosets
-        inv = presentation.involutions
-        self.columns: List[Column] = []
-        for g in presentation.generator_names:
-            self.columns.append((g, 1))
-            if g not in inv:
-                self.columns.append((g, -1))
-        self._inv_col = {}
-        for g in presentation.generator_names:
-            if g in inv:
-                self._inv_col[(g, 1)] = (g, 1)
-            else:
-                self._inv_col[(g, 1)] = (g, -1)
-                self._inv_col[(g, -1)] = (g, 1)
-        self.rows: List[Dict[Column, int]] = [dict()]
+        self.columns: List[Letter] = list(presentation.letters)
+        self._inv_col = {(g, s): (g, -s) if (g, -s) in self.columns
+                         else (g, s) for g, s in self.columns}
+        self.rows: List[Dict[Letter, int]] = [dict()]
         self.parent: List[int] = [0]
         self.ops = 0
         self.complete = False
         self.overflowed = False
+        # (g, -1) reads the inverse of column (g, 1): itself for an involution
         self._relator_cols = [
-            [self.column(letter) for letter in rel]
+            [(g, 1) if s > 0 else self._inv_col[(g, 1)] for g, s in rel]
             for rel in presentation.relators]
 
-    def column(self, letter) -> Column:
-        g, s = letter
-        if g in self.presentation.involutions:
-            return (g, 1)
-        return (g, s)
-
-    def inv_column(self, col: Column) -> Column:
+    def inv_column(self, col: Letter) -> Letter:
         return self._inv_col[col]
 
     # -- union-find --------------------------------------------------------
@@ -101,16 +85,16 @@ class CosetTable:
 
     # -- elementary operations --------------------------------------------
 
-    def get(self, a: int, col: Column) -> Optional[int]:
+    def get(self, a: int, col: Letter) -> Optional[int]:
         hit = self.rows[a].get(col)
         return self.rep(hit) if hit is not None else None
 
-    def _set(self, a: int, col: Column, b: int):
+    def _set(self, a: int, col: Letter, b: int):
         self.ops += 1
         self.rows[a][col] = b
         self.rows[b][self.inv_column(col)] = a
 
-    def define(self, a: int, col: Column) -> Optional[int]:
+    def define(self, a: int, col: Letter) -> Optional[int]:
         if len(self.rows) >= self.max_cosets:
             self.overflowed = True
             return None
@@ -156,7 +140,7 @@ class CosetTable:
 
     # -- scanning ----------------------------------------------------------
 
-    def scan(self, alpha: int, cols: List[Column], fill: bool):
+    def scan(self, alpha: int, cols: List[Letter], fill: bool):
         f, i = alpha, 0
         b, j = alpha, len(cols) - 1
         while True:
@@ -279,12 +263,14 @@ def complete_ball_region(table: CosetTable, radius: int, hard_cap: int):
                 break
 
 
-def ball_from_table(table: CosetTable, radius: int,
-                    clamp: bool = True) -> CayleyBall:
+def ball_from_table(table: CosetTable, radius: int) -> CayleyBall:
     """Cut the radius-r ball around the identity coset out of the table.
 
     Raises UndefinedInterior if a vertex within radius-1 is missing a
     generator image (the table cannot certify the requested radius).
+    Raises NotCubic if a generator fixes a coset of the ball: entries are
+    consequences of the relators, so the generator is then trivial in the
+    group, even in a truncated table, and its edges would be loops.
     For complete tables the radius is clamped to the eccentricity of the
     identity coset, and a ball that holds every live coset (the whole
     group) has no boundary: all its vertices are interior.
@@ -299,21 +285,24 @@ def ball_from_table(table: CosetTable, radius: int,
                     raise UndefinedInterior(
                         f"coset at distance {d} lacks image under {col}")
 
-    if table.complete and clamp:
+    if table.complete:
         radius = min(radius, max(dist.values(), default=0))
 
-    inv = p.involutions
     raw_edges = []
     for v in dist:
-        for g in p.generator_names:
+        for gen in p.generators:
+            g = gen.name
             w = table.get(v, (g, 1))
+            if w == v:
+                raise NotCubic(
+                    f"generator {g} fixes coset {v}: it is trivial in the "
+                    "group, so its Cayley graph edges are loops")
             if w is None or w not in dist:
                 continue
-            if g in inv:
-                if (v < w) or (v == w):
-                    raw_edges.append((v, w, g, False))
-            else:
+            if not gen.involution:
                 raw_edges.append((v, w, g, True))
+            elif v < w:
+                raw_edges.append((v, w, g, False))
     ball = make_ball(p, root, raw_edges, radius)
     if table.complete and len(dist) == len(table.live_cosets()):
         # whole graph: no truncation boundary

@@ -96,14 +96,9 @@ class RotationEmbedding:
 
 
 def _base_slots(p: Presentation):
-    """The canonical positive-spin cyclic order of edge slots."""
-    slots = []
-    for g in p.generator_names:
-        if g in p.involutions:
-            slots.append((g, None))
-        else:
-            slots.append((g, "out"))
-            slots.append((g, "in"))
+    """The canonical positive-spin cyclic order of edge slots: the
+    alphabet order."""
+    slots = list(p.letters)
     if len(slots) != 3:
         raise InvalidParams("embedding requires a cubic colour scheme")
     return slots
@@ -301,14 +296,7 @@ def _translation_spot_check(emb: RotationEmbedding) -> bool:
     p = ball.presentation
     faces = trace_faces(emb, 4 * len(ball.edges) + 4)
     closed_keys = {frozenset(f.edge_ids()) for f in faces if f.closed}
-    letters = []
-    for g in p.generator_names:
-        if g in p.involutions:
-            letters.append((g, 1))
-        else:
-            letters.append((g, 1))
-            letters.append((g, -1))
-    for letter in letters:
+    for letter in p.letters:
         # propagate the colour-automorphism phi(center) = center * letter
         phi = {ball.center: ball.step(ball.center, letter)}
         queue = [ball.center]
@@ -316,9 +304,7 @@ def _translation_spot_check(emb: RotationEmbedding) -> bool:
             if phi.get(v) is None:
                 continue
             for slot, (eid, w) in ball.slots(v).items():
-                g, kind = slot
-                s = 1 if kind != "in" else -1
-                img = ball.step(phi[v], (g, s))
+                img = ball.step(phi[v], slot)
                 if w not in phi:
                     phi[w] = img
                     queue.append(w)

@@ -51,12 +51,7 @@ class Word:
     def pretty(self) -> str:
         if not self.letters:
             return "1"
-        parts = []
-        for g, s in self.letters:
-            parts.append(g if s > 0 else f"{g}^-1")
-        if all(len(g) == 1 for g, _ in self.letters):
-            return "".join(parts)
-        return " ".join(parts)
+        return _spell(self.letters, _separator(g for g, _ in self.letters))
 
     def __str__(self):
         return self.pretty()
@@ -94,6 +89,20 @@ class Presentation:
         return frozenset(g.name for g in self.generators if g.involution)
 
     @property
+    def letters(self) -> Tuple[Letter, ...]:
+        """The alphabet in shortlex order: ``(g, 1)`` for each generator,
+        followed by ``(g, -1)`` unless g is an involution.  The edge at v
+        for letter x joins v to vx, so a letter keys a ball's edge slot
+        and a coset table's column."""
+        return tuple((g.name, s) for g in self.generators
+                     for s in ((1,) if g.involution else (1, -1)))
+
+    @property
+    def word_separator(self) -> str:
+        """What joins the letters of a word written over this alphabet."""
+        return _separator(self.generator_names)
+
+    @property
     def cubic_eligible(self) -> bool:
         """Two generators of which exactly one is an involution, or three
         generators all involutions."""
@@ -103,18 +112,30 @@ class Presentation:
 
     def pretty(self) -> str:
         gens = ",".join(self.generator_names)
-        rels = ",".join(_pretty_relator(w) for w in self.relators)
+        sep = self.word_separator
+        rels = ",".join(_pretty_relator(w, sep) for w in self.relators)
         return f"<{gens}|{rels}>"
 
     def __str__(self):
         return self.pretty()
 
 
-def _pretty_relator(w: Word) -> str:
+def _separator(names) -> str:
+    """The one spelling rule: letters are joined without spaces only when
+    every generator name is one character.  Otherwise ``bc`` could be the
+    generator ``bc`` or ``b`` then ``c``, and text would not parse back."""
+    return "" if all(len(name) == 1 for name in names) else " "
+
+
+def _spell(letters, sep: str) -> str:
+    return sep.join(g if s > 0 else f"{g}^-1" for g, s in letters)
+
+
+def _pretty_relator(w: Word, sep: str) -> str:
     # g^2 relators print as g^2 to survive a parse round trip
     if len(w) == 2 and w.letters[0] == w.letters[1] and w.letters[0][1] > 0:
         return f"{w.letters[0][0]}^2"
-    return w.pretty()
+    return _spell(w.letters, sep)
 
 
 _TOKEN_RE = re.compile(r"\s*(<|>|\||,|\(|\)|\^|-?\d+|[A-Za-z_][A-Za-z0-9_]*)")

@@ -15,7 +15,9 @@ cut-vertex pass, answers every reachability question with
 dense ints and runs the oracle of ``cross_check`` on a doubling schedule
 up to ``cap``; the differential tests compare the two.  The render
 layout's tree walk, which dequeued from the front of a list and walked
-the whole ball, is kept too: the library stops at the drawn depth.  The
+the whole ball, is kept too: the library stops at the drawn depth.  So
+is the two-lookup step over slots keyed by ``(colour, "out"/"in"/None)``:
+the library keys each slot by its letter ``(g, ±1)``.  The
 oracles keep their own copies of every traversal, so they cannot follow
 a change in the library.  Do not import this module from ``src``.
 """
@@ -87,8 +89,7 @@ def _translation_spot_check(emb: RotationEmbedding) -> bool:
             if phi.get(v) is None:
                 continue
             for slot, (eid, w) in ball.slots(v).items():
-                g, kind = slot
-                s = 1 if kind != "in" else -1
+                g, s = slot
                 img = ball.step(phi[v], (g, s))
                 if w not in phi:
                     phi[w] = img
@@ -752,3 +753,34 @@ def bfs_children(ball: CayleyBall, rotation):
                 children[v].append(w)
                 queue.append(w)
     return children
+
+
+# ---------------------------------------------------------------------------
+# step over slots keyed by (colour, "out"/"in"/None)
+# ---------------------------------------------------------------------------
+
+def old_slots(ball: CayleyBall) -> List[dict]:
+    """Per vertex, ``{(colour, "out"/"in"/None): (edge id, neighbour)}``,
+    read off ``ball.edges``: an involution edge sits in ``(colour, None)``
+    at both ends, a directed edge in ``"out"`` at its tail and ``"in"``
+    at its head."""
+    slots = [dict() for _ in ball.vertices()]
+    for i, e in enumerate(ball.edges):
+        if e.directed:
+            a, b = (e.colour, "out"), (e.colour, "in")
+        else:
+            a = b = (e.colour, None)
+        for end, slot, other in ((e.u, a, e.v), (e.v, b, e.u)):
+            assert slot not in slots[end], (slot, end)
+            slots[end][slot] = (i, other)
+    return slots
+
+
+def step_edge(slots: List[dict], v: int, letter):
+    """The two-lookup step: the involution slot first, then the slot of
+    the letter's direction."""
+    g, s = letter
+    hit = slots[v].get((g, None))
+    if hit is None:
+        hit = slots[v].get((g, "out" if s > 0 else "in"))
+    return hit
