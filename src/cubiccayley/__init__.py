@@ -5,7 +5,8 @@ classification and rendering for the nine presentation families, with
 independent brute-force verification on finite balls.
 """
 
-from .ball import CayleyBall, Edge, certify_ball, make_ball, rooted_isomorphic
+from .ball import (CayleyBall, Edge, RawGraph, certify_ball, make_ball,
+                   rooted_isomorphic)
 from .classify import (ClassificationReport, classify_ball,
                        classify_presentation, finite_case_report,
                        nonplanar_screen)
@@ -18,7 +19,8 @@ from .presentation import (Presentation, Word, free_reduce,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CayleyBall", "Edge", "certify_ball", "make_ball", "rooted_isomorphic",
+    "CayleyBall", "Edge", "RawGraph", "certify_ball", "make_ball",
+    "rooted_isomorphic",
     "ClassificationReport", "classify_ball", "classify_presentation",
     "finite_case_report", "nonplanar_screen",
     "TYPE_IDS", "TypeParams", "construct", "construct_presentation_ball",

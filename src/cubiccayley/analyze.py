@@ -18,9 +18,9 @@ The loops that stay do something else:
   under the translation leaves the ball;
 * ``render`` orders each vertex's children by the embedding's rotation,
   which shapes the drawn tree;
-* ``ball.make_ball``, the polygon graph of ``construct`` and
-  ``coset._ball_distances`` walk raw vertices, a growing graph or a
-  coset table, not a ``CayleyBall``.
+* ``ball.make_ball`` and ``construct._PolygonGraph.distances`` walk a
+  ``ball.RawGraph``, the graph a builder grows, and
+  ``coset._ball_distances`` walks a coset table, not a ``CayleyBall``.
 
 The separator search at the center costs one cut-vertex pass over the
 ball minus the center, then one confirming search per cut vertex it

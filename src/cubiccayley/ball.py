@@ -12,7 +12,8 @@ involution edge fills ``(g, 1)`` at both ends.
 
 Vertex ids are assigned canonically: breadth-first from the center, letters
 explored in the order of ``Presentation.letters``, which makes vertex
-``i``'s word label the shortlex-minimal representative.
+``i``'s word label the shortlex-minimal representative.  ``make_ball``
+does this numbering on the ``RawGraph`` a builder grows.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .errors import CubicCayleyError, ParseError
+from .errors import ConstructionIncomplete, CubicCayleyError, ParseError
 from .presentation import Letter, Presentation, Word
 
 
@@ -218,14 +219,7 @@ class CayleyBall:
                 raise ParseError(f"ball center {center!r} is not a vertex id")
             if not (type(radius) is int and radius >= 0):
                 raise ParseError(f"ball radius {radius!r} is not a count")
-            ball = cls.__new__(cls)
-            ball.presentation = pres
-            ball.center = center
-            ball.radius = radius
-            ball.edges = edges
-            ball.words = words
-            ball.interior = interior
-            ball._slots = ball._build_slots()
+            ball = cls(pres, center, radius, edges, words, interior, [])
             tree = ball.bfs((center,))
             if len(tree) < n:
                 raise ParseError(
@@ -256,63 +250,79 @@ class CayleyBall:
         return (len(self.words), self.center, tuple(edge_keys))
 
 
-def make_ball(presentation: Presentation, root,
-              edges: List[Tuple[object, object, str, bool]],
+class RawGraph:
+    """A coloured graph as a builder grows it, on dense int ids from 0;
+    vertex 0 is the root of every ball cut from it.
+
+    ``slots[v]`` maps each letter filled at v to the neighbour it reaches,
+    keyed like a ball's slots: a directed edge u -> v fills ``(g, 1)`` at
+    u and ``(g, -1)`` at v, an involution edge fills ``(g, 1)`` at both
+    ends.  ``edges`` holds each edge once as ``(u, v, colour, directed)``,
+    a directed edge tail first."""
+
+    def __init__(self, involutions):
+        self.involutions = involutions
+        self.slots: List[Dict[Letter, int]] = []
+        self.edges: List[Tuple[int, int, str, bool]] = []
+
+    def new_vertex(self) -> int:
+        self.slots.append({})
+        return len(self.slots) - 1
+
+    def add_edge(self, u: int, v: int, g: str, s: int):
+        """The edge at u for the letter (g, s), ending at v.  Raises
+        ConstructionIncomplete if either end already has that slot."""
+        if g in self.involutions:
+            su = sv = (g, 1)
+            edge = (u, v, g, False)
+        else:
+            su, sv = (g, s), (g, -s)
+            edge = (u, v, g, True) if s > 0 else (v, u, g, True)
+        for end, slot in ((u, su), (v, sv)):
+            if slot in self.slots[end]:
+                raise ConstructionIncomplete(
+                    f"slot {slot} already used at vertex {end}")
+        self.slots[u][su] = v
+        self.slots[v][sv] = u
+        self.edges.append(edge)
+
+
+def make_ball(presentation: Presentation, graph: RawGraph,
               radius: int) -> CayleyBall:
-    """Truncate a raw edge list to the radius-``radius`` ball around ``root``
-    and renumber vertices canonically (shortlex BFS order).
-
-    Raw vertices may be arbitrary hashable objects.  Directed edges are given
-    as (u, v, colour, True) with v = u * colour.
-    """
-    # adjacency by letter on the raw vertices
-    slot_map: Dict[object, Dict[Letter, object]] = {}
-    for u, v, colour, directed in edges:
-        su = (colour, 1)
-        sv = (colour, -1) if directed else su
-        slot_map.setdefault(u, {})
-        slot_map.setdefault(v, {})
-        if su in slot_map[u] or sv in slot_map[v]:
-            raise CubicCayleyError(f"duplicate slot while assembling ball")
-        slot_map[u][su] = v
-        slot_map[v][sv] = u
-
+    """Truncate ``graph`` to the radius-``radius`` ball around its vertex
+    0 and renumber vertices canonically (shortlex BFS order)."""
+    slots = graph.slots
     # each letter with its text in a word label
     letters = [(letter, Word((letter,)).pretty())
                for letter in presentation.letters]
     sep = presentation.word_separator
 
-    order: Dict[object, int] = {root: 0}
-    words = {root: ""}
-    dist = {root: 0}
-    queue = [root]
-    for v in queue:
-        if dist[v] >= radius:
-            continue
+    index = [-1] * len(slots)  # raw vertex -> ball vertex
+    index[0] = 0
+    queue = [0]  # ball vertex -> raw vertex
+    words = [""]
+    dist = [0]
+    for i, v in enumerate(queue):
+        if dist[i] >= radius:
+            break  # the queue is in distance order
+        d = dist[i] + 1
+        prefix = words[i] + sep if i else ""
         for letter, text in letters:
-            w = slot_map.get(v, {}).get(letter)
-            if w is not None and w not in order:
-                order[w] = len(order)
-                dist[w] = dist[v] + 1
-                words[w] = words[v] + sep + text if words[v] else text
+            w = slots[v].get(letter)
+            if w is not None and index[w] < 0:
+                index[w] = len(queue)
                 queue.append(w)
+                dist.append(d)
+                words.append(prefix + text)
+    words[0] = "1"
 
-    kept_edges = []
-    for u, v, colour, directed in edges:
-        if u in order and v in order:
-            kept_edges.append(Edge(order[u], order[v], colour, directed))
-    kept_edges.sort(key=lambda e: (min(e.u, e.v), max(e.u, e.v), e.colour,
-                                   not e.directed, e.u))
-
-    word_list = [""] * len(order)
-    dist_list = [0] * len(order)
-    for rv, i in order.items():
-        word_list[i] = words[rv] or "1"
-        dist_list[i] = dist[rv]
-    interior = frozenset(i for i in range(len(order))
-                         if dist_list[i] <= radius - 1)
-    return CayleyBall(presentation, 0, radius, kept_edges, word_list,
-                      interior, dist_list)
+    edges = [Edge(index[u], index[v], colour, directed)
+             for u, v, colour, directed in graph.edges
+             if index[u] >= 0 and index[v] >= 0]
+    edges.sort(key=lambda e: (min(e.u, e.v), max(e.u, e.v), e.colour,
+                              not e.directed, e.u))
+    interior = frozenset(i for i, d in enumerate(dist) if d < radius)
+    return CayleyBall(presentation, 0, radius, edges, words, interior, dist)
 
 
 def certify_ball(ball: CayleyBall, p: Presentation) -> List[tuple]:

@@ -238,21 +238,12 @@ def classify_presentation(p: Presentation) -> ClassificationReport:
 # blind ball classification
 # ---------------------------------------------------------------------------
 
-def _closes(ball: CayleyBall, letters, repeats: int) -> bool:
-    v = ball.center
-    for _ in range(repeats):
-        for letter in letters:
-            v = ball.step(v, letter)
-            if v is None:
-                return False
-    return v == ball.center
-
-
 def _smallest_closure(ball: CayleyBall, letters, lo: int, bound: int):
     for k in range(lo, bound + 1):
         if len(letters) * k > 2 * ball.radius:
             return None
-        if _closes(ball, letters, k):
+        word = Word(tuple(letters) * k)
+        if ball.trace_word(ball.center, word) == ball.center:
             return k
     return None
 

@@ -153,13 +153,11 @@ def cmd_render(args) -> int:
             rotation = embed_mod.embed(ball, tp).rotation
         except CubicCayleyError:
             rotation = None  # fall back to construction order
-    spec = render_mod.RenderSpec(layout=args.layout, depth=args.depth)
     if args.format == "dot":
         _write_text(render_mod.to_dot(ball), args.output)
-    elif args.format in ("svg", None):
-        _write_text(render_mod.to_svg(ball, spec, rotation), args.output)
     else:
-        raise RenderError(f"render cannot emit format {args.format!r}")
+        spec = render_mod.RenderSpec(depth=args.depth)
+        _write_text(render_mod.to_svg(ball, spec, rotation), args.output)
     return EXIT_OK
 
 
@@ -259,7 +257,7 @@ def cmd_verify(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
+def _add_size(sub):
     sub.add_argument("--radius", type=int, default=6)
     sub.add_argument(
         "--cap", type=int, default=100000,
@@ -268,8 +266,9 @@ def _add_common(sub):
              "CAP and 2*CAP cosets; verify --grid starts it small under the "
              "ceiling min(CAP, 5000), a presentation's ball starts it at "
              "CAP (exit 7 when the last pair still disagrees)")
-    sub.add_argument("--format", choices=("json", "dot", "svg"), default=None)
-    sub.add_argument("-o", "--output", default=None)
+
+
+def _add_type(sub):
     sub.add_argument("--type", choices=TYPE_IDS, default=None)
     sub.add_argument("--n", type=int, default=None)
     sub.add_argument("--m", type=int, default=None)
@@ -281,36 +280,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="planar cubic Cayley graphs of connectivity two")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("build", help="construct and certify a ball")
-    _add_common(p)
-    p.add_argument("--presentation", default=None)
-    p.set_defaults(func=cmd_build)
+    def subcommand(name, func, summary):
+        sub = subs.add_parser(name, help=summary)
+        sub.add_argument("-o", "--output", default=None)
+        sub.set_defaults(func=func)
+        return sub
 
-    p = subs.add_parser("classify", help="classify a presentation or ball")
-    _add_common(p)
+    p = subcommand("build", cmd_build, "construct and certify a ball")
+    _add_size(p)
+    _add_type(p)
+    p.add_argument("--presentation", default=None)
+
+    p = subcommand("classify", cmd_classify,
+                   "classify a presentation or ball")
     p.add_argument("source", help="presentation string or ball JSON file")
     p.add_argument("--blind", action="store_true")
-    p.set_defaults(func=cmd_classify)
 
-    p = subs.add_parser("embed", help="spin embedding as JSON")
-    _add_common(p)
+    p = subcommand("embed", cmd_embed, "spin embedding as JSON")
+    _add_size(p)
+    _add_type(p)
     p.add_argument("source", nargs="?", default=None)
-    p.set_defaults(func=cmd_embed)
 
-    p = subs.add_parser("render", help="draw a ball as SVG or DOT")
-    _add_common(p)
+    p = subcommand("render", cmd_render, "draw a ball as SVG or DOT")
+    _add_size(p)
+    _add_type(p)
     p.add_argument("source", nargs="?", default=None)
-    p.add_argument("--layout", choices=("radial", "tree", "auto"),
-                   default="auto")
+    p.add_argument("--format", choices=("svg", "dot"), default="svg")
     p.add_argument("--depth", type=int, default=3)
-    p.set_defaults(func=cmd_render)
 
-    p = subs.add_parser("verify", help="run verification checks")
-    _add_common(p)
+    p = subcommand("verify", cmd_verify, "run verification checks")
+    _add_size(p)
     p.add_argument("source", nargs="?", default=None)
     p.add_argument("--grid", choices=("smoke",), default=None)
     p.add_argument("--check", default=None)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 

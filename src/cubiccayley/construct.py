@@ -9,20 +9,25 @@ Two independent routes exist for every family:
 * truncated Todd-Coxeter coset enumeration, used as the oracle by
   ``cross_check``.
 
+Both routes hand ``make_ball`` a ``ball.RawGraph`` on dense int ids whose
+vertex 0 is the identity: each builder grows one, and
+``coset.ball_from_table`` numbers the cosets of a table into one.
+
 Every ball returned by ``construct`` has passed ``certify_ball``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from .ball import CayleyBall, certify_ball, make_ball, rooted_isomorphic
+from .ball import (CayleyBall, RawGraph, certify_ball, make_ball,
+                   rooted_isomorphic)
 from .coset import ball_from_table, complete_ball_region, enumerate_cosets
 from .errors import (ConstructionIncomplete, InvalidParams, OracleInconclusive,
                      UndefinedInterior)
 from .groups import Amalgam, Cyclic, Dihedral
-from .presentation import Letter, Presentation, parse_presentation
+from .presentation import Presentation, parse_presentation
 
 TYPE_IDS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX")
 
@@ -87,34 +92,9 @@ class TypeParams:
 # polygon glue-tree engine (types I, II, VI, VIII)
 # ---------------------------------------------------------------------------
 
-class _PolygonGraph:
+class _PolygonGraph(RawGraph):
     """Partial cubic coloured graph grown by gluing relator polygons along
-    the shared involution colour ``b``; slots are keyed by letter, and
-    involution letters are written ``(g, 1)``."""
-
-    def __init__(self, involutions):
-        self.involutions = involutions
-        self.slots: List[Dict[Letter, int]] = []
-        self.edges: List[Tuple[int, int, str, bool]] = []
-
-    def new_vertex(self) -> int:
-        self.slots.append({})
-        return len(self.slots) - 1
-
-    def add_edge(self, u: int, v: int, g: str, s: int):
-        """The edge at u for the letter (g, s), ending at v."""
-        if g in self.involutions:
-            su = sv = (g, 1)
-            self.edges.append((u, v, g, False))
-        else:
-            su, sv = (g, s), (g, -s)
-            self.edges.append((u, v, g, True) if s > 0 else (v, u, g, True))
-        for end, slot in ((u, su), (v, sv)):
-            if slot in self.slots[end]:
-                raise ConstructionIncomplete(
-                    f"slot {slot} already used at vertex {end}")
-        self.slots[u][su] = v
-        self.slots[v][sv] = u
+    the shared involution colour ``b``."""
 
     def trace_cycle(self, start: int, seq):
         """Trace a relator polygon from ``start``, reusing edges whose slots
@@ -135,10 +115,10 @@ class _PolygonGraph:
         if cur != start:
             raise ConstructionIncomplete("polygon failed to close")
 
-    def distances(self, root: int) -> List[int]:
+    def distances(self) -> List[int]:
         dist = [-1] * len(self.slots)
-        dist[root] = 0
-        queue = [root]
+        dist[0] = 0
+        queue = [0]
         for v in queue:
             for w in self.slots[v].values():
                 if dist[w] < 0:
@@ -153,7 +133,7 @@ class _PolygonGraph:
         return None
 
 
-def _build_glue_tree(tp: TypeParams, radius: int):
+def _build_glue_tree(tp: TypeParams, radius: int) -> RawGraph:
     n, m = tp.n, tp.m
     if tp.type_id == "I":
         seed = [("a", 1), ("b", 1)] * n
@@ -190,10 +170,9 @@ def _build_glue_tree(tp: TypeParams, radius: int):
     p = tp.presentation()
     candidates = [letter for letter in p.letters if letter[0] != "b"]
     graph = _PolygonGraph(p.involutions)
-    root = graph.new_vertex()
-    graph.trace_cycle(root, seed)
+    graph.trace_cycle(graph.new_vertex(), seed)
     while True:
-        dist = graph.distances(root)
+        dist = graph.distances()
         # overbuild one layer so boundary-boundary edges are present
         targets = [v for v in range(len(graph.slots))
                    if dist[v] <= radius and graph.free_slot(v, candidates)]
@@ -203,7 +182,7 @@ def _build_glue_tree(tp: TypeParams, radius: int):
             if graph.free_slot(v, candidates):
                 x, seq = glue_seq(graph, v)
                 graph.trace_cycle(x, seq)
-    return root, graph.edges
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -258,56 +237,62 @@ def _amalgam_for(tp: TypeParams):
     return am, actions
 
 
-def _build_amalgam(tp: TypeParams, radius: int):
+def _build_amalgam(tp: TypeParams, radius: int) -> RawGraph:
     """One BFS over normal forms: each element gets a dense int id when it
-    is discovered, each colour's image is computed once per vertex, and
-    the raw edges come out on int ids in the same pass.  An undirected edge
-    is kept from its lower id, a directed edge from its tail; inverse images
-    of directed colours serve discovery only."""
+    is discovered, and the image of a letter is computed only while its
+    slot is free, so each edge is computed and added once, from the end
+    that reaches it first."""
     am, actions = _amalgam_for(tp)
+    p = tp.presentation()
     mul = am.mul_factor
-    moves = []  # (colour, factor steps, directed); colour None: discovery only
+    factor_steps = {}
     for colour, (steps, directed) in actions.items():
-        moves.append((colour, steps, directed))
+        factor_steps[(colour, 1)] = steps
         if directed:
-            moves.append((None, [(tag, am.groups[tag].inv(x))
-                                 for tag, x in reversed(steps)], False))
+            factor_steps[(colour, -1)] = [(tag, am.groups[tag].inv(x))
+                                          for tag, x in reversed(steps)]
+    moves = [(letter, factor_steps[letter]) for letter in p.letters]
 
-    ids = {am.identity: 0}
+    graph = RawGraph(p.involutions)
+    ids = {am.identity: graph.new_vertex()}
     elements = [am.identity]
     dist = [0]
-    raw_edges = []
     for i, u in enumerate(elements):
         inner = dist[i] < radius
-        for colour, steps, directed in moves:
-            if colour is None and not inner:
+        slots = graph.slots[i]
+        for letter, steps in moves:
+            if letter in slots:
                 continue
             v = u
             for tag, x in steps:
                 v = mul(v, tag, x)
             j = ids.get(v)
-            if j is None and inner:
-                j = ids[v] = len(elements)
+            if j is None:
+                if not inner:
+                    continue
+                j = ids[v] = graph.new_vertex()
                 elements.append(v)
                 dist.append(dist[i] + 1)
-            if colour is not None and j is not None and (directed or i <= j):
-                raw_edges.append((i, j, colour, directed))
-    return 0, raw_edges
+            graph.add_edge(i, j, *letter)
+    return graph
 
 
 # ---------------------------------------------------------------------------
 # type IX (finite, parallel edges)
 # ---------------------------------------------------------------------------
 
-def _build_type_ix(n: int):
+def _build_type_ix(n: int) -> RawGraph:
     """Dihedral 2n-cycle alternating b,c with a parallel d edge on every c
     edge (the relator cd makes d coincide with c)."""
-    raw_edges = []
+    graph = RawGraph(frozenset("bcd"))
+    for _ in range(2 * n):
+        graph.new_vertex()
     for k in range(n):
-        raw_edges.append((2 * k, (2 * k + 1) % (2 * n), "b", False))
-        raw_edges.append(((2 * k + 1) % (2 * n), (2 * k + 2) % (2 * n), "c", False))
-        raw_edges.append(((2 * k + 1) % (2 * n), (2 * k + 2) % (2 * n), "d", False))
-    return 0, raw_edges
+        u, v, w = 2 * k, 2 * k + 1, (2 * k + 2) % (2 * n)
+        graph.add_edge(u, v, "b", 1)
+        graph.add_edge(v, w, "c", 1)
+        graph.add_edge(v, w, "d", 1)
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +307,13 @@ def construct(tp: TypeParams, radius: int) -> CayleyBall:
     if tp.type_id == "IX":
         # the whole graph, whatever radius is asked: the 2n-cycle has
         # diameter n, and a truncated copy would leave interior slots empty
-        root, raw = _build_type_ix(tp.n)
+        graph = _build_type_ix(tp.n)
         radius = tp.n
     elif tp.type_id in ("I", "II", "VI", "VIII"):
-        root, raw = _build_glue_tree(tp, radius)
+        graph = _build_glue_tree(tp, radius)
     else:
-        root, raw = _build_amalgam(tp, radius)
-    ball = make_ball(pres, root, raw, radius)
+        graph = _build_amalgam(tp, radius)
+    ball = make_ball(pres, graph, radius)
     if tp.type_id == "IX":
         ball.interior = frozenset(ball.vertices())
     violations = certify_ball(ball, pres)

@@ -4,7 +4,9 @@ A deliberately plain HLT-style enumerator: scan-and-fill over all relators,
 a deduction-free fixpoint loop, and textbook coincidence merging via
 union-find.  Every table entry is a consequence of a relator trace or
 involution symmetry, so a truncated (overflowed) table is still sound and
-can be cut into a ball around the identity coset.
+can be cut into a ball around the identity coset: ``ball_from_table``
+numbers the cosets within the radius densely in distance order, the
+identity coset as 0, into a ``ball.RawGraph`` that ``make_ball`` cuts.
 
 ``max_cosets`` bounds the number of cosets one table ever creates (live or
 dead).  Hitting it is reported as ``complete = False`` on the returned
@@ -38,7 +40,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional
 
-from .ball import CayleyBall, make_ball
+from .ball import CayleyBall, RawGraph, make_ball
 from .errors import NotCubic, OracleInconclusive, UndefinedInterior
 from .presentation import Letter, Presentation
 
@@ -171,6 +173,17 @@ class CosetTable:
                 return  # cap hit; leave the gap
 
 
+def _rescan(table: CosetTable, cosets) -> bool:
+    """Scan every relator, filling gaps, from each of ``cosets`` still
+    live; True if the table changed."""
+    before = table.ops
+    for a in cosets:
+        if table.is_live(a):
+            for cols in table._relator_cols:
+                table.scan(table.rep(a), cols, fill=True)
+    return table.ops != before
+
+
 def enumerate_cosets(p: Presentation, max_cosets: int) -> CosetTable:
     """Run the enumeration; ``table.complete`` tells whether it closed.
 
@@ -195,17 +208,9 @@ def enumerate_cosets(p: Presentation, max_cosets: int) -> CosetTable:
 
     if not table.overflowed:
         # fixpoint pass: coincidences may have opened rescans
-        changed = True
-        while changed:
-            before = table.ops
-            for alpha in table.live_cosets():
-                if not table.is_live(alpha):
-                    continue
-                for cols in table._relator_cols:
-                    table.scan(table.rep(alpha), cols, fill=True)
+        while _rescan(table, table.live_cosets()):
             if table.overflowed:
                 break
-            changed = table.ops != before
         if not table.overflowed:
             table.complete = all(
                 table.get(a, col) is not None
@@ -252,15 +257,8 @@ def complete_ball_region(table: CosetTable, radius: int, hard_cap: int):
                     if table.define(alpha, col) is None:
                         raise OracleInconclusive(
                             "coset cap exhausted while completing the ball")
-        while True:
-            before = table.ops
-            for a in list(dist):
-                if not table.is_live(a):
-                    continue
-                for cols in table._relator_cols:
-                    table.scan(table.rep(a), cols, fill=True)
-            if table.ops == before:
-                break
+        while _rescan(table, dist):
+            pass
 
 
 def ball_from_table(table: CosetTable, radius: int) -> CayleyBall:
@@ -276,7 +274,6 @@ def ball_from_table(table: CosetTable, radius: int) -> CayleyBall:
     group) has no boundary: all its vertices are interior.
     """
     p = table.presentation
-    root = table.rep(0)
     dist = _ball_distances(table, radius)
     for v, d in dist.items():
         if d < radius:
@@ -288,7 +285,9 @@ def ball_from_table(table: CosetTable, radius: int) -> CayleyBall:
     if table.complete:
         radius = min(radius, max(dist.values(), default=0))
 
-    raw_edges = []
+    # dense ids in distance order: the identity coset is vertex 0
+    graph = RawGraph(p.involutions)
+    ids = {v: graph.new_vertex() for v in dist}
     for v in dist:
         for gen in p.generators:
             g = gen.name
@@ -297,13 +296,9 @@ def ball_from_table(table: CosetTable, radius: int) -> CayleyBall:
                 raise NotCubic(
                     f"generator {g} fixes coset {v}: it is trivial in the "
                     "group, so its Cayley graph edges are loops")
-            if w is None or w not in dist:
-                continue
-            if not gen.involution:
-                raw_edges.append((v, w, g, True))
-            elif v < w:
-                raw_edges.append((v, w, g, False))
-    ball = make_ball(p, root, raw_edges, radius)
+            if w in ids and (not gen.involution or v < w):
+                graph.add_edge(ids[v], ids[w], g, 1)
+    ball = make_ball(p, graph, radius)
     if table.complete and len(dist) == len(table.live_cosets()):
         # whole graph: no truncation boundary
         ball.interior = frozenset(ball.vertices())

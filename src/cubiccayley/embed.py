@@ -149,6 +149,7 @@ def embed(ball: CayleyBall, tp: TypeParams) -> RotationEmbedding:
         return RotationEmbedding(ball, tp, spin,
                                  _rotation_from_spin(ball, spin), table)
     colours = sorted(table)
+    planar = isinstance(planarity_check(ball), Planar)
     for bits in itertools.product((PRESERVING, REVERSING), repeat=len(colours)):
         candidate = dict(zip(colours, bits))
         try:
@@ -157,7 +158,7 @@ def embed(ball: CayleyBall, tp: TypeParams) -> RotationEmbedding:
             continue
         emb = RotationEmbedding(ball, tp, spin,
                                 _rotation_from_spin(ball, spin), candidate)
-        if isinstance(planarity_check(ball), Planar) and _euler_closes(emb):
+        if planar and _euler_closes(emb):
             return emb
     raise SpinConflict("no consistent planar spin assignment found")
 

@@ -17,7 +17,11 @@ up to ``cap``; the differential tests compare the two.  The render
 layout's tree walk, which dequeued from the front of a list and walked
 the whole ball, is kept too: the library stops at the drawn depth.  So
 is the two-lookup step over slots keyed by ``(colour, "out"/"in"/None)``:
-the library keys each slot by its letter ``(g, ±1)``.  The
+the library keys each slot by its letter ``(g, ±1)``.  So are the ball
+assembly ``make_ball``, which took a raw edge list on any hashable
+vertices and rebuilt a slot map of dicts from it, and ``ball_from_table``,
+which fed it coset numbers: each builder now hands the library's
+``make_ball`` a ``RawGraph`` on dense ids, walked with lists.  The
 oracles keep their own copies of every traversal, so they cannot follow
 a change in the library.  Do not import this module from ``src``.
 """
@@ -35,14 +39,15 @@ from cubiccayley.analyze import (SeparationCertificate, _deep_vertices,
                                  sound_margin)
 from cubiccayley.ball import CayleyBall, Edge, rooted_isomorphic
 from cubiccayley.construct import _amalgam_for
-from cubiccayley.coset import (ball_from_table, complete_ball_region,
+from cubiccayley.coset import (CosetTable, complete_ball_region,
                                enumerate_cosets)
 from cubiccayley.embed import (PRESERVING, FaceWalk, RotationEmbedding,
                                trace_faces)
-from cubiccayley.errors import (BallTooSmall, InvalidParams,
-                                NoSeparatorFound, OracleInconclusive,
-                                SpinConflict, UndefinedInterior)
-from cubiccayley.presentation import Presentation, Word
+from cubiccayley.errors import (BallTooSmall, CubicCayleyError,
+                                InvalidParams, NoSeparatorFound, NotCubic,
+                                OracleInconclusive, SpinConflict,
+                                UndefinedInterior)
+from cubiccayley.presentation import Letter, Presentation, Word
 
 
 # ---------------------------------------------------------------------------
@@ -784,3 +789,128 @@ def step_edge(slots: List[dict], v: int, letter):
     if hit is None:
         hit = slots[v].get((g, "out" if s > 0 else "in"))
     return hit
+
+
+# ---------------------------------------------------------------------------
+# ball assembly from a raw edge list on arbitrary hashable raw vertices
+# ---------------------------------------------------------------------------
+
+def make_ball(presentation: Presentation, root,
+              edges: List[Tuple[object, object, str, bool]],
+              radius: int) -> CayleyBall:
+    """Truncate a raw edge list to the radius-``radius`` ball around ``root``
+    and renumber vertices canonically (shortlex BFS order).
+
+    Raw vertices may be arbitrary hashable objects.  Directed edges are given
+    as (u, v, colour, True) with v = u * colour.
+    """
+    # adjacency by letter on the raw vertices
+    slot_map: Dict[object, Dict[Letter, object]] = {}
+    for u, v, colour, directed in edges:
+        su = (colour, 1)
+        sv = (colour, -1) if directed else su
+        slot_map.setdefault(u, {})
+        slot_map.setdefault(v, {})
+        if su in slot_map[u] or sv in slot_map[v]:
+            raise CubicCayleyError(f"duplicate slot while assembling ball")
+        slot_map[u][su] = v
+        slot_map[v][sv] = u
+
+    # each letter with its text in a word label
+    letters = [(letter, Word((letter,)).pretty())
+               for letter in presentation.letters]
+    sep = presentation.word_separator
+
+    order: Dict[object, int] = {root: 0}
+    words = {root: ""}
+    dist = {root: 0}
+    queue = [root]
+    for v in queue:
+        if dist[v] >= radius:
+            continue
+        for letter, text in letters:
+            w = slot_map.get(v, {}).get(letter)
+            if w is not None and w not in order:
+                order[w] = len(order)
+                dist[w] = dist[v] + 1
+                words[w] = words[v] + sep + text if words[v] else text
+                queue.append(w)
+
+    kept_edges = []
+    for u, v, colour, directed in edges:
+        if u in order and v in order:
+            kept_edges.append(Edge(order[u], order[v], colour, directed))
+    kept_edges.sort(key=lambda e: (min(e.u, e.v), max(e.u, e.v), e.colour,
+                                   not e.directed, e.u))
+
+    word_list = [""] * len(order)
+    dist_list = [0] * len(order)
+    for rv, i in order.items():
+        word_list[i] = words[rv] or "1"
+        dist_list[i] = dist[rv]
+    interior = frozenset(i for i in range(len(order))
+                         if dist_list[i] <= radius - 1)
+    return CayleyBall(presentation, 0, radius, kept_edges, word_list,
+                      interior, dist_list)
+
+
+def ball_distances(table: CosetTable, radius: int) -> Dict[int, int]:
+    root = table.rep(0)
+    dist = {root: 0}
+    queue = [root]
+    for v in queue:
+        if dist[v] >= radius:
+            continue
+        for col in table.columns:
+            w = table.get(v, col)
+            if w is not None and w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def ball_from_table(table: CosetTable, radius: int) -> CayleyBall:
+    """Cut the radius-r ball around the identity coset out of the table.
+
+    Raises UndefinedInterior if a vertex within radius-1 is missing a
+    generator image (the table cannot certify the requested radius).
+    Raises NotCubic if a generator fixes a coset of the ball: entries are
+    consequences of the relators, so the generator is then trivial in the
+    group, even in a truncated table, and its edges would be loops.
+    For complete tables the radius is clamped to the eccentricity of the
+    identity coset, and a ball that holds every live coset (the whole
+    group) has no boundary: all its vertices are interior.
+    """
+    p = table.presentation
+    root = table.rep(0)
+    dist = ball_distances(table, radius)
+    for v, d in dist.items():
+        if d < radius:
+            for col in table.columns:
+                if table.get(v, col) is None:
+                    raise UndefinedInterior(
+                        f"coset at distance {d} lacks image under {col}")
+
+    if table.complete:
+        radius = min(radius, max(dist.values(), default=0))
+
+    raw_edges = []
+    for v in dist:
+        for gen in p.generators:
+            g = gen.name
+            w = table.get(v, (g, 1))
+            if w == v:
+                raise NotCubic(
+                    f"generator {g} fixes coset {v}: it is trivial in the "
+                    "group, so its Cayley graph edges are loops")
+            if w is None or w not in dist:
+                continue
+            if not gen.involution:
+                raw_edges.append((v, w, g, True))
+            elif v < w:
+                raw_edges.append((v, w, g, False))
+    ball = make_ball(p, root, raw_edges, radius)
+    if table.complete and len(dist) == len(table.live_cosets()):
+        # whole graph: no truncation boundary
+        ball.interior = frozenset(ball.vertices())
+    return ball

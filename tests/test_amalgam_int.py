@@ -16,13 +16,10 @@ AMALGAM_TYPES = ("III", "IV", "V", "VII")
 _GRID = [c for c in cli.SMOKE_GRID if c[0] in AMALGAM_TYPES]
 
 
-def _ball(tp, radius, builder):
-    return make_ball(tp.presentation(), *builder(tp, radius), radius)
-
-
 def _assert_same_ball(tp, radius):
-    new = _ball(tp, radius, _build_amalgam)
-    old = _ball(tp, radius, O.build_amalgam)
+    p = tp.presentation()
+    new = make_ball(p, _build_amalgam(tp, radius), radius)
+    old = O.make_ball(p, *O.build_amalgam(tp, radius), radius)
     assert new.canonical_form() == old.canonical_form()
     assert new.words == old.words
     assert new.distances == old.distances
@@ -51,7 +48,8 @@ def test_random_cells_match_oracle(tp, radius):
 
 
 def test_raw_edges_use_dense_int_ids():
-    root, raw = _build_amalgam(TypeParams("VII", n=2, m=2), 4)
+    # a RawGraph's root is vertex 0 by construction
+    root, raw = 0, _build_amalgam(TypeParams("VII", n=2, m=2), 4).edges
     assert root == 0
     ends = {x for u, v, _, _ in raw for x in (u, v)}
     assert ends == set(range(len(ends)))

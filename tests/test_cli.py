@@ -178,3 +178,19 @@ def test_disconnected_ball_is_parse_error(tmp_path, capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "not connected" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "<a,b|b^2,(ab)^3>", "--radius", "3"],
+    ["classify", "<a,b|b^2,(ab)^3>", "--type", "I"],
+    ["verify", "--check", "k33-scaffold", "--n", "2"],
+    ["build", "--type", "I", "--n", "2", "--format", "json"],
+    ["embed", "--type", "I", "--n", "2", "--format", "json"],
+    ["render", "--type", "I", "--n", "2", "--format", "json"],
+    ["render", "--type", "I", "--n", "2", "--layout", "tree"],
+])
+def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

@@ -69,6 +69,19 @@ def test_faces_ix_include_non_relator_circuits():
     assert not all(E.face_relator_match(ball, f) for f in closed)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ix_search_checks_planarity_once(monkeypatch, n):
+    # planarity belongs to the ball, not to a candidate spin table
+    calls = []
+    check = E.planarity_check
+    monkeypatch.setattr(E, "planarity_check",
+                        lambda ball: calls.append(ball) or check(ball))
+    tp = TypeParams("IX", n=n)
+    ball = construct(tp, 3)
+    assert E.check_consistency(E.embed(ball, tp))
+    assert calls == [ball]
+
+
 def test_type_v_face_profile():
     tp = TypeParams("V", n=2, m=2)
     ball = construct(tp, 7)
