@@ -142,7 +142,7 @@ class CosetTable:
 
     # -- scanning ----------------------------------------------------------
 
-    def scan(self, alpha: int, cols: List[Letter], fill: bool):
+    def scan(self, alpha: int, cols: List[Letter]):
         f, i = alpha, 0
         b, j = alpha, len(cols) - 1
         while True:
@@ -166,8 +166,6 @@ class CosetTable:
             if j == i:
                 self._set(f, cols[i], b)
                 return
-            if not fill:
-                return
             made = self.define(f, cols[i])
             if made is None:
                 return  # cap hit; leave the gap
@@ -180,7 +178,7 @@ def _rescan(table: CosetTable, cosets) -> bool:
     for a in cosets:
         if table.is_live(a):
             for cols in table._relator_cols:
-                table.scan(table.rep(a), cols, fill=True)
+                table.scan(table.rep(a), cols)
     return table.ops != before
 
 
@@ -199,7 +197,7 @@ def enumerate_cosets(p: Presentation, max_cosets: int) -> CosetTable:
         for cols in table._relator_cols:
             if not table.is_live(alpha):
                 break
-            table.scan(table.rep(alpha), cols, fill=True)
+            table.scan(table.rep(alpha), cols)
         if not table.is_live(alpha):
             continue
         for col in table.columns:

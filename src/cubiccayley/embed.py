@@ -3,18 +3,24 @@
 The embedding of each family is determined (up to reflection) by which
 colours preserve spin and which reverse it.  The rotation is built by
 fixing the center's cyclic order and propagating spins across edges by
-colour parity; faces are traced by the standard next-edge rule.
+colour parity.
 
-Planarity is decided by networkx, but never taken on faith: a planar
-verdict is certified by an Euler-consistent face count over the returned
-rotation system, a non-planar verdict by an explicit K5/K33 subdivision
-that is checked degree-by-degree.
+Every face question goes through one face-successor permutation on int
+darts, built by ``face_successor`` in one step per dart: ``trace_faces``
+walks it cut at the boundary, ``sphere_faces`` counts its uncut orbits.
+A rotation whose faces close Euler's formula V - E + F = 2 on each
+component is a planar embedding, so the spin rotation certifies the
+planarity of its ball without any other embedding.  For a graph with no
+rotation of its own, planarity is decided by networkx but never taken on
+faith: a planar verdict is certified by the same sphere count over the
+rotation networkx returns, a non-planar verdict by an explicit K5/K33
+subdivision that is checked degree-by-degree.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
@@ -77,9 +83,13 @@ class RotationEmbedding:
         self.rotation = rotation  # per vertex: incident edge ids, cyclic
         self.colour_spin = colour_spin
 
-    def to_dict(self, bound: Optional[int] = None) -> dict:
-        faces = trace_faces(self, bound if bound is not None
-                            else 4 * len(self.ball.edges) + 4)
+    def sphere_faces(self) -> Tuple[int, bool]:
+        """``sphere_faces`` of the uncut rotation; a ball is connected."""
+        return sphere_faces(self.ball.n_vertices, 1, _ends(self.ball),
+                            enumerate(self.rotation))
+
+    def to_dict(self) -> dict:
+        faces = trace_faces(self)
         circuit_keys = _relator_circuit_keys(self.ball)
         return {
             "colour_spin": dict(self.colour_spin),
@@ -158,102 +168,108 @@ def embed(ball: CayleyBall, tp: TypeParams) -> RotationEmbedding:
             continue
         emb = RotationEmbedding(ball, tp, spin,
                                 _rotation_from_spin(ball, spin), candidate)
-        if planar and _euler_closes(emb):
+        if planar and emb.sphere_faces()[1]:
             return emb
     raise SpinConflict("no consistent planar spin assignment found")
 
 
-def _euler_closes(emb: RotationEmbedding) -> bool:
-    """For a whole finite graph: V - E + F = 2 under the rotation."""
-    ball = emb.ball
-    if len(ball.interior) != ball.n_vertices:
-        return True  # truncated ball: Euler not applicable
-    faces = trace_faces(emb, 4 * len(ball.edges) + 4)
-    if not all(f.closed for f in faces):
-        return False
-    return ball.n_vertices - len(ball.edges) + len(faces) == 2
-
-
 # ---------------------------------------------------------------------------
-# face tracing
+# faces: one successor permutation per rotation system
 # ---------------------------------------------------------------------------
 
-def _dart_ends(ball, dart):
-    eid, direction = dart
-    e = ball.edges[eid]
-    return (e.u, e.v) if direction == 0 else (e.v, e.u)
+def face_successor(ends, rotation, keep=None) -> List[int]:
+    """The face-successor permutation of a rotation system, in O(E).
+
+    Dart ``2·eid + direction`` runs along edge ``eid`` from ``ends[eid][0]``
+    to ``ends[eid][1]`` when direction is 0, back when it is 1.  For each
+    ``(vertex h, cyclic edge ids)`` pair of ``rotation``, the dart that
+    arrives at h along one edge is followed by the dart that leaves h along
+    the next.  A dart whose head is not in ``keep`` (when given) has
+    successor -1, which cuts its walk.
+    """
+    succ = [-1] * (2 * len(ends))
+    for h, rot in rotation:
+        if keep is not None and h not in keep:
+            continue
+        for eid, nxt in zip(rot, rot[1:] + rot[:1]):
+            succ[2 * eid + (ends[eid][1] != h)] = 2 * nxt + (ends[nxt][0] != h)
+    return succ
 
 
-def _next_dart(emb: RotationEmbedding, dart):
-    """Successor dart of the face walk, or None at a boundary vertex."""
-    ball = emb.ball
-    _, head = _dart_ends(ball, dart)
-    if head not in ball.interior:
-        return None
-    rot = emb.rotation[head]
-    i = rot.index(dart[0])
-    eid = rot[(i + 1) % len(rot)]
-    e = ball.edges[eid]
-    return (eid, 0 if e.u == head else 1)
+def sphere_faces(n_vertices: int, components: int, ends,
+                 rotation) -> Tuple[int, bool]:
+    """Faces of an uncut rotation system on the sphere, and whether
+    V - E + F = 2·components, i.e. every component has genus 0.
+
+    F counts the orbits of the face permutation, one step per dart, plus
+    one face per isolated vertex.  A rotation that leaves a dart without a
+    successor is no rotation system and never closes the count.
+    """
+    succ = face_successor(ends, rotation)
+    seen = bytearray(len(succ))
+    faces = n_vertices - len({x for end in ends for x in end})
+    for start in range(len(succ)):
+        if not seen[start]:
+            faces += 1
+            d = start
+            while d >= 0 and not seen[d]:
+                seen[d] = 1
+                d = succ[d]
+    euler_ok = (-1 not in succ and
+                n_vertices - len(ends) + faces == 2 * components)
+    return faces, euler_ok
 
 
-def _prev_dart(emb: RotationEmbedding, dart):
-    ball = emb.ball
-    tail, _ = _dart_ends(ball, dart)
-    if tail not in ball.interior:
-        return None
-    rot = emb.rotation[tail]
-    i = rot.index(dart[0])
-    eid = rot[(i - 1) % len(rot)]
-    e = ball.edges[eid]
-    # the previous dart arrives at tail via eid
-    return (eid, 0 if e.v == tail else 1)
+def _ends(ball: CayleyBall) -> List[Tuple[int, int]]:
+    return [(e.u, e.v) for e in ball.edges]
 
 
-def trace_faces(emb: RotationEmbedding, bound: int) -> List[FaceWalk]:
-    """All face walks of the rotation system.
+def trace_faces(emb: RotationEmbedding,
+                bound: Optional[int] = None) -> List[FaceWalk]:
+    """All face walks of the rotation system, cut at boundary vertices.
 
-    Walks are closed when the orbit returns to its first dart with every
-    vertex interior; walks reaching the boundary are truncated-marked,
-    never closed artificially; walks longer than ``bound`` are cut and
-    flagged.
+    A walk is closed when its orbit returns to its first dart with every
+    vertex interior.  A walk that reaches the boundary is extended
+    backwards to the boundary too and left open, never closed
+    artificially.  A walk longer than ``bound`` darts is cut and flagged;
+    no orbit exceeds 2E darts, so the default never cuts one.
     """
     ball = emb.ball
-    all_darts = [(eid, d) for eid in range(len(ball.edges)) for d in (0, 1)]
-    visited = set()
+    succ = face_successor(_ends(ball), enumerate(emb.rotation), ball.interior)
+    pred = [-1] * len(succ)
+    for d, s in enumerate(succ):
+        if s >= 0:
+            pred[s] = d
+    limit = len(succ) if bound is None else bound
+    visited = bytearray(len(succ))
     faces = []
-    for start in all_darts:
-        if start in visited:
+    for start in range(len(succ)):
+        if visited[start]:
             continue
         walk = [start]
-        visited.add(start)
-        closed = False
-        hit_bound = False
-        cur = start
-        while True:
-            nxt = _next_dart(emb, cur)
-            if nxt is None:
-                break
+        visited[start] = 1
+        closed = hit_bound = False
+        nxt = succ[start]
+        while nxt >= 0:
             if nxt == start:
                 closed = True
                 break
-            if len(walk) >= bound:
+            if len(walk) >= limit:
                 hit_bound = True
                 break
             walk.append(nxt)
-            visited.add(nxt)
-            cur = nxt
+            visited[nxt] = 1
+            nxt = succ[nxt]
         if not closed and not hit_bound:
-            # extend backwards to the boundary so the walk is maximal
-            cur = start
-            while True:
-                prv = _prev_dart(emb, cur)
-                if prv is None or prv in visited:
-                    break
-                walk.insert(0, prv)
-                visited.add(prv)
-                cur = prv
-        faces.append(FaceWalk(tuple(walk), closed, hit_bound))
+            back = []
+            prv = pred[start]
+            while prv >= 0 and not visited[prv]:
+                back.append(prv)
+                visited[prv] = 1
+                prv = pred[prv]
+            walk = back[::-1] + walk
+        faces.append(FaceWalk(tuple((d >> 1, d & 1) for d in walk),
+                              closed, hit_bound))
     return faces
 
 
@@ -295,7 +311,7 @@ def _translation_spot_check(emb: RotationEmbedding) -> bool:
     Cost: per letter, one pass over the ball and one slot lookup per dart."""
     ball = emb.ball
     p = ball.presentation
-    faces = trace_faces(emb, 4 * len(ball.edges) + 4)
+    faces = trace_faces(emb)
     closed_keys = {frozenset(f.edge_ids()) for f in faces if f.closed}
     for letter in p.letters:
         # propagate the colour-automorphism phi(center) = center * letter
@@ -342,8 +358,8 @@ def _translation_spot_check(emb: RotationEmbedding) -> bool:
 @dataclass(frozen=True)
 class Planar:
     rotation: dict  # vertex -> cyclic list of (neighbour, edge key)
-    face_count: int
-    euler_ok: bool
+    face_count: int  # face orbits, plus one face per isolated vertex
+    euler_ok: bool  # V - E + F = 2 per connected component
 
 
 @dataclass(frozen=True)
@@ -373,7 +389,12 @@ def planarity_check(g):
     ok, cert = nx.check_planarity(simple, counterexample=True)
     if not ok:
         return _kuratowski_witness(cert)
+    edges = list(mg.edges(keys=True))
+    eid = {}
+    for i, (u, v, k) in enumerate(edges):
+        eid[u, v, k] = eid[v, u, k] = i
     rotation = {}
+    by_eid = []  # the same rotation on edge ids
     for v in simple.nodes:
         order = []
         for w in (cert.neighbors_cw_order(v) if simple.degree(v) else []):
@@ -382,31 +403,11 @@ def planarity_check(g):
                 keys.reverse()  # mirror parallel bundles at the far end
             order.extend((w, k) for k in keys)
         rotation[v] = order
-    face_count = _count_faces(mg, rotation)
-    components = nx.number_connected_components(mg) if mg.number_of_nodes() else 0
-    euler_ok = (mg.number_of_nodes() - mg.number_of_edges() + face_count
-                == 1 + components)
+        by_eid.append((v, [eid[v, w, k] for w, k in order]))
+    face_count, euler_ok = sphere_faces(
+        mg.number_of_nodes(), nx.number_connected_components(mg),
+        [(u, v) for u, v, _ in edges], by_eid)
     return Planar(rotation, face_count, euler_ok)
-
-
-def _count_faces(mg: nx.MultiGraph, rotation: dict) -> int:
-    """Number of face orbits of the rotation; cost: one step per dart."""
-    index = {v: {pair: i for i, pair in enumerate(rot)}
-             for v, rot in rotation.items()}
-    seen = set()
-    count = 0
-    for u, v, k in mg.edges(keys=True):
-        for cur in ((u, v, k), (v, u, k)):
-            if cur in seen:
-                continue
-            count += 1
-            while cur not in seen:
-                seen.add(cur)
-                a, b, key = cur
-                rot = rotation[b]
-                w, k2 = rot[(index[b][(a, key)] + 1) % len(rot)]
-                cur = (b, w, k2)
-    return count
 
 
 def _kuratowski_witness(sub: nx.Graph) -> KuratowskiWitness:
@@ -487,7 +488,7 @@ def two_coloured_face_check(emb: RotationEmbedding) -> bool:
     if emb.tp is None or emb.tp.type_id not in ("IV", "V"):
         raise WrongType("two_coloured_face_check applies to types IV and V")
     ball = emb.ball
-    for f in trace_faces(emb, 4 * len(ball.edges) + 4):
+    for f in trace_faces(emb):
         if not f.closed:
             continue
         colours = {ball.edges[eid].colour for eid in f.edge_ids()}

@@ -59,21 +59,18 @@ class Dihedral:
 
 
 class Amalgam:
-    """A *_C B with C = {1, w} of order 2, or the free product when w is None.
+    """A *_C B with C = {1, w} of order 2.
 
     ``groups`` maps tag -> factor group object; ``w`` maps tag -> the
-    amalgamated involution in that factor (or None for a free product).
+    amalgamated involution in that factor.
     An element is the tuple ``(c, seq)``: c (bool: the amalgamated
     involution) followed by an alternating tuple of ``(tag, t)`` coset
     representatives.
     """
 
-    def __init__(self, factor_a, factor_b, w_a=None, w_b=None):
+    def __init__(self, factor_a, factor_b, w_a, w_b):
         self.groups = {"A": factor_a, "B": factor_b}
         self.w = {"A": w_a, "B": w_b}
-        self.trivial_c = w_a is None
-        if (w_a is None) != (w_b is None):
-            raise ValueError("amalgamated involution must be set in both factors")
         # _split results per tag, bounded by the factor's order (for an
         # infinite factor, by the elements a computation reaches)
         self._splits = {"A": {}, "B": {}}
@@ -94,8 +91,6 @@ class Amalgam:
         grp = self.groups[tag]
         if x == grp.identity:
             return False, None
-        if self.trivial_c:
-            return False, x
         w = self.w[tag]
         if x == w:
             return True, None

@@ -219,21 +219,29 @@ class _Parser:
             letters = self.take_letters(names)
         else:
             self.error(f"unexpected token {tok!r} in relator")
-        if self.peek() == "^":
-            self.take("^")
-            exp = self.peek()
-            if exp is None or not re.fullmatch(r"-?\d+", exp):
-                self.error("expected integer exponent after '^'")
-            self.take()
-            k = int(exp)
-            if k == 0:
-                self.error("exponent must be nonzero")
-            if k < 0:
+        exp = self.take_exponent()
+        if exp is not None:
+            sign, k = exp
+            if sign < 0:
                 letters = [(g, -s) for g, s in reversed(letters)]
-                k = -k
             self.check_length(len(letters) * k)
             letters = letters * k
         return letters
+
+    def take_exponent(self):
+        """``(sign, k)`` for a following ``^`` and its nonzero integer
+        exponent ``sign * k``, or None when no ``^`` follows."""
+        if self.peek() != "^":
+            return None
+        self.take("^")
+        exp = self.peek()
+        if exp is None or not re.fullmatch(r"-?\d+", exp):
+            self.error("expected integer exponent after '^'")
+        self.take()
+        k = int(exp)
+        if k == 0:
+            self.error("exponent must be nonzero")
+        return (-1, -k) if k < 0 else (1, k)
 
     def take_letters(self, names) -> list:
         """Split a run of letters into declared generator names, longest first."""
@@ -253,20 +261,12 @@ class _Parser:
                     f"relator uses undeclared generator starting at {run[i:]!r}",
                     start + i)
         # a trailing ^exp binds to the last letter only: "ba^-1" = b, a^-1
-        if self.peek() == "^":
-            self.take("^")
-            exp = self.peek()
-            if exp is None or not re.fullmatch(r"-?\d+", exp):
-                self.error("expected integer exponent after '^'")
-            self.take()
-            k = int(exp)
-            if k == 0:
-                self.error("exponent must be nonzero")
+        exp = self.take_exponent()
+        if exp is not None:
+            sign, k = exp
             g, s = letters.pop()
-            if k < 0:
-                s, k = -s, -k
             self.check_length(len(letters) + k)
-            letters.extend([(g, s)] * k)
+            letters.extend([(g, sign * s)] * k)
         return letters
 
 

@@ -21,9 +21,13 @@ the library keys each slot by its letter ``(g, ±1)``.  So are the ball
 assembly ``make_ball``, which took a raw edge list on any hashable
 vertices and rebuilt a slot map of dicts from it, and ``ball_from_table``,
 which fed it coset numbers: each builder now hands the library's
-``make_ball`` a ``RawGraph`` on dense ids, walked with lists.  The
-oracles keep their own copies of every traversal, so they cannot follow
-a change in the library.  Do not import this module from ``src``.
+``make_ball`` a ``RawGraph`` on dense ids, walked with lists.  So are
+the face walk ``trace_faces``, which stepped tuple darts through
+``rot.index`` lookups, and the orbit count ``_count_faces`` on networkx's
+``(a, b, key)`` darts: the library builds one face-successor permutation
+on int darts and walks or counts that.  The oracles keep their own
+copies of every traversal, so they cannot follow a change in the
+library.  Do not import this module from ``src``.
 """
 
 from __future__ import annotations
@@ -41,8 +45,7 @@ from cubiccayley.ball import CayleyBall, Edge, rooted_isomorphic
 from cubiccayley.construct import _amalgam_for
 from cubiccayley.coset import (CosetTable, complete_ball_region,
                                enumerate_cosets)
-from cubiccayley.embed import (PRESERVING, FaceWalk, RotationEmbedding,
-                               trace_faces)
+from cubiccayley.embed import PRESERVING, FaceWalk, RotationEmbedding
 from cubiccayley.errors import (BallTooSmall, CubicCayleyError,
                                 InvalidParams, NoSeparatorFound, NotCubic,
                                 OracleInconclusive, SpinConflict,
@@ -53,6 +56,85 @@ from cubiccayley.presentation import Letter, Presentation, Word
 # ---------------------------------------------------------------------------
 # embed
 # ---------------------------------------------------------------------------
+
+def _dart_ends(ball, dart):
+    eid, direction = dart
+    e = ball.edges[eid]
+    return (e.u, e.v) if direction == 0 else (e.v, e.u)
+
+
+def _next_dart(emb: RotationEmbedding, dart):
+    """Successor dart of the face walk, or None at a boundary vertex."""
+    ball = emb.ball
+    _, head = _dart_ends(ball, dart)
+    if head not in ball.interior:
+        return None
+    rot = emb.rotation[head]
+    i = rot.index(dart[0])
+    eid = rot[(i + 1) % len(rot)]
+    e = ball.edges[eid]
+    return (eid, 0 if e.u == head else 1)
+
+
+def _prev_dart(emb: RotationEmbedding, dart):
+    ball = emb.ball
+    tail, _ = _dart_ends(ball, dart)
+    if tail not in ball.interior:
+        return None
+    rot = emb.rotation[tail]
+    i = rot.index(dart[0])
+    eid = rot[(i - 1) % len(rot)]
+    e = ball.edges[eid]
+    # the previous dart arrives at tail via eid
+    return (eid, 0 if e.v == tail else 1)
+
+
+def trace_faces(emb: RotationEmbedding, bound: int) -> List[FaceWalk]:
+    """All face walks of the rotation system.
+
+    Walks are closed when the orbit returns to its first dart with every
+    vertex interior; walks reaching the boundary are truncated-marked,
+    never closed artificially; walks longer than ``bound`` are cut and
+    flagged.
+    """
+    ball = emb.ball
+    all_darts = [(eid, d) for eid in range(len(ball.edges)) for d in (0, 1)]
+    visited = set()
+    faces = []
+    for start in all_darts:
+        if start in visited:
+            continue
+        walk = [start]
+        visited.add(start)
+        closed = False
+        hit_bound = False
+        cur = start
+        while True:
+            nxt = _next_dart(emb, cur)
+            if nxt is None:
+                break
+            if nxt == start:
+                closed = True
+                break
+            if len(walk) >= bound:
+                hit_bound = True
+                break
+            walk.append(nxt)
+            visited.add(nxt)
+            cur = nxt
+        if not closed and not hit_bound:
+            # extend backwards to the boundary so the walk is maximal
+            cur = start
+            while True:
+                prv = _prev_dart(emb, cur)
+                if prv is None or prv in visited:
+                    break
+                walk.insert(0, prv)
+                visited.add(prv)
+                cur = prv
+        faces.append(FaceWalk(tuple(walk), closed, hit_bound))
+    return faces
+
 
 def _relator_circuit_keys(ball: CayleyBall):
     keys = set()

@@ -1,11 +1,18 @@
 """CLI subcommands and exit-code mapping."""
 
+import hashlib
+import importlib
 import json
 import time
 
 import pytest
 
+from cubiccayley import cli
 from cubiccayley.cli import main
+
+# the package exports a function named construct, which hides the module
+ball_mod = importlib.import_module("cubiccayley.ball")
+construct_mod = importlib.import_module("cubiccayley.construct")
 
 
 def run(capsys, *argv):
@@ -98,6 +105,83 @@ def test_render_dot(capsys):
                        "--radius", "3", "--format", "dot")
     assert code == 0
     assert out.startswith("digraph")
+
+
+# sha256 of the output bytes: the SVG lays out children in the spin
+# rotation's order; the last two sources are not in the catalogue, so
+# the SVG falls back to construction order
+RENDER_SHA = {
+    ("dot", "--type", "VII", "--n", "3", "--m", "2", "--radius", "6"):
+        "957d9c215f1ac3e8f9d904420b240b44f92c1e831d9e4c8148c1eb791e67934f",
+    ("svg", "--type", "VII", "--n", "3", "--m", "2", "--radius", "6"):
+        "2adb4d6f48f9f96af2590d3c60df4074bc1a1a88ccd4914fad278ee5032ae320",
+    ("dot", "--type", "IX", "--n", "2"):
+        "442cb41cbd4907faa21b92abb6324f993b726c8c3408e07e05115dda8a9b0151",
+    ("svg", "--type", "IX", "--n", "2"):
+        "f4fd71c44ef425ed73314b11dd305460b9772328394fe551fac4f06840f6f415",
+    ("dot", "<a,b|b^2,(ab)^3>", "--radius", "4"):
+        "8ae4b3a7494d61a38550dbaf86e064a8cd00791f68188628a87f431824a2b4c4",
+    ("svg", "<a,b|b^2,(ab)^3>", "--radius", "4"):
+        "29a196f2f42f23b220582387a81f20025ca6a1b3b2eb358f1a3f2a60fec6f7b9",
+    ("dot", "<a,b|b^2,a^3>", "--radius", "3"):
+        "9f96547a3e2edcae776b08f0bd8f5c9b42773e0a9cf33e2de1e6d9b9aaf154be",
+    ("svg", "<a,b|b^2,a^3>", "--radius", "3"):
+        "1d423fe2aefabb00c32e13c974601a776dd60e8761c0dd7da3f9ce6b0bb97c14",
+}
+
+
+@pytest.mark.parametrize("fmt,args", [(k[0], k[1:]) for k in RENDER_SHA])
+def test_render_embeds_only_for_svg(monkeypatch, capsys, fmt, args):
+    calls = []
+    real = cli.embed_mod.embed
+    monkeypatch.setattr(cli.embed_mod, "embed",
+                        lambda ball, tp: calls.append(tp) or real(ball, tp))
+    code, out, _ = run(capsys, "render", *args, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RENDER_SHA[(fmt, *args)]
+    if fmt == "dot":
+        assert calls == []
+    elif args[0] == "--type":
+        assert len(calls) == 1
+
+
+def _count_certify(monkeypatch, result=None):
+    """Count ``certify_ball`` calls wherever the package imported it; a
+    given ``result`` replaces its violations."""
+    calls = []
+    real = ball_mod.certify_ball
+
+    def counting(ball, p):
+        calls.append(ball)
+        return real(ball, p) if result is None else result
+
+    for mod in (ball_mod, construct_mod, cli):
+        if hasattr(mod, "certify_ball"):
+            monkeypatch.setattr(mod, "certify_ball", counting)
+    return calls
+
+
+@pytest.mark.parametrize("args", [
+    ("--type", "I", "--n", "2", "--radius", "3"),
+    ("--presentation", "<a,b|b^2,(ab)^3>", "--radius", "3"),
+])
+def test_build_certifies_once(monkeypatch, capsys, args):
+    calls = _count_certify(monkeypatch)
+    code, out, err = run(capsys, "build", *args)
+    assert code == 0 and "certified ball" in err
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("--type", "I", "--n", "2", "--radius", "3"),
+    ("--presentation", "<a,b|b^2,(ab)^3>", "--radius", "3"),
+])
+def test_build_certificate_violation_exits_6(monkeypatch, capsys, args):
+    calls = _count_certify(monkeypatch, result=[("slot", 0, "b")])
+    code, out, err = run(capsys, "build", *args)
+    assert code == 6
+    assert out == "" and "1 certification violations" in err
+    assert len(calls) == 1
 
 
 def test_render_depth_overflow(capsys):

@@ -44,6 +44,35 @@ def test_parse_errors():
         parse_presentation("<a,b | b^2, >")
 
 
+@pytest.mark.parametrize("text,message,position", [
+    # a ^ after a run of letters binds to its last letter
+    ("<a,b|a^x>", "expected integer exponent after '^'", 7),
+    ("<a,b|a^>", "expected integer exponent after '^'", 7),
+    ("<a,b|b^2,a^", "expected integer exponent after '^'", 11),
+    ("<a,b|a^0>", "exponent must be nonzero", 8),
+    ("<a,b|ba^-0>", "exponent must be nonzero", 10),
+    ("<a,b|ab^999999>", "relator longer than 10000 letters", 14),
+    # a ^ after a parenthesised factor binds to the whole factor
+    ("<a,b|(ab)^x>", "expected integer exponent after '^'", 10),
+    ("<a,b|(ab)^", "expected integer exponent after '^'", 10),
+    ("<a,b|(ab)^0>", "exponent must be nonzero", 11),
+    ("<a,b|(ab)^-0,b^2>", "exponent must be nonzero", 12),
+    ("<a,b|(ab)^999999>", "relator longer than 10000 letters", 16),
+])
+def test_exponent_errors(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_presentation(text)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
+def test_negative_exponents():
+    p = parse_presentation("<a,b|a^-2, b^2, (ab)^-3>")
+    assert [r.pretty() for r in p.relators] == ["aa", "bb", "bababa"]
+    p = parse_presentation("<a,b|ab^-2a>")
+    assert p.relators[0].letters == (("a", 1), ("b", -1), ("b", -1), ("a", 1))
+
+
 def test_parse_pretty_roundtrip():
     texts = ["<a,b|b^2,(ab)^3>",
              "<b,c,d|b^2,c^2,d^2,(bc)^4,(cbcd)^2>"]
