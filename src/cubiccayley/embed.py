@@ -9,16 +9,22 @@ Every face question goes through one face-successor permutation on int
 darts, built by ``face_successor`` in one step per dart: ``trace_faces``
 walks it cut at the boundary, ``sphere_faces`` counts its uncut orbits.
 A rotation whose faces close Euler's formula V - E + F = 2 on each
-component is a planar embedding, so the spin rotation certifies the
-planarity of its ball without any other embedding.  For a graph with no
-rotation of its own, planarity is decided by networkx but never taken on
-faith: a planar verdict is certified by the same sphere count over the
-rotation networkx returns, a non-planar verdict by an explicit K5/K33
-subdivision that is checked degree-by-degree.
+component is a planar embedding.  So ``planarity_check`` certifies a
+ball whose presentation classifies into one of the families I-VIII with
+that family's own spin rotation, renamed onto the ball's colours, and
+asks networkx nothing.  networkx decides planarity only for the rest:
+graphs that are not balls, balls without a catalogue presentation, the
+degenerate family IX, and any ball whose spin table conflicts or whose
+spin rotation does not close Euler.  Its verdict is never taken on
+faith: a planar one is certified by the same sphere count over the
+rotation networkx returns, a non-planar one by an explicit K5/K33
+subdivision that is checked degree-by-degree; that route alone yields
+Kuratowski witnesses.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -26,8 +32,10 @@ from typing import Dict, List, Optional, Tuple
 import networkx as nx
 
 from .ball import CayleyBall
+from .classify import classify_presentation
 from .construct import TypeParams
-from .errors import InvalidParams, SpinConflict, WrongType
+from .errors import (InvalidParams, NotCubic, NotInCatalogue, SpinConflict,
+                     WrongType)
 from .presentation import Presentation
 
 PRESERVING = "preserving"
@@ -88,8 +96,12 @@ class RotationEmbedding:
         return sphere_faces(self.ball.n_vertices, 1, _ends(self.ball),
                             enumerate(self.rotation))
 
+    @functools.cached_property
+    def faces(self) -> List[FaceWalk]:
+        """``trace_faces`` without a bound, walked once per embedding."""
+        return trace_faces(self)
+
     def to_dict(self) -> dict:
-        faces = trace_faces(self)
         circuit_keys = _relator_circuit_keys(self.ball)
         return {
             "colour_spin": dict(self.colour_spin),
@@ -101,7 +113,7 @@ class RotationEmbedding:
                 "closed": f.closed,
                 "relator_match": f.closed and
                 frozenset(f.edge_ids()) in circuit_keys,
-            } for f in faces],
+            } for f in self.faces],
         }
 
 
@@ -120,12 +132,21 @@ def _propagate(ball: CayleyBall, colour_spin: Dict[str, str]) -> List[int]:
     Each vertex takes its breadth-first parent's spin, flipped across a
     reversing edge; then every edge is checked.  SpinConflict names the
     lowest edge id whose ends' spins break its colour's rule, which is
-    never a tree edge.
+    never a tree edge.  A colour outside the table, or a vertex that no
+    path from the center reaches, has no forced spin and conflicts too.
     """
     flip = {c: int(s != PRESERVING) for c, s in colour_spin.items()}
     edges = ball.edges
+    unknown = {e.colour for e in edges} - flip.keys()
+    if unknown:
+        raise SpinConflict(
+            f"colours {sorted(unknown)} are not in the spin table")
     spin = [-1] * ball.n_vertices
-    for v, (u, eid) in ball.bfs((ball.center,)).items():
+    tree = ball.bfs((ball.center,))
+    if len(tree) < ball.n_vertices:
+        raise SpinConflict("ball is not connected: no spin reaches "
+                           f"{ball.n_vertices - len(tree)} vertices")
+    for v, (u, eid) in tree.items():
         spin[v] = 0 if u is None else spin[u] ^ flip[edges[eid].colour]
     for eid, e in enumerate(edges):
         if spin[e.u] ^ spin[e.v] != flip[e.colour]:
@@ -134,26 +155,65 @@ def _propagate(ball: CayleyBall, colour_spin: Dict[str, str]) -> List[int]:
     return spin
 
 
-def _rotation_from_spin(ball: CayleyBall, spin: List[int]) -> List[List[int]]:
+def _spin_slots(ball: CayleyBall,
+                spin: List[int]) -> List[List[Tuple[int, int]]]:
+    """Per vertex, its ``(edge id, neighbour)`` slot entries in the cyclic
+    order its spin picks: the alphabet order at spin 0, reversed at 1."""
     slots = _base_slots(ball.presentation)
-    rotation = []
+    out = []
     for v in ball.vertices():
-        order = slots if spin[v] == 0 else list(reversed(slots))
-        eids = [ball.slots(v)[s][0] for s in order if s in ball.slots(v)]
+        order = slots if spin[v] == 0 else slots[::-1]
+        here = ball.slots(v)
         # parallel involution edges share a slot pattern only in the
         # degenerate family, where distinct colours join the same pair
-        rotation.append(eids)
-    return rotation
+        out.append([here[s] for s in order if s in here])
+    return out
+
+
+def _rotation_from_spin(ball: CayleyBall, spin: List[int]) -> List[List[int]]:
+    return [[eid for eid, _ in at] for at in _spin_slots(ball, spin)]
 
 
 def embed(ball: CayleyBall, tp: TypeParams) -> RotationEmbedding:
-    """Rotation system realising the spin table of the family.
+    """Rotation system realising the spin table of the family, on a ball
+    whose colours are the family's canonical a,b or b,c,d."""
+    return _embed(ball, tp, spin_table(tp))
+
+
+def _ball_spin_table(ball: CayleyBall) -> Tuple[TypeParams, Dict[str, str]]:
+    """The family of the ball's presentation and its spin table, renamed
+    from the canonical colours onto the ball's own generator names."""
+    if ball.presentation is None:
+        raise InvalidParams("ball carries no presentation")
+    report = classify_presentation(ball.presentation)
+    sigma = report.renaming or {c: c for c in report.colour_spin}
+    return report.type_params, {g: report.colour_spin[c]
+                                for g, c in sigma.items()}
+
+
+def spin_embedding(ball: CayleyBall) -> RotationEmbedding:
+    """The family's spin embedding of a ball built from a catalogue
+    presentation under any generator names.
+
+    ``classify_presentation`` names the family and the renaming of the
+    ball's generators onto a,b / b,c,d; the family's spin table is renamed
+    back onto the ball's colours before it propagates, so the embedding's
+    ``colour_spin`` is keyed by the ball's own generators.  Raises
+    InvalidParams when the ball carries no presentation, NotCubic or
+    NotInCatalogue when it does not classify, SpinConflict when the table
+    does not propagate.
+    """
+    return _embed(ball, *_ball_spin_table(ball))
+
+
+def _embed(ball: CayleyBall, tp: TypeParams,
+           table: Dict[str, str]) -> RotationEmbedding:
+    """Rotation system realising a spin table keyed by the ball's colours.
 
     The degenerate finite family carries no table; all colour-spin
     patterns are searched in a fixed order and the first one that
     propagates without conflict and certifies planar is used.
     """
-    table = spin_table(tp)
     if DEGENERATE not in table.values():
         spin = _propagate(ball, table)
         return RotationEmbedding(ball, tp, spin,
@@ -311,7 +371,7 @@ def _translation_spot_check(emb: RotationEmbedding) -> bool:
     Cost: per letter, one pass over the ball and one slot lookup per dart."""
     ball = emb.ball
     p = ball.presentation
-    faces = trace_faces(emb)
+    faces = emb.faces
     closed_keys = {frozenset(f.edge_ids()) for f in faces if f.closed}
     for letter in p.letters:
         # propagate the colour-automorphism phi(center) = center * letter
@@ -360,6 +420,7 @@ class Planar:
     rotation: dict  # vertex -> cyclic list of (neighbour, edge key)
     face_count: int  # face orbits, plus one face per isolated vertex
     euler_ok: bool  # V - E + F = 2 per connected component
+    source: str  # the rotation counted: "spin" (the family's) or "networkx"
 
 
 @dataclass(frozen=True)
@@ -383,7 +444,48 @@ def as_multigraph(g) -> nx.MultiGraph:
 
 
 def planarity_check(g):
-    """Planar certificate or Kuratowski witness, both self-verified."""
+    """Planar certificate or Kuratowski witness, both self-verified.
+
+    A ``CayleyBall`` whose presentation classifies into a family with a
+    spin table (I-VIII, under any generator names) is certified by the
+    sphere count of that family's spin rotation over the ball's own edge
+    ids: ``source`` "spin", and networkx is not called.  Every other
+    graph goes to networkx, ``source`` "networkx": a graph that is not a
+    ball, a ball without a presentation or with one outside the
+    catalogue, the degenerate family IX (whose spin-table search calls
+    this function), and a ball whose table conflicts or whose spin
+    rotation does not close Euler.  Only that route returns a
+    ``KuratowskiWitness``.
+    """
+    if isinstance(g, CayleyBall):
+        verdict = _spin_planarity(g)
+        if verdict is not None:
+            return verdict
+    return _networkx_planarity(g)
+
+
+def _spin_planarity(ball: CayleyBall) -> Optional[Planar]:
+    """The sphere count of the family's spin rotation, when it closes
+    Euler; None sends the ball to networkx."""
+    try:
+        _, table = _ball_spin_table(ball)
+        if DEGENERATE in table.values():
+            return None
+        spin = _propagate(ball, table)
+    except (InvalidParams, NotCubic, NotInCatalogue, SpinConflict):
+        return None
+    ordered = _spin_slots(ball, spin)
+    face_count, euler_ok = sphere_faces(
+        ball.n_vertices, 1, _ends(ball),
+        ((v, [eid for eid, _ in slots]) for v, slots in enumerate(ordered)))
+    if not euler_ok:
+        return None
+    return Planar({v: [(w, eid) for eid, w in slots]
+                   for v, slots in enumerate(ordered)},
+                  face_count, euler_ok, "spin")
+
+
+def _networkx_planarity(g):
     mg = as_multigraph(g)
     simple = nx.Graph(mg)
     ok, cert = nx.check_planarity(simple, counterexample=True)
@@ -407,7 +509,7 @@ def planarity_check(g):
     face_count, euler_ok = sphere_faces(
         mg.number_of_nodes(), nx.number_connected_components(mg),
         [(u, v) for u, v, _ in edges], by_eid)
-    return Planar(rotation, face_count, euler_ok)
+    return Planar(rotation, face_count, euler_ok, "networkx")
 
 
 def _kuratowski_witness(sub: nx.Graph) -> KuratowskiWitness:
@@ -488,7 +590,7 @@ def two_coloured_face_check(emb: RotationEmbedding) -> bool:
     if emb.tp is None or emb.tp.type_id not in ("IV", "V"):
         raise WrongType("two_coloured_face_check applies to types IV and V")
     ball = emb.ball
-    for f in trace_faces(emb):
+    for f in emb.faces:
         if not f.closed:
             continue
         colours = {ball.edges[eid].colour for eid in f.edge_ids()}

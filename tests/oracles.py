@@ -25,9 +25,11 @@ which fed it coset numbers: each builder now hands the library's
 the face walk ``trace_faces``, which stepped tuple darts through
 ``rot.index`` lookups, and the orbit count ``_count_faces`` on networkx's
 ``(a, b, key)`` darts: the library builds one face-successor permutation
-on int darts and walks or counts that.  The oracles keep their own
-copies of every traversal, so they cannot follow a change in the
-library.  Do not import this module from ``src``.
+on int darts and walks or counts that.  So is ``planarity_check`` as it
+was when it asked networkx for an embedding of every graph: the library
+now certifies a catalogue ball with its family's spin rotation.  The
+oracles keep their own copies of every traversal, so they cannot follow
+a change in the library.  Do not import this module from ``src``.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ from cubiccayley.ball import CayleyBall, Edge, rooted_isomorphic
 from cubiccayley.construct import _amalgam_for
 from cubiccayley.coset import (CosetTable, complete_ball_region,
                                enumerate_cosets)
-from cubiccayley.embed import PRESERVING, FaceWalk, RotationEmbedding
+from cubiccayley.embed import (PRESERVING, FaceWalk, Planar, RotationEmbedding,
+                               _kuratowski_witness, as_multigraph,
+                               sphere_faces)
 from cubiccayley.errors import (BallTooSmall, CubicCayleyError,
                                 InvalidParams, NoSeparatorFound, NotCubic,
                                 OracleInconclusive, SpinConflict,
@@ -230,6 +234,36 @@ def _count_faces(mg: nx.MultiGraph, rotation: dict) -> int:
             if cur == start:
                 break
     return count
+
+
+def planarity_check(g):
+    """Planar certificate or Kuratowski witness, both self-verified: the
+    networkx route the library took for every graph, catalogue balls
+    included, before it certified those with their spin rotation."""
+    mg = as_multigraph(g)
+    simple = nx.Graph(mg)
+    ok, cert = nx.check_planarity(simple, counterexample=True)
+    if not ok:
+        return _kuratowski_witness(cert)
+    edges = list(mg.edges(keys=True))
+    eid = {}
+    for i, (u, v, k) in enumerate(edges):
+        eid[u, v, k] = eid[v, u, k] = i
+    rotation = {}
+    by_eid = []  # the same rotation on edge ids
+    for v in simple.nodes:
+        order = []
+        for w in (cert.neighbors_cw_order(v) if simple.degree(v) else []):
+            keys = sorted(mg[v][w])
+            if w < v:
+                keys.reverse()  # mirror parallel bundles at the far end
+            order.extend((w, k) for k in keys)
+        rotation[v] = order
+        by_eid.append((v, [eid[v, w, k] for w, k in order]))
+    face_count, euler_ok = sphere_faces(
+        mg.number_of_nodes(), nx.number_connected_components(mg),
+        [(u, v) for u, v, _ in edges], by_eid)
+    return Planar(rotation, face_count, euler_ok, "networkx")
 
 
 # ---------------------------------------------------------------------------

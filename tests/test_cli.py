@@ -9,6 +9,7 @@ import pytest
 
 from cubiccayley import cli
 from cubiccayley.cli import main
+from test_spin_planarity import RENAMED  # catalogue families, renamed
 
 # the package exports a function named construct, which hides the module
 ball_mod = importlib.import_module("cubiccayley.ball")
@@ -145,6 +146,38 @@ def test_render_embeds_only_for_svg(monkeypatch, capsys, fmt, args):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("text", sorted(RENAMED))
+def test_embed_renamed_presentation(capsys, text):
+    code, out, err = run(capsys, "embed", text, "--radius", "3",
+                         "--cap", "1000")
+    assert code == 0 and err == ""
+    assert json.loads(out)["colour_spin"] == RENAMED[text]
+
+
+@pytest.mark.parametrize("text", sorted(RENAMED))
+def test_render_renamed_presentation(capsys, text):
+    render = cli.render_mod
+    code, out, err = run(capsys, "render", text, "--radius", "3",
+                         "--cap", "1000")
+    assert code == 0 and err == ""
+    ball = construct_mod.construct_presentation_ball(
+        cli.parse_presentation(text), 3, cap=1000)
+    rotation = cli.embed_mod.spin_embedding(ball).rotation
+    assert out == render.to_svg(ball, render.RenderSpec(depth=3), rotation)
+
+
+def test_embed_walks_faces_once(monkeypatch, capsys):
+    # check_consistency and to_dict read one trace of the faces
+    calls = []
+    real = cli.embed_mod.face_successor
+    monkeypatch.setattr(cli.embed_mod, "face_successor",
+                        lambda *a: calls.append(a) or real(*a))
+    code, _, _ = run(capsys, "embed", "--type", "VII", "--n", "3", "--m", "2",
+                     "--radius", "5")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def _count_certify(monkeypatch, result=None):
     """Count ``certify_ball`` calls wherever the package imported it; a
     given ``result`` replaces its violations."""
@@ -182,6 +215,15 @@ def test_build_certificate_violation_exits_6(monkeypatch, capsys, args):
     assert code == 6
     assert out == "" and "1 certification violations" in err
     assert len(calls) == 1
+
+
+def test_verify_grid_certifies_each_ball_once(monkeypatch, tmp_path, capsys):
+    # construct certifies every ball it returns; the grid reuses that
+    calls = _count_certify(monkeypatch)
+    code, _, _ = run(capsys, "verify", "--grid", "smoke", "--radius", "2",
+                     "-o", str(tmp_path / "grid"))
+    assert code == 0
+    assert calls and len({id(ball) for ball in calls}) == len(calls)
 
 
 def test_render_depth_overflow(capsys):
