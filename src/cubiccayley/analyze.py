@@ -65,10 +65,6 @@ class ColourPairOrder:
     order: Optional[int]  # None means no closure within the bound
     bound: int
 
-    @property
-    def infinite(self) -> bool:
-        return self.order is None
-
     def to_dict(self) -> dict:
         return {"pair": list(self.pair),
                 "order": self.order if self.order is not None else f"Infinite({self.bound})"}
@@ -548,29 +544,4 @@ def nos_properties_check(ball: CayleyBall) -> dict:
     report["nosv"] = {"ok": not violations, "violations": violations}
 
     report["ok"] = all(item["ok"] for item in report.values())
-    return report
-
-
-# ---------------------------------------------------------------------------
-# report
-# ---------------------------------------------------------------------------
-
-def diagnostic_report(ball: CayleyBall, bound: Optional[int] = None,
-                      margin: int = 1) -> dict:
-    """The diagnostic JSON bundle for one ball."""
-    p = ball.presentation
-    diag = connectivity_diagnostics(ball, margin)
-    hinges = find_hinges(ball, margin)
-    report = {
-        "cutvertex": diag["has_interior_cutvertex"],
-        "separators": [c.to_dict() for c in diag["two_separators"]],
-        "hinges": [[e.u, e.v, e.colour] for e in hinges],
-        "two_basis": {k: v for k, v in two_basis_check(ball, p).items()
-                      if k in ("ok", "max_multiplicity")},
-        "cycle_space": {"spanned": cycle_space_span_check(ball, p)},
-    }
-    if len(p.involutions) == 3:
-        b = bound if bound is not None else max(2 * ball.radius, 64)
-        report["colour_orders"] = [o.to_dict()
-                                   for o in colour_pair_orders(ball, b)]
     return report

@@ -19,7 +19,7 @@ does this numbering on the ``RawGraph`` a builder grows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ConstructionIncomplete, CubicCayleyError, ParseError

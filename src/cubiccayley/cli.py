@@ -149,11 +149,10 @@ def cmd_render(args) -> int:
         _write_text(render_mod.to_dot(ball), args.output)
         return EXIT_OK
     rotation = None  # without an embedding, construction order
-    if ball.presentation is not None:
-        try:
-            rotation = _embedding(args, ball).rotation
-        except CubicCayleyError:
-            pass
+    try:
+        rotation = _embedding(args, ball).rotation
+    except CubicCayleyError:
+        pass
     spec = render_mod.RenderSpec(depth=args.depth)
     _write_text(render_mod.to_svg(ball, spec, rotation), args.output)
     return EXIT_OK

@@ -83,10 +83,6 @@ class TypeParams:
     def presentation(self) -> Presentation:
         return parse_presentation(self.presentation_text())
 
-    @property
-    def finite(self) -> bool:
-        return self.type_id == "IX"
-
 
 # ---------------------------------------------------------------------------
 # polygon glue-tree engine (types I, II, VI, VIII)

@@ -10,16 +10,15 @@ darts, built by ``face_successor`` in one step per dart: ``trace_faces``
 walks it cut at the boundary, ``sphere_faces`` counts its uncut orbits.
 A rotation whose faces close Euler's formula V - E + F = 2 on each
 component is a planar embedding.  So ``planarity_check`` certifies a
-ball whose presentation classifies into one of the families I-VIII with
+ball whose presentation classifies into one of the families I-IX with
 that family's own spin rotation, renamed onto the ball's colours, and
 asks networkx nothing.  networkx decides planarity only for the rest:
-graphs that are not balls, balls without a catalogue presentation, the
-degenerate family IX, and any ball whose spin table conflicts or whose
-spin rotation does not close Euler.  Its verdict is never taken on
-faith: a planar one is certified by the same sphere count over the
-rotation networkx returns, a non-planar one by an explicit K5/K33
-subdivision that is checked degree-by-degree; that route alone yields
-Kuratowski witnesses.
+graphs that are not balls, balls without a catalogue presentation, and
+any ball whose spin table conflicts or whose spin rotation does not
+close Euler.  Its verdict is never taken on faith: a planar one is
+certified by the same sphere count over the rotation networkx returns,
+a non-planar one by an explicit K5/K33 subdivision that is checked
+degree-by-degree; that route alone yields Kuratowski witnesses.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .presentation import Presentation
 
 PRESERVING = "preserving"
 REVERSING = "reversing"
-DEGENERATE = "degenerate"
 
 _SPIN_TABLES = {
     "I": {"a": PRESERVING, "b": PRESERVING},
@@ -51,12 +49,22 @@ _SPIN_TABLES = {
     "VI": {"b": REVERSING, "c": REVERSING, "d": REVERSING},
     "VII": {"b": PRESERVING, "c": PRESERVING, "d": PRESERVING},
     "VIII": {"b": PRESERVING, "c": REVERSING, "d": REVERSING},
-    # finite/degenerate: any planar embedding will do, found by search
-    "IX": {"b": DEGENERATE, "c": DEGENERATE, "d": DEGENERATE},
 }
 
 
 def spin_table(tp: TypeParams) -> Dict[str, str]:
+    """Which colours of the family preserve spin and which reverse it.
+
+    In the finite family IX the relator cd makes c and d join the same
+    pairs, so their spins agree, and each c-d digon is a face only when
+    both reverse: with both preserving no spin rotation of the whole
+    graph closes the sphere count.  Spin then flips at the n c-edges of
+    the 2n-cycle, which closes only if b flips too when n is odd; for
+    even n, b preserves.
+    """
+    if tp.type_id == "IX":
+        return {"b": REVERSING if tp.n % 2 else PRESERVING,
+                "c": REVERSING, "d": REVERSING}
     return dict(_SPIN_TABLES[tp.type_id])
 
 
@@ -117,6 +125,13 @@ class RotationEmbedding:
         }
 
 
+def _presentation(ball: CayleyBall) -> Presentation:
+    """The ball's presentation, whose alphabet orders every rotation."""
+    if ball.presentation is None:
+        raise InvalidParams("ball carries no presentation")
+    return ball.presentation
+
+
 def _base_slots(p: Presentation):
     """The canonical positive-spin cyclic order of edge slots: the
     alphabet order."""
@@ -159,13 +174,13 @@ def _spin_slots(ball: CayleyBall,
                 spin: List[int]) -> List[List[Tuple[int, int]]]:
     """Per vertex, its ``(edge id, neighbour)`` slot entries in the cyclic
     order its spin picks: the alphabet order at spin 0, reversed at 1."""
-    slots = _base_slots(ball.presentation)
+    slots = _base_slots(_presentation(ball))
     out = []
     for v in ball.vertices():
         order = slots if spin[v] == 0 else slots[::-1]
         here = ball.slots(v)
         # parallel involution edges share a slot pattern only in the
-        # degenerate family, where distinct colours join the same pair
+        # finite family IX, where distinct colours join the same pair
         out.append([here[s] for s in order if s in here])
     return out
 
@@ -183,9 +198,7 @@ def embed(ball: CayleyBall, tp: TypeParams) -> RotationEmbedding:
 def _ball_spin_table(ball: CayleyBall) -> Tuple[TypeParams, Dict[str, str]]:
     """The family of the ball's presentation and its spin table, renamed
     from the canonical colours onto the ball's own generator names."""
-    if ball.presentation is None:
-        raise InvalidParams("ball carries no presentation")
-    report = classify_presentation(ball.presentation)
+    report = classify_presentation(_presentation(ball))
     sigma = report.renaming or {c: c for c in report.colour_spin}
     return report.type_params, {g: report.colour_spin[c]
                                 for g, c in sigma.items()}
@@ -208,29 +221,10 @@ def spin_embedding(ball: CayleyBall) -> RotationEmbedding:
 
 def _embed(ball: CayleyBall, tp: TypeParams,
            table: Dict[str, str]) -> RotationEmbedding:
-    """Rotation system realising a spin table keyed by the ball's colours.
-
-    The degenerate finite family carries no table; all colour-spin
-    patterns are searched in a fixed order and the first one that
-    propagates without conflict and certifies planar is used.
-    """
-    if DEGENERATE not in table.values():
-        spin = _propagate(ball, table)
-        return RotationEmbedding(ball, tp, spin,
-                                 _rotation_from_spin(ball, spin), table)
-    colours = sorted(table)
-    planar = isinstance(planarity_check(ball), Planar)
-    for bits in itertools.product((PRESERVING, REVERSING), repeat=len(colours)):
-        candidate = dict(zip(colours, bits))
-        try:
-            spin = _propagate(ball, candidate)
-        except SpinConflict:
-            continue
-        emb = RotationEmbedding(ball, tp, spin,
-                                _rotation_from_spin(ball, spin), candidate)
-        if planar and emb.sphere_faces()[1]:
-            return emb
-    raise SpinConflict("no consistent planar spin assignment found")
+    """Rotation system realising a spin table keyed by the ball's colours."""
+    spin = _propagate(ball, table)
+    return RotationEmbedding(ball, tp, spin, _rotation_from_spin(ball, spin),
+                             table)
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +440,14 @@ def as_multigraph(g) -> nx.MultiGraph:
 def planarity_check(g):
     """Planar certificate or Kuratowski witness, both self-verified.
 
-    A ``CayleyBall`` whose presentation classifies into a family with a
-    spin table (I-VIII, under any generator names) is certified by the
-    sphere count of that family's spin rotation over the ball's own edge
-    ids: ``source`` "spin", and networkx is not called.  Every other
-    graph goes to networkx, ``source`` "networkx": a graph that is not a
-    ball, a ball without a presentation or with one outside the
-    catalogue, the degenerate family IX (whose spin-table search calls
-    this function), and a ball whose table conflicts or whose spin
-    rotation does not close Euler.  Only that route returns a
-    ``KuratowskiWitness``.
+    A ``CayleyBall`` whose presentation classifies into one of the
+    families I-IX, under any generator names, is certified by the sphere
+    count of that family's spin rotation over the ball's own edge ids:
+    ``source`` "spin", and networkx is not called.  Every other graph
+    goes to networkx, ``source`` "networkx": a graph that is not a ball,
+    a ball without a presentation or with one outside the catalogue, and
+    a ball whose table conflicts or whose spin rotation does not close
+    Euler.  Only that route returns a ``KuratowskiWitness``.
     """
     if isinstance(g, CayleyBall):
         verdict = _spin_planarity(g)
@@ -468,10 +460,7 @@ def _spin_planarity(ball: CayleyBall) -> Optional[Planar]:
     """The sphere count of the family's spin rotation, when it closes
     Euler; None sends the ball to networkx."""
     try:
-        _, table = _ball_spin_table(ball)
-        if DEGENERATE in table.values():
-            return None
-        spin = _propagate(ball, table)
+        spin = _propagate(ball, _ball_spin_table(ball)[1])
     except (InvalidParams, NotCubic, NotInCatalogue, SpinConflict):
         return None
     ordered = _spin_slots(ball, spin)

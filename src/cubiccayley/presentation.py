@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 from .errors import EmptyRelator, ParseError, UnknownGenerator
 
@@ -296,22 +296,6 @@ def _assemble(names, raw_relators) -> Presentation:
 
 def parse_presentation(text: str) -> Presentation:
     return _Parser(text).parse()
-
-
-def subword_in_closure(w: Word, relator: Word) -> bool:
-    """True iff ``w`` occurs contiguously in some rotation of ``relator``
-    or of its inverse."""
-    if len(w) > len(relator):
-        return False
-    if len(w) == 0:
-        return True
-    for candidate in (relator, relator.inverse()):
-        doubled = candidate.letters + candidate.letters
-        n = len(candidate)
-        for i in range(n):
-            if doubled[i:i + len(w)] == w.letters:
-                return True
-    return False
 
 
 def _canonical_cyclic(w: Word, inv: frozenset = frozenset()) -> Tuple[Letter, ...]:

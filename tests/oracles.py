@@ -27,9 +27,13 @@ the face walk ``trace_faces``, which stepped tuple darts through
 ``(a, b, key)`` darts: the library builds one face-successor permutation
 on int darts and walks or counts that.  So is ``planarity_check`` as it
 was when it asked networkx for an embedding of every graph: the library
-now certifies a catalogue ball with its family's spin rotation.  The
-oracles keep their own copies of every traversal, so they cannot follow
-a change in the library.  Do not import this module from ``src``.
+now certifies a catalogue ball with its family's spin rotation.  So is
+the spin-table search that embedded the finite family IX, which tried
+every preserving/reversing table in a fixed order and took the first one
+whose rotation closed the sphere count: the library now gives IX a fixed
+table like every other family.  The oracles keep their own copies of
+every traversal, so they cannot follow a change in the library.  Do not
+import this module from ``src``.
 """
 
 from __future__ import annotations
@@ -47,8 +51,9 @@ from cubiccayley.ball import CayleyBall, Edge, rooted_isomorphic
 from cubiccayley.construct import _amalgam_for
 from cubiccayley.coset import (CosetTable, complete_ball_region,
                                enumerate_cosets)
-from cubiccayley.embed import (PRESERVING, FaceWalk, Planar, RotationEmbedding,
-                               _kuratowski_witness, as_multigraph,
+from cubiccayley.embed import (PRESERVING, REVERSING, FaceWalk, Planar,
+                               RotationEmbedding, _kuratowski_witness,
+                               _rotation_from_spin, as_multigraph,
                                sphere_faces)
 from cubiccayley.errors import (BallTooSmall, CubicCayleyError,
                                 InvalidParams, NoSeparatorFound, NotCubic,
@@ -693,6 +698,26 @@ def _propagate(ball: CayleyBall, colour_spin: Dict[str, str]) -> List[int]:
                 raise SpinConflict(
                     f"edge {eid} ({colour}) cannot satisfy the spin table")
     return spin
+
+
+def ix_spin_search(ball: CayleyBall, tp, table: Dict[str, str]):
+    """The IX embedding as the spin-table search found it: the first
+    preserving/reversing table over the colours of ``table``, in a fixed
+    order, that propagates and whose rotation closes the sphere count,
+    on a ball that networkx finds planar."""
+    colours = sorted(table)
+    planar = isinstance(planarity_check(ball), Planar)
+    for bits in itertools.product((PRESERVING, REVERSING), repeat=len(colours)):
+        candidate = dict(zip(colours, bits))
+        try:
+            spin = _propagate(ball, candidate)
+        except SpinConflict:
+            continue
+        emb = RotationEmbedding(ball, tp, spin,
+                                _rotation_from_spin(ball, spin), candidate)
+        if planar and emb.sphere_faces()[1]:
+            return emb
+    raise SpinConflict("no consistent planar spin assignment found")
 
 
 # ---------------------------------------------------------------------------

@@ -149,13 +149,6 @@ def test_nos_properties_type_v():
     assert report["ok"], report
 
 
-def test_diagnostic_report_shape():
-    ball = construct(TypeParams("IV", m=2), 6)
-    report = analyze.diagnostic_report(ball)
-    for key in ("cutvertex", "separators", "hinges"):
-        assert key in report
-
-
 @given(st.lists(st.integers(1, 1 << 12), min_size=1, max_size=20))
 def test_gf2_insert_rank_consistent(masks):
     basis = {}

@@ -320,3 +320,15 @@ def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [(), ("--type", "I", "--n", "2")])
+def test_embed_ball_without_presentation(tmp_path, capsys, flags):
+    path = tmp_path / "ball.json"
+    data = construct_mod.construct(construct_mod.TypeParams("I", n=2),
+                                   3).to_dict()
+    data["presentation"] = None
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "embed", str(path), *flags)
+    assert code == 2 and out == ""
+    assert err == "error: ball carries no presentation\n"

@@ -33,7 +33,10 @@ def test_spin_tables():
               "IV": {"m": 2}, "V": {"n": 2, "m": 2}, "VI": {"n": 2, "m": 2},
               "VII": {"n": 2, "m": 2}, "VIII": {"m": 2}}[tid]
         assert E.spin_table(TypeParams(tid, **kw)) == want
-    assert set(E.spin_table(TypeParams("IX", n=2)).values()) == {E.DEGENERATE}
+    # IX: c and d reverse, b reverses exactly when n is odd
+    for n, b in [(1, E.REVERSING), (2, E.PRESERVING), (3, E.REVERSING)]:
+        assert E.spin_table(TypeParams("IX", n=n)) == {
+            "b": b, "c": E.REVERSING, "d": E.REVERSING}
 
 
 @pytest.mark.parametrize("type_id,n,m", GRID)
@@ -71,7 +74,8 @@ def test_faces_ix_include_non_relator_circuits():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ix_search_checks_planarity_once(monkeypatch, n):
-    # planarity belongs to the ball, not to a candidate spin table
+    # IX has a spin table like every family, so embedding it checks no
+    # planarity
     calls = []
     check = E.planarity_check
     monkeypatch.setattr(E, "planarity_check",
@@ -79,7 +83,7 @@ def test_ix_search_checks_planarity_once(monkeypatch, n):
     tp = TypeParams("IX", n=n)
     ball = construct(tp, 3)
     assert E.check_consistency(E.embed(ball, tp))
-    assert calls == [ball]
+    assert calls == []
 
 
 def test_type_v_face_profile():

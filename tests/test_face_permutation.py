@@ -177,8 +177,7 @@ def test_verify_grid_at_radius_zero(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_verify_grid_checks_planarity_only_in_the_ix_search(
-        tmp_path, monkeypatch, capsys):
+def test_verify_grid_checks_no_planarity(tmp_path, monkeypatch, capsys):
     calls = []
     real = E.planarity_check
     monkeypatch.setattr(E, "planarity_check",
@@ -186,4 +185,4 @@ def test_verify_grid_checks_planarity_only_in_the_ix_search(
     assert cli.main(["verify", "--grid", "smoke", "--radius", "2",
                      "-o", str(tmp_path / "grid")]) == 0
     capsys.readouterr()
-    assert len(calls) == 2  # one per IX cell
+    assert calls == []  # each cell's planarity is its spin rotation's

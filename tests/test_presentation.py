@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 from cubiccayley.errors import EmptyRelator, ParseError, UnknownGenerator
 from cubiccayley.presentation import (MAX_RELATOR_LETTERS, Word, free_reduce,
                                       parse_presentation,
-                                      relator_multiset_normal_form,
-                                      subword_in_closure)
+                                      relator_multiset_normal_form)
 
 
 def test_parse_basic():
@@ -125,12 +124,6 @@ def test_normal_form_distinguishes():
     a = parse_presentation("<a,b | b^2, (ab)^2>")
     b = parse_presentation("<a,b | b^2, (ab)^3>")
     assert relator_multiset_normal_form(a) != relator_multiset_normal_form(b)
-
-
-def test_subword_in_closure():
-    rel = Word((("a", 1), ("b", 1), ("a", 1), ("b", 1)))
-    assert subword_in_closure(Word((("b", 1), ("a", 1))), rel)
-    assert not subword_in_closure(Word((("a", 1), ("a", 1))), rel)
 
 
 @pytest.mark.parametrize("text", [

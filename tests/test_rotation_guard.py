@@ -1,7 +1,7 @@
 """Faces are walked in one place, ``embed.face_successor``.
 
 Every face question (the walks of ``trace_faces``, the sphere count of
-``sphere_faces``, the IX search and ``planarity_check``) goes through the
+``sphere_faces`` and ``planarity_check``) goes through the
 face-successor permutation that ``face_successor`` builds from a
 rotation system.  ``rotation_violations`` reads the source with ``ast``
 and reports:

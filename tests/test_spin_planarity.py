@@ -1,7 +1,7 @@
 """Spin-first planarity certificates.
 
 ``planarity_check`` certifies a ball whose presentation classifies into
-one of the families I-VIII, under any generator names, with the sphere
+one of the families I-IX, under any generator names, with the sphere
 count of the family's own spin rotation.  The networkx route it took for
 every graph before is kept as ``oracles.planarity_check``; the two must
 agree on the face count and the Euler verdict.  A ball the spin route
@@ -50,8 +50,7 @@ def _assert_agrees(ball, source):
             == verdict.face_count)
 
 
-@pytest.mark.parametrize("type_id,n,m",
-                         [c for c in cli.SMOKE_GRID if c[0] != "IX"])
+@pytest.mark.parametrize("type_id,n,m", cli.SMOKE_GRID)
 def test_spin_route_matches_networkx_on_grid(type_id, n, m):
     for radius in range(0, 7):
         _assert_agrees(construct(TypeParams(type_id, n=n, m=m), radius),
@@ -109,8 +108,9 @@ def test_disconnected_ball_falls_back_to_networkx():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ix_ball_goes_to_networkx(n):
+    # IX has a spin table too: networkx is only the reference here
     ball = construct(TypeParams("IX", n=n), 3)
-    _assert_agrees(ball, "networkx")
+    _assert_agrees(ball, "spin")
 
 
 def test_non_ball_graphs_go_to_networkx():
@@ -137,6 +137,28 @@ def test_report_sequence_never_calls_networkx(monkeypatch):
     verdict = E.planarity_check(ball)
     assert verdict.source == "spin" and verdict.euler_ok
     assert calls == []
-    # the counter sees the networkx route when it runs
-    E.planarity_check(construct(TypeParams("IX", n=2), 3))
+    # the counter sees the networkx route when it runs: the modular
+    # group Z3 * Z2 is cubic and planar, but in no family
+    ball = construct_presentation_ball(parse_presentation("<a,b|b^2,a^3>"),
+                                       3, cap=1000)
+    assert E.planarity_check(ball).source == "networkx"
     assert len(calls) == 1
+
+
+def test_verify_grid_never_calls_networkx(tmp_path, monkeypatch, capsys):
+    calls = _count_networkx(monkeypatch)
+    assert cli.main(["verify", "--grid", "smoke", "--radius", "4",
+                     "-o", str(tmp_path / "grid")]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_grid_embed_and_planarity_never_call_networkx(monkeypatch):
+    calls = _count_networkx(monkeypatch)
+    for type_id, n, m in cli.SMOKE_GRID:
+        tp = TypeParams(type_id, n=n, m=m)
+        for radius in range(0, 7):
+            ball = construct(tp, radius)
+            E.embed(ball, tp)
+            assert E.planarity_check(ball).source == "spin"
+    assert calls == []
