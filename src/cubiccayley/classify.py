@@ -2,6 +2,9 @@
 
 ``classify_presentation`` matches the relator multiset against the nine
 catalogue families up to generator renaming, rotation and inversion.
+Each ``construct.FAMILIES`` row guesses n and m once per renaming, from
+letter counts that no reordering, rotation or inversion moves; the
+normal form decides the match.  Flags and spins come from the row.
 ``classify_ball`` works blind: it probes the ball's structure (parallel
 edges, colour-pair orders, word closures at the center) and never looks
 at the relators.
@@ -11,24 +14,21 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from . import analyze
 from .ball import CayleyBall
 from .coset import ball_from_table, enumerate_cosets
-from .construct import TYPE_IDS, TypeParams, construct_presentation_ball
+from .construct import FAMILIES, TypeParams, construct_presentation_ball
 from .errors import (BallTooSmall, Inconclusive, InvalidParams, NoSeparatorFound,
-                     NotCubic, NotInCatalogue, Overflow)
+                     NotCubic, NotInCatalogue, Overflow, ParseError)
 from .presentation import (GeneratorSymbol, Presentation, Word,
                            relator_multiset_normal_form)
 
-_HINGE = {"I": True, "II": True, "III": False, "IV": False, "V": False,
-          "VI": True, "VII": False, "VIII": True, "IX": False}
-# 2-coloured cycle attribute of the 3-generator table; 2-generator
-# families are out of that table's scope
-_TWO_COLOURED = {"IV": True, "V": True, "VI": True, "VII": False,
-                 "VIII": False, "IX": True}
+# the most colour repetitions a blind closure probe tries
+_CLOSURE_BOUND = 12
 
 
 @dataclass(frozen=True)
@@ -72,22 +72,17 @@ def _report(tp: TypeParams, generator_count: int,
             renaming: Optional[Dict[str, str]] = None,
             evidence_level: str = "table-lookup",
             evidence: Optional[dict] = None) -> ClassificationReport:
-    from .embed import spin_table, vap_free  # deferred: embed imports construct
-    params = {}
-    if tp.n is not None:
-        params["n"] = tp.n
-    if tp.m is not None:
-        params["m"] = tp.m
-    a_order = 4 if tp.type_id == "III" else None
+    params = {k: v for k, v in (("n", tp.n), ("m", tp.m)) if v is not None}
+    family = tp.family
     return ClassificationReport(
         type_id=tp.type_id,
         params=params,
         generator_count=generator_count,
-        a_order=a_order,
-        hinge=_HINGE[tp.type_id],
-        two_coloured_cycle=_TWO_COLOURED.get(tp.type_id),
-        vap_free=vap_free(tp),
-        colour_spin=spin_table(tp),
+        a_order=family.a_order,
+        hinge=family.hinge,
+        two_coloured_cycle=family.two_coloured,
+        vap_free=family.vap_free,
+        colour_spin=tp.colour_spin(),
         presentation_canonical=tp.presentation_text(),
         evidence_level=evidence_level,
         renaming=renaming,
@@ -132,46 +127,6 @@ def _essentials(p: Presentation) -> List[Word]:
     return out
 
 
-def _candidate_params(type_id: str, q: Presentation):
-    """Cheap parameter guesses from relator lengths; each guess is
-    verified against the canonical presentation afterwards."""
-    es = _essentials(q)
-    lens = sorted(len(w) for w in es)
-
-    def letters(w):
-        return {g for g, _ in w}
-
-    if type_id in ("I", "II", "VIII") and len(es) == 1:
-        L = lens[0]
-        div = {"I": 2, "II": 4, "VIII": 4}[type_id]
-        if L % div == 0:
-            yield {"n" if type_id != "VIII" else "m": L // div}
-    elif type_id in ("III", "IV") and len(es) == 2:
-        key = "n" if type_id == "III" else "m"
-        for w in es:
-            if len(w) % 3 == 0:
-                yield {key: len(w) // 3}
-    elif type_id == "V" and len(es) == 2:
-        with_d = [w for w in es if "d" in letters(w)]
-        without = [w for w in es if "d" not in letters(w)]
-        if len(with_d) == 1 and len(without) == 1 \
-                and len(without[0]) % 4 == 0 and len(with_d[0]) % 4 == 0:
-            yield {"n": len(without[0]) // 4, "m": len(with_d[0]) // 4}
-    elif type_id == "VI" and len(es) == 2:
-        for w1, w2 in itertools.permutations(es):
-            if len(w1) % 2 == 0 and len(w2) % 2 == 0:
-                yield {"n": len(w1) // 2, "m": len(w2) // 2}
-    elif type_id == "VII" and len(es) == 1:
-        w = es[0]
-        m = sum(1 for g, _ in w if g == "d")
-        if m and len(w) % (2 * m) == 0:
-            yield {"n": len(w) // (2 * m) - 1, "m": m}
-    elif type_id == "IX" and len(es) == 2:
-        for w1, w2 in itertools.permutations(es):
-            if len(w2) == 2 and len(w1) % 2 == 0:
-                yield {"n": len(w1) // 2}
-
-
 def _catalogue_hint(p: Presentation) -> str:
     inv = p.involutions
     if len(p.generator_names) == 2:
@@ -194,6 +149,17 @@ def _catalogue_hint(p: Presentation) -> str:
     return "3-generator relator multiset matches no catalogue family"
 
 
+def _letter_counts(p: Presentation) -> Counter:
+    return Counter(g for w in _essentials(p) for g, _ in w)
+
+
+@functools.lru_cache(maxsize=256)
+def _catalogue_counts(tp: TypeParams) -> Counter:
+    """A guess whose counts differ from these cannot match, so its
+    normal form is never computed."""
+    return _letter_counts(tp.presentation())
+
+
 @functools.lru_cache(maxsize=256)
 def _catalogue_normal_form(tp: TypeParams) -> str:
     """Relator normal form of a catalogue presentation; the candidates of
@@ -210,17 +176,20 @@ def classify_presentation(p: Presentation) -> ClassificationReport:
     for sigma in _renamings(p):
         q = _rename(p, sigma)
         nf = relator_multiset_normal_form(q)
-        for type_id in TYPE_IDS:
-            for guess in _candidate_params(type_id, q):
-                try:
-                    tp = TypeParams(type_id, **guess)
-                except InvalidParams:
+        counts = _letter_counts(q)
+        for type_id, family in FAMILIES.items():
+            try:
+                tp = TypeParams(type_id, **family.params(counts))
+                if _catalogue_counts(tp) != counts \
+                        or _catalogue_normal_form(tp) != nf:
                     continue
-                if _catalogue_normal_form(tp) == nf:
-                    if type_id == "VI" and tp.n > tp.m:
-                        # VI is symmetric in (n, m) under swapping c and d
-                        continue
-                    matches.append((tp, sigma))
+            except (InvalidParams, ParseError):
+                # ParseError: the guess spells a relator too long to parse
+                continue
+            if type_id == "VI" and tp.n > tp.m:
+                # VI is symmetric in (n, m) under swapping c and d
+                continue
+            matches.append((tp, sigma))
     if not matches:
         raise NotInCatalogue(_catalogue_hint(p))
     distinct = {(tp.type_id, tp.n, tp.m) for tp, _ in matches}
@@ -238,8 +207,8 @@ def classify_presentation(p: Presentation) -> ClassificationReport:
 # blind ball classification
 # ---------------------------------------------------------------------------
 
-def _smallest_closure(ball: CayleyBall, letters, lo: int, bound: int):
-    for k in range(lo, bound + 1):
+def _smallest_closure(ball: CayleyBall, letters, lo: int):
+    for k in range(lo, _CLOSURE_BOUND + 1):
         if len(letters) * k > 2 * ball.radius:
             return None
         word = Word(tuple(letters) * k)
@@ -248,7 +217,7 @@ def _smallest_closure(ball: CayleyBall, letters, lo: int, bound: int):
     return None
 
 
-def classify_ball(ball: CayleyBall, bound: int = 12) -> ClassificationReport:
+def classify_ball(ball: CayleyBall) -> ClassificationReport:
     """Infer the type from ball structure alone.
 
     Probes: parallel edges, a-order, colour-pair orders, and closure of
@@ -266,19 +235,19 @@ def classify_ball(ball: CayleyBall, bound: int = 12) -> ClassificationReport:
     if len(colours) == 2 and len(directed) == 1:
         a = directed[0]
         b = next(g for g in colours if g != a)
-        a_order = _smallest_closure(ball, [(a, 1)], 2, bound)
+        a_order = _smallest_closure(ball, [(a, 1)], 2)
         if a_order == 4:
-            n = _smallest_closure(ball, [(a, 1), (a, 1), (b, 1)], 2, bound)
+            n = _smallest_closure(ball, [(a, 1), (a, 1), (b, 1)], 2)
             if n is None:
                 raise Inconclusive("(a^2 b)-closure")
             tp = TypeParams("III", n=n)
         elif a_order is None:
-            n = _smallest_closure(ball, [(a, 1), (b, 1)], 2, bound)
+            n = _smallest_closure(ball, [(a, 1), (b, 1)], 2)
             if n is not None:
                 tp = TypeParams("I", n=n)
             else:
                 n = _smallest_closure(
-                    ball, [(a, 1), (b, 1), (a, -1), (b, 1)], 1, bound)
+                    ball, [(a, 1), (b, 1), (a, -1), (b, 1)], 1)
                 if n is None:
                     raise Inconclusive("polygon-closure")
                 tp = TypeParams("II", n=n)
@@ -304,7 +273,7 @@ def classify_ball(ball: CayleyBall, bound: int = 12) -> ClassificationReport:
             renaming = {third: "b", pc[0]: "c", pc[1]: "d"}
         else:
             orders = {
-                (g1, g2): _smallest_closure(ball, [(g1, 1), (g2, 1)], 1, bound)
+                (g1, g2): _smallest_closure(ball, [(g1, 1), (g2, 1)], 1)
                 for g1, g2 in itertools.combinations(colours, 2)}
             finite = {pair: k for pair, k in orders.items() if k is not None}
             if len(finite) == 2:
@@ -328,7 +297,7 @@ def classify_ball(ball: CayleyBall, bound: int = 12) -> ClassificationReport:
                     pick = None
                     for b, c in ((c1, c2), (c2, c1)):
                         m = _smallest_closure(
-                            ball, [(b, 1), (c, 1), (d, 1)], 2, bound)
+                            ball, [(b, 1), (c, 1), (d, 1)], 2)
                         if m is not None:
                             pick = (b, c)
                             break
@@ -341,7 +310,7 @@ def classify_ball(ball: CayleyBall, bound: int = 12) -> ClassificationReport:
                     pick = None
                     for c, b in ((c1, c2), (c2, c1)):
                         m = _smallest_closure(
-                            ball, [(c, 1), (b, 1), (c, 1), (d, 1)], 2, bound)
+                            ball, [(c, 1), (b, 1), (c, 1), (d, 1)], 2)
                         if m is not None:
                             pick = (b, c)
                             break
@@ -354,7 +323,7 @@ def classify_ball(ball: CayleyBall, bound: int = 12) -> ClassificationReport:
                         f"odd 2-coloured order {k}: case-2 pattern, "
                         "non-planar for odd exponents")
             elif not finite:
-                tp, renaming = _classify_no_finite_pair(ball, colours, bound)
+                tp, renaming = _classify_no_finite_pair(ball, colours)
             else:
                 raise NotInCatalogue("three finite colour pairs")
     else:
@@ -376,18 +345,18 @@ def classify_ball(ball: CayleyBall, bound: int = 12) -> ClassificationReport:
     return report
 
 
-def _classify_no_finite_pair(ball, colours, bound):
+def _classify_no_finite_pair(ball, colours):
     # VIII first: its polygon is the n=1 instance of the VII pattern
     for b, c, d in itertools.permutations(colours):
-        m = _smallest_closure(ball, [(b, 1), (c, 1), (b, 1), (d, 1)], 1, bound)
+        m = _smallest_closure(ball, [(b, 1), (c, 1), (b, 1), (d, 1)], 1)
         if m is not None:
             return TypeParams("VIII", m=m), {b: "b", c: "c", d: "d"}
     for b, c, d in itertools.permutations(colours):
-        for n in range(2, bound + 1):
+        for n in range(2, _CLOSURE_BOUND + 1):
             word = [(b, 1)] + [(c, 1), (b, 1)] * n + [(d, 1)]
             if len(word) * 2 > 2 * ball.radius:
                 break
-            m = _smallest_closure(ball, word, 2, bound)
+            m = _smallest_closure(ball, word, 2)
             if m is not None:
                 return TypeParams("VII", n=n, m=m), {b: "b", c: "c", d: "d"}
     raise Inconclusive("polygon-closure (no candidate word closes in the ball)")

@@ -14,7 +14,7 @@ import sys
 
 from . import analyze, classify, embed as embed_mod, render as render_mod
 from .ball import CayleyBall
-from .construct import (TYPE_IDS, TypeParams, construct,
+from .construct import (FAMILIES, TYPE_IDS, TypeParams, construct,
                         construct_presentation_ball, cross_check)
 from .errors import (BallTooSmall, ConstructionIncomplete, CubicCayleyError,
                      Inconclusive, InvalidParams, NoSeparatorFound, NotCubic,
@@ -67,7 +67,7 @@ def _type_params(args) -> TypeParams:
     if args.type is None:
         raise InvalidParams("need --type or a presentation")
     n, m = args.n, args.m
-    if args.type in ("I", "II", "III", "IX") and n is None and m is not None:
+    if FAMILIES[args.type].min_m is None and n is None and m is not None:
         n, m = m, None  # tolerate --m for the single-parameter n families
     return TypeParams(args.type, n=n, m=m)
 

@@ -1,4 +1,8 @@
-"""Builders for certified balls of the nine graph families.
+"""The nine graph families and builders for their certified balls.
+
+``FAMILIES`` holds every fact about a family in its row, read by the
+other modules through ``TypeParams.family``; ``Family`` says what a row
+holds and how ``params`` reads n and m off a presentation.
 
 Two independent routes exist for every family:
 
@@ -18,8 +22,9 @@ Every ball returned by ``construct`` has passed ``certify_ball``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .ball import (CayleyBall, RawGraph, certify_ball, make_ball,
                    rooted_isomorphic)
@@ -29,20 +34,61 @@ from .errors import (ConstructionIncomplete, InvalidParams, OracleInconclusive,
 from .groups import Amalgam, Cyclic, Dihedral
 from .presentation import Presentation, parse_presentation
 
-TYPE_IDS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX")
+PRESERVING = "preserving"
+REVERSING = "reversing"
 
-# (needs_n, needs_m, min_n, min_m)
-_DOMAINS = {
-    "I": (True, False, 2, None),
-    "II": (True, False, 1, None),
-    "III": (True, False, 2, None),
-    "IV": (False, True, None, 2),
-    "V": (True, True, 2, 2),
-    "VI": (True, True, 2, 2),
-    "VII": (True, True, 2, 2),
-    "VIII": (False, True, None, 1),
-    "IX": (True, False, 1, None),
+
+@dataclass(frozen=True)
+class Family:
+    """One catalogue row.  ``params`` reads n and m off the letter counts
+    of the relators other than the ``g^2`` markers, per generator."""
+    text: Callable[[Optional[int], Optional[int]], str]  # presentation
+    min_n: Optional[int]  # None: the family takes no n
+    min_m: Optional[int]  # None: the family takes no m
+    params: Callable[[Counter], Dict[str, int]]
+    hinge: bool
+    two_coloured: Optional[bool]  # None: 2-generator, out of scope
+    vap_free: bool
+    spin: Dict[str, Optional[str]]
+    a_order: Optional[int] = None  # None: infinite or no directed generator
+
+
+_P, _R = PRESERVING, REVERSING
+
+# text, least n, least m, params, hinge, two-coloured, vap-free, spin
+FAMILIES: Dict[str, Family] = {
+    "I": Family(lambda n, m: f"<a,b|b^2,(ab)^{n}>", 2, None,
+                lambda c: {"n": c["a"]}, True, None, True,
+                {"a": _P, "b": _P}),
+    "II": Family(lambda n, m: f"<a,b|b^2,(aba^-1b^-1)^{n}>", 1, None,
+                 lambda c: {"n": c["a"] // 2}, True, None, True,
+                 {"a": _P, "b": _R}),
+    "III": Family(lambda n, m: f"<a,b|b^2,a^4,(a^2b)^{n}>", 2, None,
+                  lambda c: {"n": c["b"]}, False, None, False,
+                  {"a": _R, "b": _P}, a_order=4),
+    "IV": Family(lambda n, m: f"<b,c,d|b^2,c^2,d^2,(bc)^2,(bcd)^{m}>",
+                 None, 2, lambda c: {"m": c["d"]}, False, True, False,
+                 {"b": _P, "c": _P, "d": _P}),
+    "V": Family(lambda n, m: f"<b,c,d|b^2,c^2,d^2,(bc)^{2 * n},(cbcd)^{m}>",
+                2, 2, lambda c: {"n": (c["b"] - c["d"]) // 2, "m": c["d"]},
+                False, True, False, {"b": _R, "c": _P, "d": _R}),
+    "VI": Family(lambda n, m: f"<b,c,d|b^2,c^2,d^2,(bc)^{n},(bd)^{m}>",
+                 2, 2, lambda c: {"n": c["c"], "m": c["d"]}, True, True,
+                 True, {"b": _R, "c": _R, "d": _R}),
+    "VII": Family(lambda n, m: f"<b,c,d|b^2,c^2,d^2,(b(cb)^{n}d)^{m}>",
+                  2, 2, lambda c: {"n": c["c"] // max(c["d"], 1),
+                                   "m": c["d"]},
+                  False, False, False, {"b": _P, "c": _P, "d": _P}),
+    "VIII": Family(lambda n, m: f"<b,c,d|b^2,c^2,d^2,(bcbd)^{m}>",
+                   None, 1, lambda c: {"m": c["d"]}, True, False, True,
+                   {"b": _P, "c": _R, "d": _R}),
+    # b's spin follows the parity of n (TypeParams.colour_spin)
+    "IX": Family(lambda n, m: f"<b,c,d|b^2,c^2,d^2,(bc)^{n},cd>", 1, None,
+                 lambda c: {"n": c["b"]}, False, True, True,
+                 {"b": None, "c": _R, "d": _R}),
 }
+
+TYPE_IDS = tuple(FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -54,31 +100,33 @@ class TypeParams:
     def __post_init__(self):
         if self.type_id not in TYPE_IDS:
             raise InvalidParams(f"unknown type {self.type_id!r}")
-        needs_n, needs_m, min_n, min_m = _DOMAINS[self.type_id]
-        if needs_n and (self.n is None or self.n < min_n):
-            raise InvalidParams(
-                f"type {self.type_id} requires n >= {min_n}, got {self.n}")
-        if needs_m and (self.m is None or self.m < min_m):
-            raise InvalidParams(
-                f"type {self.type_id} requires m >= {min_m}, got {self.m}")
-        if not needs_n and self.n is not None:
-            raise InvalidParams(f"type {self.type_id} takes no n parameter")
-        if not needs_m and self.m is not None:
-            raise InvalidParams(f"type {self.type_id} takes no m parameter")
+        bounds = (("n", self.n, self.family.min_n),
+                  ("m", self.m, self.family.min_m))
+        for name, value, least in bounds:
+            if least is not None and (value is None or value < least):
+                raise InvalidParams(f"type {self.type_id} requires "
+                                    f"{name} >= {least}, got {value}")
+        for name, value, least in bounds:
+            if least is None and value is not None:
+                raise InvalidParams(
+                    f"type {self.type_id} takes no {name} parameter")
+
+    @property
+    def family(self) -> Family:
+        return FAMILIES[self.type_id]
 
     def presentation_text(self) -> str:
-        n, m = self.n, self.m
-        return {
-            "I": f"<a,b|b^2,(ab)^{n}>",
-            "II": f"<a,b|b^2,(aba^-1b^-1)^{n}>",
-            "III": f"<a,b|b^2,a^4,(a^2b)^{n}>",
-            "IV": f"<b,c,d|b^2,c^2,d^2,(bc)^2,(bcd)^{m}>",
-            "V": f"<b,c,d|b^2,c^2,d^2,(bc)^{2 * (n or 0)},(cbcd)^{m}>",
-            "VI": f"<b,c,d|b^2,c^2,d^2,(bc)^{n},(bd)^{m}>",
-            "VII": f"<b,c,d|b^2,c^2,d^2,(b(cb)^{n}d)^{m}>",
-            "VIII": f"<b,c,d|b^2,c^2,d^2,(bcbd)^{m}>",
-            "IX": f"<b,c,d|b^2,c^2,d^2,(bc)^{n},cd>",
-        }[self.type_id]
+        return self.family.text(self.n, self.m)
+
+    def colour_spin(self) -> Dict[str, str]:
+        """Which colours preserve spin and which reverse it.  In IX, cd
+        makes c and d join the same pairs, and each c-d digon is a face
+        only when both reverse; spin then flips at the n c-edges of the
+        2n-cycle, which closes only if b flips too when n is odd."""
+        spin = dict(self.family.spin)
+        if self.type_id == "IX":
+            spin["b"] = REVERSING if self.n % 2 else PRESERVING
+        return spin
 
     def presentation(self) -> Presentation:
         return parse_presentation(self.presentation_text())
@@ -305,7 +353,7 @@ def construct(tp: TypeParams, radius: int) -> CayleyBall:
         # diameter n, and a truncated copy would leave interior slots empty
         graph = _build_type_ix(tp.n)
         radius = tp.n
-    elif tp.type_id in ("I", "II", "VI", "VIII"):
+    elif tp.family.hinge:
         graph = _build_glue_tree(tp, radius)
     else:
         graph = _build_amalgam(tp, radius)

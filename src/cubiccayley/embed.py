@@ -1,9 +1,10 @@
 """Consistent embeddings as rotation systems with spin annotations.
 
 The embedding of each family is determined (up to reflection) by which
-colours preserve spin and which reverse it.  The rotation is built by
-fixing the center's cyclic order and propagating spins across edges by
-colour parity.
+colours preserve spin and which reverse it: the spin table of the
+family's ``construct.FAMILIES`` row, where the vap-free flag lives too.
+The rotation is built by fixing the center's cyclic order and
+propagating spins across edges by colour parity.
 
 Every face question goes through one face-successor permutation on int
 darts, built by ``face_successor`` in one step per dart: ``trace_faces``
@@ -32,40 +33,16 @@ import networkx as nx
 
 from .ball import CayleyBall
 from .classify import classify_presentation
-from .construct import TypeParams
+from .construct import PRESERVING, TypeParams
+from .construct import REVERSING as REVERSING  # re-exported
 from .errors import (InvalidParams, NotCubic, NotInCatalogue, SpinConflict,
                      WrongType)
 from .presentation import Presentation
 
-PRESERVING = "preserving"
-REVERSING = "reversing"
-
-_SPIN_TABLES = {
-    "I": {"a": PRESERVING, "b": PRESERVING},
-    "II": {"a": PRESERVING, "b": REVERSING},
-    "III": {"a": REVERSING, "b": PRESERVING},
-    "IV": {"b": PRESERVING, "c": PRESERVING, "d": PRESERVING},
-    "V": {"b": REVERSING, "c": PRESERVING, "d": REVERSING},
-    "VI": {"b": REVERSING, "c": REVERSING, "d": REVERSING},
-    "VII": {"b": PRESERVING, "c": PRESERVING, "d": PRESERVING},
-    "VIII": {"b": PRESERVING, "c": REVERSING, "d": REVERSING},
-}
-
 
 def spin_table(tp: TypeParams) -> Dict[str, str]:
-    """Which colours of the family preserve spin and which reverse it.
-
-    In the finite family IX the relator cd makes c and d join the same
-    pairs, so their spins agree, and each c-d digon is a face only when
-    both reverse: with both preserving no spin rotation of the whole
-    graph closes the sphere count.  Spin then flips at the n c-edges of
-    the 2n-cycle, which closes only if b flips too when n is odd; for
-    even n, b preserves.
-    """
-    if tp.type_id == "IX":
-        return {"b": REVERSING if tp.n % 2 else PRESERVING,
-                "c": REVERSING, "d": REVERSING}
-    return dict(_SPIN_TABLES[tp.type_id])
+    """The family's spin table (``TypeParams.colour_spin``)."""
+    return tp.colour_spin()
 
 
 @dataclass(frozen=True)
@@ -570,7 +547,7 @@ def suppress_degree_two(g) -> nx.MultiGraph:
 def vap_free(tp: TypeParams) -> bool:
     """Whether the family admits an embedding without vertex accumulation
     points (catalogue lookup)."""
-    return tp.type_id not in ("III", "IV", "V", "VII")
+    return tp.family.vap_free
 
 
 def two_coloured_face_check(emb: RotationEmbedding) -> bool:

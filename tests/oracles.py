@@ -31,13 +31,20 @@ now certifies a catalogue ball with its family's spin rotation.  So is
 the spin-table search that embedded the finite family IX, which tried
 every preserving/reversing table in a fixed order and took the first one
 whose rotation closed the sphere count: the library now gives IX a fixed
-table like every other family.  The oracles keep their own copies of
+table like every other family.  So is the catalogue as it was before one
+``construct.FAMILIES`` row held each family: ``TypeParams``'s domain
+table and presentation dict, ``classify``'s hinge and two-coloured
+tables and its per-family ``_candidate_params``, which guessed n and m
+from relator lengths, and ``embed``'s spin tables and ``vap_free``
+tuple; ``catalogue_report`` rebuilds a ``classify_presentation`` report
+from them.  The oracles keep their own copies of
 every traversal, so they cannot follow a change in the library.  Do not
 import this module from ``src``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -48,6 +55,8 @@ from cubiccayley.analyze import (SeparationCertificate, _deep_vertices,
                                  _gf2_insert, _gf2_reduce, _path_word,
                                  sound_margin)
 from cubiccayley.ball import CayleyBall, Edge, rooted_isomorphic
+from cubiccayley.classify import (_catalogue_hint, _essentials, _rename,
+                                  _renamings)
 from cubiccayley.construct import _amalgam_for
 from cubiccayley.coset import (CosetTable, complete_ball_region,
                                enumerate_cosets)
@@ -57,9 +66,11 @@ from cubiccayley.embed import (PRESERVING, REVERSING, FaceWalk, Planar,
                                sphere_faces)
 from cubiccayley.errors import (BallTooSmall, CubicCayleyError,
                                 InvalidParams, NoSeparatorFound, NotCubic,
-                                OracleInconclusive, SpinConflict,
-                                UndefinedInterior)
-from cubiccayley.presentation import Letter, Presentation, Word
+                                NotInCatalogue, OracleInconclusive,
+                                SpinConflict, UndefinedInterior)
+from cubiccayley.presentation import (Letter, Presentation, Word,
+                                      parse_presentation,
+                                      relator_multiset_normal_form)
 
 
 # ---------------------------------------------------------------------------
@@ -1055,3 +1066,167 @@ def ball_from_table(table: CosetTable, radius: int) -> CayleyBall:
         # whole graph: no truncation boundary
         ball.interior = frozenset(ball.vertices())
     return ball
+
+
+# ---------------------------------------------------------------------------
+# the catalogue as four modules spelled it, one table per fact
+# ---------------------------------------------------------------------------
+
+# (needs_n, needs_m, min_n, min_m)
+DOMAINS = {
+    "I": (True, False, 2, None),
+    "II": (True, False, 1, None),
+    "III": (True, False, 2, None),
+    "IV": (False, True, None, 2),
+    "V": (True, True, 2, 2),
+    "VI": (True, True, 2, 2),
+    "VII": (True, True, 2, 2),
+    "VIII": (False, True, None, 1),
+    "IX": (True, False, 1, None),
+}
+
+HINGE = {"I": True, "II": True, "III": False, "IV": False, "V": False,
+         "VI": True, "VII": False, "VIII": True, "IX": False}
+TWO_COLOURED = {"IV": True, "V": True, "VI": True, "VII": False,
+                "VIII": False, "IX": True}
+SPIN_TABLES = {
+    "I": {"a": PRESERVING, "b": PRESERVING},
+    "II": {"a": PRESERVING, "b": REVERSING},
+    "III": {"a": REVERSING, "b": PRESERVING},
+    "IV": {"b": PRESERVING, "c": PRESERVING, "d": PRESERVING},
+    "V": {"b": REVERSING, "c": PRESERVING, "d": REVERSING},
+    "VI": {"b": REVERSING, "c": REVERSING, "d": REVERSING},
+    "VII": {"b": PRESERVING, "c": PRESERVING, "d": PRESERVING},
+    "VIII": {"b": PRESERVING, "c": REVERSING, "d": REVERSING},
+}
+
+
+def type_params_error(type_id, n, m) -> Optional[str]:
+    """The message ``TypeParams(type_id, n, m)`` raised, or None."""
+    if type_id not in DOMAINS:
+        return f"unknown type {type_id!r}"
+    needs_n, needs_m, min_n, min_m = DOMAINS[type_id]
+    if needs_n and (n is None or n < min_n):
+        return f"type {type_id} requires n >= {min_n}, got {n}"
+    if needs_m and (m is None or m < min_m):
+        return f"type {type_id} requires m >= {min_m}, got {m}"
+    if not needs_n and n is not None:
+        return f"type {type_id} takes no n parameter"
+    if not needs_m and m is not None:
+        return f"type {type_id} takes no m parameter"
+    return None
+
+
+def presentation_text(type_id, n, m) -> str:
+    return {
+        "I": f"<a,b|b^2,(ab)^{n}>",
+        "II": f"<a,b|b^2,(aba^-1b^-1)^{n}>",
+        "III": f"<a,b|b^2,a^4,(a^2b)^{n}>",
+        "IV": f"<b,c,d|b^2,c^2,d^2,(bc)^2,(bcd)^{m}>",
+        "V": f"<b,c,d|b^2,c^2,d^2,(bc)^{2 * (n or 0)},(cbcd)^{m}>",
+        "VI": f"<b,c,d|b^2,c^2,d^2,(bc)^{n},(bd)^{m}>",
+        "VII": f"<b,c,d|b^2,c^2,d^2,(b(cb)^{n}d)^{m}>",
+        "VIII": f"<b,c,d|b^2,c^2,d^2,(bcbd)^{m}>",
+        "IX": f"<b,c,d|b^2,c^2,d^2,(bc)^{n},cd>",
+    }[type_id]
+
+
+def spin_table(type_id, n) -> Dict[str, str]:
+    if type_id == "IX":
+        return {"b": REVERSING if n % 2 else PRESERVING,
+                "c": REVERSING, "d": REVERSING}
+    return dict(SPIN_TABLES[type_id])
+
+
+def vap_free(type_id) -> bool:
+    return type_id not in ("III", "IV", "V", "VII")
+
+
+def _candidate_params(type_id: str, q: Presentation):
+    """Cheap parameter guesses from relator lengths; each guess is
+    verified against the canonical presentation afterwards."""
+    es = _essentials(q)
+    lens = sorted(len(w) for w in es)
+
+    def letters(w):
+        return {g for g, _ in w}
+
+    if type_id in ("I", "II", "VIII") and len(es) == 1:
+        L = lens[0]
+        div = {"I": 2, "II": 4, "VIII": 4}[type_id]
+        if L % div == 0:
+            yield {"n" if type_id != "VIII" else "m": L // div}
+    elif type_id in ("III", "IV") and len(es) == 2:
+        key = "n" if type_id == "III" else "m"
+        for w in es:
+            if len(w) % 3 == 0:
+                yield {key: len(w) // 3}
+    elif type_id == "V" and len(es) == 2:
+        with_d = [w for w in es if "d" in letters(w)]
+        without = [w for w in es if "d" not in letters(w)]
+        if len(with_d) == 1 and len(without) == 1 \
+                and len(without[0]) % 4 == 0 and len(with_d[0]) % 4 == 0:
+            yield {"n": len(without[0]) // 4, "m": len(with_d[0]) // 4}
+    elif type_id == "VI" and len(es) == 2:
+        for w1, w2 in itertools.permutations(es):
+            if len(w1) % 2 == 0 and len(w2) % 2 == 0:
+                yield {"n": len(w1) // 2, "m": len(w2) // 2}
+    elif type_id == "VII" and len(es) == 1:
+        w = es[0]
+        m = sum(1 for g, _ in w if g == "d")
+        if m and len(w) % (2 * m) == 0:
+            yield {"n": len(w) // (2 * m) - 1, "m": m}
+    elif type_id == "IX" and len(es) == 2:
+        for w1, w2 in itertools.permutations(es):
+            if len(w2) == 2 and len(w1) % 2 == 0:
+                yield {"n": len(w1) // 2}
+
+
+@functools.lru_cache(maxsize=None)
+def _catalogue_normal_form(type_id, n, m) -> str:
+    return relator_multiset_normal_form(
+        parse_presentation(presentation_text(type_id, n, m)))
+
+
+def catalogue_report(p: Presentation) -> dict:
+    """``classify_presentation(p).to_dict()`` as the scattered tables and
+    the length-based guesses gave it; raises as it raised."""
+    if not p.cubic_eligible:
+        raise NotCubic(
+            "need two generators with one involution, or three involutions")
+    matches = []
+    for sigma in _renamings(p):
+        q = _rename(p, sigma)
+        nf = relator_multiset_normal_form(q)
+        for type_id in DOMAINS:
+            for guess in _candidate_params(type_id, q):
+                n, m = guess.get("n"), guess.get("m")
+                if type_params_error(type_id, n, m) is not None:
+                    continue
+                if _catalogue_normal_form(type_id, n, m) == nf:
+                    if type_id == "VI" and n > m:
+                        continue
+                    matches.append(((type_id, n, m), sigma))
+    if not matches:
+        raise NotInCatalogue(_catalogue_hint(p))
+    distinct = {key for key, _ in matches}
+    if len(distinct) > 1:
+        raise NotInCatalogue(
+            f"ambiguous match {sorted(distinct)}; catalogue families are "
+            "mutually exclusive, so the input is malformed")
+    (type_id, n, m), sigma = matches[0]
+    identity = all(k == v for k, v in sigma.items())
+    params = {k: v for k, v in (("n", n), ("m", m)) if v is not None}
+    return {
+        "type": type_id,
+        "params": params,
+        "flags": {"hinge": HINGE[type_id],
+                  "two_coloured": TWO_COLOURED.get(type_id),
+                  "vap_free": vap_free(type_id)},
+        "colour_spin": spin_table(type_id, n),
+        "a_order": 4 if type_id == "III" else None,
+        "kappa": {"claim": 2, "evidence": "table-lookup"},
+        "presentation_canonical": presentation_text(type_id, n, m),
+        "renaming": None if identity else sigma,
+        "evidence": {},
+    }

@@ -18,17 +18,12 @@ Green variants restricted to the attainable scope follow each red test.
 
 import json
 import sys
-from pathlib import Path
-
-import pytest
 
 from cubiccayley import analyze, classify
 from cubiccayley import embed as E
 from cubiccayley.ball import certify_ball
 from cubiccayley.cli import main as cli_main
-from cubiccayley.construct import (TypeParams, construct,
-                                   construct_presentation_ball, cross_check)
-from cubiccayley.errors import NoSeparatorFound
+from cubiccayley.construct import TypeParams, construct, cross_check
 from cubiccayley.presentation import (parse_presentation,
                                       relator_multiset_normal_form)
 

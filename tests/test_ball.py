@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from cubiccayley.ball import CayleyBall, certify_ball, make_ball, rooted_isomorphic
+from cubiccayley.ball import CayleyBall, certify_ball, rooted_isomorphic
 from cubiccayley.construct import TypeParams, construct
 from cubiccayley.errors import ParseError
 from cubiccayley.presentation import parse_presentation

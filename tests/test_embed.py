@@ -73,7 +73,7 @@ def test_faces_ix_include_non_relator_circuits():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_ix_search_checks_planarity_once(monkeypatch, n):
+def test_ix_embed_checks_no_planarity(monkeypatch, n):
     # IX has a spin table like every family, so embedding it checks no
     # planarity
     calls = []

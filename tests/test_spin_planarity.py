@@ -107,7 +107,7 @@ def test_disconnected_ball_falls_back_to_networkx():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_ix_ball_goes_to_networkx(n):
+def test_ix_ball_certified_by_spin_rotation(n):
     # IX has a spin table too: networkx is only the reference here
     ball = construct(TypeParams("IX", n=n), 3)
     _assert_agrees(ball, "spin")
