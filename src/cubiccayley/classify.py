@@ -3,11 +3,21 @@
 ``classify_presentation`` matches the relator multiset against the nine
 catalogue families up to generator renaming, rotation and inversion.
 Each ``construct.FAMILIES`` row guesses n and m once per renaming, from
-letter counts that no reordering, rotation or inversion moves; the
-normal form decides the match.  Flags and spins come from the row.
+letter counts that no reordering, rotation or inversion moves; once some
+guess's counts match, the normal form decides.  A report keeps what was
+decided (family and parameters, renaming, evidence) and reads the
+family's flags and spins off its row.
+
 ``classify_ball`` works blind: it probes the ball's structure (parallel
 edges, colour-pair orders, word closures at the center) and never looks
-at the relators.
+at the relators.  Each probe runs until its word no longer fits the
+ball's radius, so the radius limits what a ball can show:
+
+* ``NotInCatalogue`` needs a closing ``(cbcd)`` beside an odd colour-pair
+  order; without it the ball is also a VI ball whose second pair closes
+  beyond the radius, and the verdict is ``Inconclusive``.
+* Under b<->c, V(n, m) and VIII(m) have the same balls below radius 2n,
+  where the (bc)^2n polygon first fits; such a ball reads VIII(m).
 """
 
 from __future__ import annotations
@@ -22,72 +32,49 @@ from . import analyze
 from .ball import CayleyBall
 from .coset import ball_from_table, enumerate_cosets
 from .construct import FAMILIES, TypeParams, construct_presentation_ball
-from .errors import (BallTooSmall, Inconclusive, InvalidParams, NoSeparatorFound,
-                     NotCubic, NotInCatalogue, Overflow, ParseError)
+from .errors import (BallTooSmall, CubicCayleyError, Inconclusive,
+                     InvalidParams, NoSeparatorFound, NotCubic,
+                     NotInCatalogue, Overflow, ParseError)
 from .presentation import (GeneratorSymbol, Presentation, Word,
                            relator_multiset_normal_form)
-
-# the most colour repetitions a blind closure probe tries
-_CLOSURE_BOUND = 12
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    type_id: str
-    params: Dict[str, int]
-    generator_count: int
-    a_order: Optional[int]  # None: infinite (or no directed generator)
-    hinge: bool
-    two_coloured_cycle: Optional[bool]
-    vap_free: bool
-    colour_spin: Dict[str, str]
-    presentation_canonical: str
-    kappa_claim: int = 2
-    evidence_level: str = "table-lookup"
+    """What a classifier decided; the family's facts come from its row."""
+    type_params: TypeParams
     renaming: Optional[Dict[str, str]] = None
+    evidence_level: str = "table-lookup"
     evidence: dict = field(default_factory=dict, compare=False)
 
     @property
-    def type_params(self) -> TypeParams:
-        return TypeParams(self.type_id, **self.params)
+    def type_id(self) -> str:
+        return self.type_params.type_id
+
+    @property
+    def params(self) -> Dict[str, int]:
+        tp = self.type_params
+        return {k: v for k, v in (("n", tp.n), ("m", tp.m)) if v is not None}
+
+    @property
+    def colour_spin(self) -> Dict[str, str]:
+        return self.type_params.colour_spin()
 
     def to_dict(self) -> dict:
+        family = self.type_params.family
         return {
             "type": self.type_id,
-            "params": dict(self.params),
-            "flags": {"hinge": self.hinge,
-                      "two_coloured": self.two_coloured_cycle,
-                      "vap_free": self.vap_free},
-            "colour_spin": dict(self.colour_spin),
-            "a_order": self.a_order,
-            "kappa": {"claim": self.kappa_claim,
-                      "evidence": self.evidence_level},
-            "presentation_canonical": self.presentation_canonical,
+            "params": self.params,
+            "flags": {"hinge": family.hinge,
+                      "two_coloured": family.two_coloured,
+                      "vap_free": family.vap_free},
+            "colour_spin": self.colour_spin,
+            "a_order": family.a_order,
+            "kappa": {"claim": 2, "evidence": self.evidence_level},
+            "presentation_canonical": self.type_params.presentation_text(),
             "renaming": self.renaming,
             "evidence": self.evidence,
         }
-
-
-def _report(tp: TypeParams, generator_count: int,
-            renaming: Optional[Dict[str, str]] = None,
-            evidence_level: str = "table-lookup",
-            evidence: Optional[dict] = None) -> ClassificationReport:
-    params = {k: v for k, v in (("n", tp.n), ("m", tp.m)) if v is not None}
-    family = tp.family
-    return ClassificationReport(
-        type_id=tp.type_id,
-        params=params,
-        generator_count=generator_count,
-        a_order=family.a_order,
-        hinge=family.hinge,
-        two_coloured_cycle=family.two_coloured,
-        vap_free=family.vap_free,
-        colour_spin=tp.colour_spin(),
-        presentation_canonical=tp.presentation_text(),
-        evidence_level=evidence_level,
-        renaming=renaming,
-        evidence=evidence or {},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +162,18 @@ def classify_presentation(p: Presentation) -> ClassificationReport:
     matches = []
     for sigma in _renamings(p):
         q = _rename(p, sigma)
-        nf = relator_multiset_normal_form(q)
         counts = _letter_counts(q)
+        nf = None
         for type_id, family in FAMILIES.items():
             try:
                 tp = TypeParams(type_id, **family.params(counts))
-                if _catalogue_counts(tp) != counts \
-                        or _catalogue_normal_form(tp) != nf:
+                if _catalogue_counts(tp) != counts:
                     continue
             except (InvalidParams, ParseError):
                 # ParseError: the guess spells a relator too long to parse
+                continue
+            nf = nf or relator_multiset_normal_form(q)
+            if _catalogue_normal_form(tp) != nf:
                 continue
             if type_id == "VI" and tp.n > tp.m:
                 # VI is symmetric in (n, m) under swapping c and d
@@ -199,8 +188,7 @@ def classify_presentation(p: Presentation) -> ClassificationReport:
             "mutually exclusive, so the input is malformed")
     tp, sigma = matches[0]
     identity = all(k == v for k, v in sigma.items())
-    return _report(tp, len(p.generator_names),
-                   renaming=None if identity else sigma)
+    return ClassificationReport(tp, None if identity else sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +196,15 @@ def classify_presentation(p: Presentation) -> ClassificationReport:
 # ---------------------------------------------------------------------------
 
 def _smallest_closure(ball: CayleyBall, letters, lo: int):
-    for k in range(lo, _CLOSURE_BOUND + 1):
-        if len(letters) * k > 2 * ball.radius:
-            return None
-        word = Word(tuple(letters) * k)
-        if ball.trace_word(ball.center, word) == ball.center:
+    """The least k >= lo for which (letters)^k closes at the center, or
+    None once the word is longer than twice the radius: a closed walk
+    stays within half its length of its start, so a shorter one fits."""
+    k = lo
+    while len(letters) * k <= 2 * ball.radius:
+        if ball.trace_word(ball.center, Word(tuple(letters) * k)) \
+                == ball.center:
             return k
+        k += 1
     return None
 
 
@@ -221,9 +212,15 @@ def classify_ball(ball: CayleyBall) -> ClassificationReport:
     """Infer the type from ball structure alone.
 
     Probes: parallel edges, a-order, colour-pair orders, and closure of
-    candidate polygon words at the center.  The relators of the attached
+    candidate polygon words at the center, each tried while the word is
+    at most twice the radius long.  The relators of the attached
     presentation are never consulted (they are only used afterwards for
     an agreement cross-check when present).
+
+    Raises NotInCatalogue only on an odd colour-pair order beside a
+    closing ``(cbcd)`` word, and Inconclusive, naming the probe, when no
+    candidate word closes within the radius.  Below radius 2n a V(n, m)
+    ball is read as VIII(m): under b<->c the two balls agree there.
     """
     if ball.radius < 3 and len(ball.interior) != ball.n_vertices:
         raise Inconclusive("hinge")
@@ -292,36 +289,24 @@ def classify_ball(ball: CayleyBall) -> ClassificationReport:
                 (pair, k), = finite.items()
                 c1, c2 = sorted(pair)
                 d = next(g for g in colours if g not in pair)
-                if k == 2:
-                    m = None
-                    pick = None
-                    for b, c in ((c1, c2), (c2, c1)):
-                        m = _smallest_closure(
-                            ball, [(b, 1), (c, 1), (d, 1)], 2)
-                        if m is not None:
-                            pick = (b, c)
-                            break
-                    if m is None:
-                        raise Inconclusive("(bcd)-closure")
-                    tp = TypeParams("IV", m=m)
-                    renaming = {pick[0]: "b", pick[1]: "c", d: "d"}
-                elif k % 2 == 0:
-                    m = None
-                    pick = None
-                    for c, b in ((c1, c2), (c2, c1)):
-                        m = _smallest_closure(
-                            ball, [(c, 1), (b, 1), (c, 1), (d, 1)], 2)
-                        if m is not None:
-                            pick = (b, c)
-                            break
-                    if m is None:
-                        raise Inconclusive("(cbcd)-closure")
-                    tp = TypeParams("V", n=k // 2, m=m)
-                    renaming = {pick[0]: "b", pick[1]: "c", d: "d"}
-                else:
+                # IV: (bc)^2 and (bcd)^m; V: (bc)^k and (cbcd)^m, k even
+                word = "bcd" if k == 2 else "cbcd"
+                for x, y in ((c1, c2), (c2, c1)):
+                    names = {word[0]: x, word[1]: y, "d": d}
+                    m = _smallest_closure(
+                        ball, [(names[g], 1) for g in word], 2)
+                    if m is not None:
+                        break
+                if m is None:
+                    # also a VI(k, m') ball with m' beyond the radius
+                    raise Inconclusive(f"({word})-closure")
+                if k % 2:
                     raise NotInCatalogue(
-                        f"odd 2-coloured order {k}: case-2 pattern, "
-                        "non-planar for odd exponents")
+                        f"odd 2-coloured order {k} with (cbcd)^{m} closed: "
+                        "case-2 pattern, non-planar for odd exponents")
+                tp = (TypeParams("IV", m=m) if k == 2
+                      else TypeParams("V", n=k // 2, m=m))
+                renaming = {names["b"]: "b", names["c"]: "c", d: "d"}
             elif not finite:
                 tp, renaming = _classify_no_finite_pair(ball, colours)
             else:
@@ -331,9 +316,8 @@ def classify_ball(ball: CayleyBall) -> ClassificationReport:
 
     identity = renaming is None or all(k == v for k, v in renaming.items())
     evidence, level = _ball_evidence(ball)
-    report = _report(tp, 2 if len(colours) == 2 else 3,
-                     renaming=None if identity else renaming,
-                     evidence_level=level, evidence=evidence)
+    report = ClassificationReport(tp, None if identity else renaming,
+                                  level, evidence)
     if ball.presentation is not None:
         try:
             from_pres = classify_presentation(ball.presentation)
@@ -352,7 +336,7 @@ def _classify_no_finite_pair(ball, colours):
         if m is not None:
             return TypeParams("VIII", m=m), {b: "b", c: "c", d: "d"}
     for b, c, d in itertools.permutations(colours):
-        for n in range(2, _CLOSURE_BOUND + 1):
+        for n in itertools.count(2):
             word = [(b, 1)] + [(c, 1), (b, 1)] * n + [(d, 1)]
             if len(word) * 2 > 2 * ball.radius:
                 break
@@ -412,7 +396,7 @@ def nonplanar_screen(p: Presentation, cap: int = 20000) -> dict:
         suppressed = suppress_degree_two(ball)
         ok, _ = nx.check_planarity(nx.Graph(suppressed))
         report["suppressed_planarity"] = "planar" if ok else "non-planar"
-    except Exception as exc:  # evidence is optional, never fatal
+    except CubicCayleyError as exc:  # evidence is optional, never fatal
         report["ball_planarity"] = f"unavailable: {exc}"
     return report
 

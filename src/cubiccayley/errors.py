@@ -35,13 +35,9 @@ class NotCubic(CubicCayleyError):
 class NotInCatalogue(CubicCayleyError):
     """Presentation is cubic-eligible but matches none of the nine families.
 
-    Carries a structured ``hint`` naming the nearest family or the
-    non-planar screen case the input resembles.
+    The message names the nearest pattern the input resembles, such as
+    the case of the non-planar screen.
     """
-
-    def __init__(self, message, hint=None):
-        super().__init__(message)
-        self.hint = hint
 
 
 class Overflow(CubicCayleyError):

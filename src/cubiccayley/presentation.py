@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Tuple
 
 from .errors import EmptyRelator, ParseError, UnknownGenerator
 
@@ -42,11 +42,6 @@ class Word:
 
     def inverse(self) -> "Word":
         return Word(tuple((g, -s) for g, s in reversed(self.letters)))
-
-    def rotations(self) -> Iterable["Word"]:
-        n = len(self.letters)
-        for i in range(n):
-            yield Word(self.letters[i:] + self.letters[:i])
 
     def pretty(self) -> str:
         if not self.letters:
@@ -298,17 +293,29 @@ def parse_presentation(text: str) -> Presentation:
     return _Parser(text).parse()
 
 
-def _canonical_cyclic(w: Word, inv: frozenset = frozenset()) -> Tuple[Letter, ...]:
-    def flatten(word: Word) -> Word:
-        # involutions are self-inverse: their sign is not meaningful
-        return Word(tuple((g, 1 if g in inv else s) for g, s in word))
+def _least_rotation(letters: Tuple[Letter, ...]) -> Tuple[Letter, ...]:
+    """The lexicographically least rotation, in linear time: it starts
+    the last factor of Duval's Lyndon factorisation of the doubled word
+    that begins in the first copy."""
+    doubled = letters + letters
+    n = len(letters)
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n and doubled[k] <= doubled[j]:
+            k = i if doubled[k] < doubled[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return doubled[start:start + n]
 
-    best = None
-    for candidate in (flatten(w), flatten(w.inverse())):
-        for rot in candidate.rotations():
-            if best is None or rot.letters < best:
-                best = rot.letters
-    return best if best is not None else ()
+
+def _canonical_cyclic(w: Word, inv: frozenset = frozenset()) -> Tuple[Letter, ...]:
+    # involutions are self-inverse: their sign is not meaningful
+    flat = [(g, 1 if g in inv else s) for g, s in w]
+    inverse = [(g, 1 if g in inv else -s) for g, s in reversed(flat)]
+    return min(_least_rotation(tuple(flat)), _least_rotation(tuple(inverse)))
 
 
 def relator_multiset_normal_form(p: Presentation) -> str:

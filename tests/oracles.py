@@ -37,7 +37,10 @@ table and presentation dict, ``classify``'s hinge and two-coloured
 tables and its per-family ``_candidate_params``, which guessed n and m
 from relator lengths, and ``embed``'s spin tables and ``vap_free``
 tuple; ``catalogue_report`` rebuilds a ``classify_presentation`` report
-from them.  The oracles keep their own copies of
+from them.  So is the least rotation of the relator normal form, which
+compared every rotation of the word and of its inverse, quadratic in the
+relator's length: the library finds it with Duval's factorisation.  The
+oracles keep their own copies of
 every traversal, so they cannot follow a change in the library.  Do not
 import this module from ``src``.
 """
@@ -1230,3 +1233,21 @@ def catalogue_report(p: Presentation) -> dict:
         "renaming": None if identity else sigma,
         "evidence": {},
     }
+
+
+# ---------------------------------------------------------------------------
+# presentation: the least rotation by comparing every rotation
+# ---------------------------------------------------------------------------
+
+def canonical_cyclic(w: Word, inv: frozenset = frozenset()) -> Tuple[Letter, ...]:
+    def flatten(word: Word) -> Tuple[Letter, ...]:
+        # involutions are self-inverse: their sign is not meaningful
+        return tuple((g, 1 if g in inv else s) for g, s in word)
+
+    best = None
+    for letters in (flatten(w), flatten(w.inverse())):
+        for i in range(len(letters)):
+            rot = letters[i:] + letters[:i]
+            if best is None or rot < best:
+                best = rot
+    return best if best is not None else ()

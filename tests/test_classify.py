@@ -5,9 +5,10 @@ import pytest
 from cubiccayley import classify as C
 from cubiccayley.classify import (classify_ball, classify_presentation,
                                   finite_case_report, nonplanar_screen)
-from cubiccayley.construct import TypeParams, construct
+from cubiccayley.construct import (TypeParams, construct,
+                                   construct_presentation_ball)
 from cubiccayley.errors import (Inconclusive, NotCubic, NotInCatalogue,
-                                Overflow)
+                                OracleInconclusive, Overflow)
 from cubiccayley.presentation import (parse_presentation,
                                       relator_multiset_normal_form)
 
@@ -169,3 +170,122 @@ def test_classify_grid_same_with_and_without_cache(monkeypatch):
                             tp.presentation()))
     assert [classify_presentation(tp.presentation()).to_dict()
             for tp in GRID_PARAMS] == cached
+
+
+# ---------------------------------------------------------------------------
+# blind probes bounded by the radius, not by a fixed repetition count
+# ---------------------------------------------------------------------------
+
+def test_blind_vi_second_pair_closing_at_the_radius():
+    # (bd)^13 has length 26 = 2 * radius: it fits the r13 ball
+    ball = construct(TypeParams("VI", n=2, m=13), 13)
+    report = classify_ball(ball)
+    assert (report.type_id, report.params) == ("VI", {"n": 2, "m": 13})
+    assert report.evidence["presentation_agrees"] is True
+
+
+def test_blind_v_with_long_colour_pair():
+    # (bc)^14 fits the r14 ball, so the ball is not read as VIII(2)
+    report = classify_ball(construct(TypeParams("V", n=7, m=2), 14))
+    assert (report.type_id, report.params) == ("V", {"n": 7, "m": 2})
+    assert report.evidence["presentation_agrees"] is True
+
+
+def test_blind_odd_pair_without_closure_is_inconclusive():
+    # (bc)^3 closes, (bd)^7 and (cbcd)^m do not fit r6: the ball is also a
+    # VI(3, m') ball for every m' > 6, so nothing says non-planar
+    with pytest.raises(Inconclusive, match=r"\(cbcd\)-closure"):
+        classify_ball(construct(TypeParams("VI", n=3, m=7), 6))
+
+
+def test_blind_odd_pair_with_closure_is_not_in_catalogue():
+    ball = construct_presentation_ball(
+        parse_presentation("<b,c,d|b^2,c^2,d^2,(bc)^3,(cbcd)^2>"), 4,
+        cap=20000)
+    with pytest.raises(NotInCatalogue, match="case-2"):
+        classify_ball(ball)
+
+
+def test_blind_v_below_radius_2n_reads_viii():
+    # a known limit: under b<->c the balls of V(n, m) and VIII(m) agree
+    # below radius 2n, where the (bc)^2n polygon first fits
+    v, viii = TypeParams("V", n=3, m=2), TypeParams("VIII", m=2)
+    assert [[construct(tp, r).n_vertices for r in range(1, 7)]
+            for tp in (v, viii)] == [[4, 10, 22, 44, 84, 157],
+                                     [4, 10, 22, 44, 84, 158]]
+    report = classify_ball(construct(v, 4))
+    assert (report.type_id, report.params) == ("VIII", {"m": 2})
+    assert report.evidence["presentation_agrees"] is False
+
+
+def _sweep_cells(largest):
+    for type_id, family in C.FAMILIES.items():
+        if type_id == "IX":
+            continue
+        ns = [None] if family.min_n is None else \
+            range(family.min_n, largest + 1)
+        ms = [None] if family.min_m is None else \
+            range(family.min_m, largest + 1)
+        for n in ns:
+            for m in ms:
+                yield TypeParams(type_id, n=n, m=m)
+
+
+def test_blind_sweep_verdicts_name_the_ball_family():
+    """Families I-VIII with n, m <= 8 at radii 4-8, up to 2000 vertices:
+    no catalogue ball is called non-catalogue, and every verdict agrees
+    with the ball's presentation except V(n, m) below radius 2n."""
+    balls = 0
+    for tp in _sweep_cells(8):
+        for radius in range(4, 9):
+            ball = construct(tp, radius)
+            if ball.n_vertices > 2000:
+                break
+            balls += 1
+            try:
+                report = classify_ball(ball)
+            except Inconclusive:
+                continue
+            if report.evidence["presentation_agrees"]:
+                continue
+            assert tp.type_id == "V" and radius < 2 * tp.n, (tp, radius)
+            assert (report.type_id, report.params) == ("VIII", {"m": tp.m})
+    assert balls > 300
+
+
+def test_long_relators_count_normal_forms(monkeypatch):
+    """The input's normal form is computed only after some guess's letter
+    counts match, at most once per renaming."""
+    calls = []
+    real = C.relator_multiset_normal_form
+    monkeypatch.setattr(C, "relator_multiset_normal_form",
+                        lambda p: calls.append(p) or real(p))
+    C._catalogue_normal_form.cache_clear()
+    with pytest.raises(NotInCatalogue):
+        classify_presentation(
+            parse_presentation("<b,c,d|b^2,c^2,d^2,(bd)^5000>"))
+    assert calls == []
+    report = classify_presentation(parse_presentation("<a,b|b^2,(ab)^5000>"))
+    assert (report.type_id, report.params) == ("I", {"n": 5000})
+    # the input once, and the guesses I(5000) and II(2500), whose letter
+    # counts match it
+    assert len(calls) == 3
+
+
+def test_nonplanar_screen_reports_unavailable_evidence(monkeypatch):
+    def fail(*args, **kwargs):
+        raise OracleInconclusive("caps disagree")
+    monkeypatch.setattr(C, "construct_presentation_ball", fail)
+    report = nonplanar_screen(
+        parse_presentation("<b,c,d | b^2,c^2,d^2,(bc)^3,(cbcd)^2>"))
+    assert report["case"] == 2
+    assert report["ball_planarity"] == "unavailable: caps disagree"
+
+
+def test_nonplanar_screen_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the evidence")
+    monkeypatch.setattr(C, "construct_presentation_ball", broken)
+    with pytest.raises(TypeError):
+        nonplanar_screen(
+            parse_presentation("<b,c,d | b^2,c^2,d^2,(bc)^3,(cbcd)^2>"))

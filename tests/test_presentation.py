@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles as O
 from cubiccayley.errors import EmptyRelator, ParseError, UnknownGenerator
-from cubiccayley.presentation import (MAX_RELATOR_LETTERS, Word, free_reduce,
+from cubiccayley.presentation import (MAX_RELATOR_LETTERS, Word,
+                                      _canonical_cyclic, free_reduce,
                                       parse_presentation,
                                       relator_multiset_normal_form)
 
@@ -124,6 +126,17 @@ def test_normal_form_distinguishes():
     a = parse_presentation("<a,b | b^2, (ab)^2>")
     b = parse_presentation("<a,b | b^2, (ab)^3>")
     assert relator_multiset_normal_form(a) != relator_multiset_normal_form(b)
+
+
+@given(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from((-1, 1))),
+                max_size=12),
+       st.integers(1, 4),
+       st.frozensets(st.sampled_from("abc")))
+def test_least_rotation_matches_all_rotations_oracle(period, repeats, inv):
+    # repeated periods give tied rotations; involution letters are
+    # sign-normalised, others keep their inverses
+    w = Word(tuple(period) * repeats)
+    assert _canonical_cyclic(w, inv) == O.canonical_cyclic(w, inv)
 
 
 @pytest.mark.parametrize("text", [
