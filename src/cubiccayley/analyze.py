@@ -7,7 +7,8 @@ vertices, because finite balls of infinite graphs develop spurious cuts
 near their truncation boundary.
 
 Every reachability question on a ball is answered by one traversal,
-``CayleyBall.bfs``, over the ball's slot map: here the component sweeps,
+``CayleyBall.bfs``, over the ball's per-vertex edge lists in edge-id
+order (``CayleyBall.adjacency``): here the component sweeps,
 separation tests, shortest paths (a walk up its parent map), the type V
 (nos) detour and linkage tests and the cycle space forest; elsewhere the
 distances of a loaded ball and the spin propagation of an embedding.
@@ -85,31 +86,30 @@ def _separates(ball, witnesses, removed_vertices=frozenset(),
     return any(w not in reach for w in live)
 
 
-def _cut_vertices(slots, witnesses, removed) -> Optional[Set[int]]:
+def _cut_vertices(adj, witnesses, removed) -> Optional[Set[int]]:
     """Cut vertices of G minus ``removed``, or None when removing
-    ``removed`` alone already separates ``witnesses``.  ``slots`` is the
-    ball's slot map: per vertex, a dict whose values are (edge id,
-    neighbour).
+    ``removed`` alone already separates ``witnesses``.  ``adj`` is the
+    ball's ``adjacency``: per vertex, its (edge id, neighbour) pairs.
 
     If ``removed`` does not separate the witnesses, one more vertex can
     separate them only if it is a cut vertex here.  Cost: one iterative
     depth-first pass (Hopcroft & Tarjan), linear in the ball.  The pass
     skips the parent edge by id, so parallel edges count as cycles.
     """
-    disc = [0] * len(slots)  # discovery time; 0 unvisited, -1 removed
-    low = [0] * len(slots)
+    disc = [0] * len(adj)  # discovery time; 0 unvisited, -1 removed
+    low = [0] * len(adj)
     for v in removed:
         disc[v] = -1
     cuts = set()
     t = witness_trees = 0
-    for root in range(len(slots)):
+    for root in range(len(adj)):
         if disc[root]:
             continue
         t += 1
         disc[root] = low[root] = t
         hit = root in witnesses
         root_children = 0
-        stack = [(root, -1, iter(slots[root].values()))]
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
             v, parent_eid, edges = stack[-1]
             for eid, w in edges:
@@ -119,7 +119,7 @@ def _cut_vertices(slots, witnesses, removed) -> Optional[Set[int]]:
                     t += 1
                     disc[w] = low[w] = t
                     hit = hit or w in witnesses
-                    stack.append((w, eid, iter(slots[w].values())))
+                    stack.append((w, eid, iter(adj[w])))
                     break
                 if 0 < disc[w] < low[v]:
                     low[v] = disc[w]
@@ -266,7 +266,7 @@ def shortest_separating_path(ball: CayleyBall, margin: int = 1,
     witnesses = set(deep)
     if center_only:
         c = ball.center
-        cuts = _cut_vertices(ball._slots, witnesses, (c,))
+        cuts = _cut_vertices(ball.adjacency, witnesses, (c,))
         for y in sorted(deep, key=lambda v: (ball.distances[v], v)):
             if y != c and (cuts is None or y in cuts) and \
                     _separates(ball, witnesses, frozenset((c, y))):

@@ -6,9 +6,16 @@ generators are directed (u -> v means v = u * g), involution edges are
 stored once, undirected.  Parallel edges are permitted (they occur for the
 finite degenerate family where two involution colours coincide).
 
-Each vertex keeps one slot per letter ``(g, ±1)`` it has an edge for: a
-directed edge u -> v fills ``(g, 1)`` at u and ``(g, -1)`` at v, an
-involution edge fills ``(g, 1)`` at both ends.
+Each vertex has one slot per letter ``(g, ±1)``: a directed edge u -> v
+fills ``(g, 1)`` at u and ``(g, -1)`` at v, an involution edge fills
+``(g, 1)`` at both ends.  A ball holds its slots in flat int arrays, one
+column per letter (the presentation's letters first, in their order):
+``nbr[i][v]`` is the neighbour of v through letter i and ``eid[i][v]``
+that edge's id, -1 for an empty slot.  Beside them each vertex keeps
+its ``(edge id, neighbour)`` pairs in edge-id order, which is the order
+every traversal scans.  ``slots(v)`` reads a vertex's slots back as a
+dict in that order.  A ``RawGraph`` keeps its slots row by row, the
+neighbour through letter i at ``nbr[v * L + i]``.
 
 Vertex ids are assigned canonically: breadth-first from the center, letters
 explored in the order of ``Presentation.letters``, which makes vertex
@@ -48,7 +55,61 @@ class CayleyBall:
         self.words = words
         self.interior = interior
         self.distances = distances
-        self._slots = self._build_slots()
+        self._index_slots()
+
+    def _index_slots(self):
+        """One pass over the edges fills the letter columns and the
+        per-vertex edge lists, and rejects a second edge in a slot."""
+        n = len(self.words)
+        letters = list(self.presentation.letters) if self.presentation else []
+        col = {letter: i for i, letter in enumerate(letters)}
+        nbr = [[-1] * n for _ in letters]
+        eid = [[-1] * n for _ in letters]
+        adj = [[] for _ in range(n)]
+
+        def column(letter):
+            i = col.get(letter)
+            if i is None:
+                i = col[letter] = len(letters)
+                letters.append(letter)
+                nbr.append([-1] * n)
+                eid.append([-1] * n)
+            return i
+
+        # per directedness, colour -> the columns filled at u and at v
+        ends = ({}, {})
+        for i, e in enumerate(self.edges):
+            at = ends[e.directed].get(e.colour)
+            if at is None:
+                a = column((e.colour, 1))
+                b = column((e.colour, -1)) if e.directed else a
+                at = ends[e.directed][e.colour] = (a, nbr[a], eid[a],
+                                                   b, nbr[b], eid[b])
+            a, nbr_a, eid_a, b, nbr_b, eid_b = at
+            u, v = e.u, e.v
+            if nbr_a[u] >= 0:
+                raise CubicCayleyError(
+                    f"duplicate {letters[a]} slot at vertex {u}")
+            nbr_a[u], eid_a[u] = v, i
+            if nbr_b[v] >= 0:
+                raise CubicCayleyError(
+                    f"duplicate {letters[b]} slot at vertex {v}")
+            nbr_b[v], eid_b[v] = u, i
+            adj[u].append((i, v))
+            adj[v].append((i, u))
+
+        # the columns a step reads: (g, -1) of an involution colour is
+        # its (g, 1) edge, as ``Word.inverse`` writes involutions
+        walk = {letter: (nbr[i], eid[i]) for letter, i in col.items()}
+        for g in ends[False]:
+            if g in ends[True]:
+                raise CubicCayleyError(
+                    f"colour {g!r} is directed on one edge and undirected "
+                    "on another")
+            walk[(g, -1)] = walk[(g, 1)]
+        # the slots proper, per letter: neighbour columns
+        self._nbr = {letter: nbr[i] for letter, i in col.items()}
+        self._adj, self._walk = adj, walk
 
     # -- structure ---------------------------------------------------------
 
@@ -59,26 +120,31 @@ class CayleyBall:
     def vertices(self):
         return range(len(self.words))
 
-    def _build_slots(self) -> List[Dict[Letter, Tuple[int, int]]]:
-        slots: List[Dict[Letter, Tuple[int, int]]] = [dict() for _ in self.words]
-        for i, e in enumerate(self.edges):
-            a = (e.colour, 1)
-            b = (e.colour, -1) if e.directed else a
-            for end, slot, other in ((e.u, a, e.v), (e.v, b, e.u)):
-                if slot in slots[end]:
-                    raise CubicCayleyError(
-                        f"duplicate {slot} slot at vertex {end}")
-                slots[end][slot] = (i, other)
-        return slots
+    @property
+    def adjacency(self) -> List[List[Tuple[int, int]]]:
+        """Per vertex, its ``(edge id, neighbour)`` pairs in edge-id
+        order; a loop appears once per end.  Shared: do not mutate."""
+        return self._adj
 
     def slots(self, v: int) -> Dict[Letter, Tuple[int, int]]:
-        return self._slots[v]
+        """``{letter: (edge id, neighbour)}`` of the filled slots at v, in
+        edge-id order: v's edge list, each edge keyed by the letter of
+        its end at v (a directed loop: ``(g, 1)`` first)."""
+        out = {}
+        edges = self.edges
+        for eid, w in self._adj[v]:
+            e = edges[eid]
+            if e.directed and e.v == v and (e.u != v or (e.colour, 1) in out):
+                out[(e.colour, -1)] = (eid, w)
+            else:
+                out[(e.colour, 1)] = (eid, w)
+        return out
 
     def degree(self, v: int) -> int:
-        return len(self._slots[v])
+        return len(self._adj[v])
 
     def incident_edges(self, v: int):
-        return [eid for eid, _ in self._slots[v].values()]
+        return [eid for eid, _ in self._adj[v]]
 
     def bfs(self, sources, removed_vertices=(), removed_edges=()
             ) -> Dict[int, Tuple[Optional[int], Optional[int]]]:
@@ -87,19 +153,19 @@ class CayleyBall:
         source maps to ``(None, None)``.
 
         Order rule: the sources are enqueued in the order given, and each
-        dequeued vertex scans its edges in edge-id order, the order of
-        its slot map.  A vertex's parent is its first discoverer under
-        this rule, so the paths read off the tree, and the separator
-        certificates and tie-breaks built on them, depend on nothing else.
+        dequeued vertex scans its edges in edge-id order.  A vertex's
+        parent is its first discoverer under this rule, so the paths read
+        off the tree, and the separator certificates and tie-breaks built
+        on them, depend on nothing else.
         """
         tree = {}
         for s in sources:
             if s not in removed_vertices:
                 tree.setdefault(s, (None, None))
         queue = list(tree)
-        slots = self._slots
+        adj = self._adj
         for v in queue:
-            for eid, w in slots[v].values():
+            for eid, w in adj[v]:
                 if w not in tree and w not in removed_vertices and \
                         eid not in removed_edges:
                     tree[w] = (v, eid)
@@ -118,12 +184,12 @@ class CayleyBall:
         writes, with its ``(g, 1)`` edge.  Directedness is a property of
         the stored edges, not of the attached presentation.
         """
-        hit = self._slots[v].get(letter)
-        if hit is None and letter[1] < 0:
-            hit = self._slots[v].get((letter[0], 1))
-            if hit is not None and self.edges[hit[0]].directed:
-                return None
-        return hit
+        cols = self._walk.get(letter)
+        if cols is not None:
+            w = cols[0][v]
+            if w >= 0:
+                return cols[1][v], w
+        return None
 
     def trace_word(self, v: int, word: Word) -> Optional[int]:
         for letter in word:
@@ -135,12 +201,16 @@ class CayleyBall:
     def trace_walk(self, v: int, word: Word):
         """Vertex/edge sequence of the walk, or None if it leaves the ball."""
         verts, eids = [v], []
+        walk = self._walk
         for letter in word:
-            hit = self.step_edge(v, letter)
-            if hit is None:
+            cols = walk.get(letter)
+            if cols is None:
                 return None
-            eid, v = hit
-            eids.append(eid)
+            nbr, eid = cols
+            if nbr[v] < 0:
+                return None
+            eids.append(eid[v])
+            v = nbr[v]
             verts.append(v)
         return verts, eids
 
@@ -251,53 +321,72 @@ class CayleyBall:
 
 
 class RawGraph:
-    """A coloured graph as a builder grows it, on dense int ids from 0;
-    vertex 0 is the root of every ball cut from it.
+    """A coloured graph over the letters of a presentation as a builder
+    grows it, on dense int ids from 0; vertex 0 is the root of every ball
+    cut from it.
 
-    ``slots[v]`` maps each letter filled at v to the neighbour it reaches,
-    keyed like a ball's slots: a directed edge u -> v fills ``(g, 1)`` at
-    u and ``(g, -1)`` at v, an involution edge fills ``(g, 1)`` at both
-    ends.  ``edges`` holds each edge once as ``(u, v, colour, directed)``,
-    a directed edge tail first."""
+    ``nbr[v * L + i]`` is the neighbour of v through the i-th letter of
+    ``letters``, or -1: a directed edge u -> v fills ``(g, 1)`` at u and
+    ``(g, -1)`` at v, an involution edge fills ``(g, 1)`` at both ends.
+    ``edges`` holds each edge once as ``(u, v, colour, directed)``, a
+    directed edge tail first."""
 
-    def __init__(self, involutions):
-        self.involutions = involutions
-        self.slots: List[Dict[Letter, int]] = []
+    def __init__(self, presentation: Presentation):
+        self.letters = presentation.letters
+        self.L = len(self.letters)
+        involutions = presentation.involutions
+        # letter at u -> (column at u, column at v, directed)
+        column = {letter: i for i, letter in enumerate(self.letters)}
+        self._ends = {}
+        for g, s in self.letters:
+            if g in involutions:
+                self._ends[(g, 1)] = self._ends[(g, -1)] = (
+                    column[(g, 1)], column[(g, 1)], False)
+            else:
+                self._ends[(g, s)] = (column[(g, s)], column[(g, -s)], True)
+        self.nbr: List[int] = []
         self.edges: List[Tuple[int, int, str, bool]] = []
 
+    @property
+    def n_vertices(self) -> int:
+        return len(self.nbr) // self.L
+
     def new_vertex(self) -> int:
-        self.slots.append({})
-        return len(self.slots) - 1
+        self.nbr += [-1] * self.L
+        return len(self.nbr) // self.L - 1
+
+    def step(self, v: int, letter: Letter) -> Optional[int]:
+        """The neighbour of v through the letter, or None."""
+        w = self.nbr[v * self.L + self._ends[letter][0]]
+        return w if w >= 0 else None
 
     def add_edge(self, u: int, v: int, g: str, s: int):
         """The edge at u for the letter (g, s), ending at v.  Raises
         ConstructionIncomplete if either end already has that slot."""
-        if g in self.involutions:
-            su = sv = (g, 1)
-            edge = (u, v, g, False)
-        else:
-            su, sv = (g, s), (g, -s)
-            edge = (u, v, g, True) if s > 0 else (v, u, g, True)
-        for end, slot in ((u, su), (v, sv)):
-            if slot in self.slots[end]:
+        cu, cv, directed = self._ends[(g, s)]
+        nbr, ku, kv = self.nbr, u * self.L + cu, v * self.L + cv
+        for end, k in ((u, ku), (v, kv)):
+            if nbr[k] >= 0:
                 raise ConstructionIncomplete(
-                    f"slot {slot} already used at vertex {end}")
-        self.slots[u][su] = v
-        self.slots[v][sv] = u
-        self.edges.append(edge)
+                    f"slot {self.letters[k % self.L]} already used at "
+                    f"vertex {end}")
+        nbr[ku] = v
+        nbr[kv] = u
+        self.edges.append((v, u, g, True) if directed and s < 0
+                          else (u, v, g, directed))
 
 
 def make_ball(presentation: Presentation, graph: RawGraph,
               radius: int) -> CayleyBall:
     """Truncate ``graph`` to the radius-``radius`` ball around its vertex
-    0 and renumber vertices canonically (shortlex BFS order)."""
-    slots = graph.slots
-    # each letter with its text in a word label
-    letters = [(letter, Word((letter,)).pretty())
-               for letter in presentation.letters]
+    0 and renumber vertices canonically (shortlex BFS order).  The graph's
+    letters are the presentation's."""
+    nbr, L = graph.nbr, graph.L
+    # each letter's text in a word label
+    texts = [Word((letter,)).pretty() for letter in presentation.letters]
     sep = presentation.word_separator
 
-    index = [-1] * len(slots)  # raw vertex -> ball vertex
+    index = [-1] * graph.n_vertices  # raw vertex -> ball vertex
     index[0] = 0
     queue = [0]  # ball vertex -> raw vertex
     words = [""]
@@ -307,20 +396,24 @@ def make_ball(presentation: Presentation, graph: RawGraph,
             break  # the queue is in distance order
         d = dist[i] + 1
         prefix = words[i] + sep if i else ""
-        for letter, text in letters:
-            w = slots[v].get(letter)
-            if w is not None and index[w] < 0:
+        for w, text in zip(nbr[v * L:v * L + L], texts):
+            if w >= 0 and index[w] < 0:
                 index[w] = len(queue)
                 queue.append(w)
                 dist.append(d)
                 words.append(prefix + text)
     words[0] = "1"
 
-    edges = [Edge(index[u], index[v], colour, directed)
-             for u, v, colour, directed in graph.edges
-             if index[u] >= 0 and index[v] >= 0]
-    edges.sort(key=lambda e: (min(e.u, e.v), max(e.u, e.v), e.colour,
-                              not e.directed, e.u))
+    # edges in (low end, high end, colour, undirected first, tail) order
+    keys = []
+    for u, v, colour, directed in graph.edges:
+        u, v = index[u], index[v]
+        if u >= 0 and v >= 0:
+            low, high = (u, v) if u < v else (v, u)
+            keys.append((low, high, colour, not directed, u, v))
+    keys.sort()
+    edges = [Edge(u, v, colour, not undirected)
+             for _, _, colour, undirected, u, v in keys]
     interior = frozenset(i for i, d in enumerate(dist) if d < radius)
     return CayleyBall(presentation, 0, radius, edges, words, interior, dist)
 
@@ -332,29 +425,34 @@ def certify_ball(ball: CayleyBall, p: Presentation) -> List[tuple]:
     ball is certified: interior vertices carry a full complement of edge
     slots, every relator trace that stays inside the ball closes, and no
     trace identifies two distinct vertices mid-relator.
+
+    Each relator is compiled once to the neighbour columns of its letters,
+    so a trace is one list read per letter.
     """
     violations = []
-    letters = p.letters
+    empty = [-1] * ball.n_vertices
+    slot_cols = [(letter, ball._nbr.get(letter, empty))
+                 for letter in p.letters]
     for v in sorted(ball.interior):
-        for letter in letters:
-            if letter not in ball.slots(v):
+        for letter, col in slot_cols:
+            if col[v] < 0:
                 violations.append((v, letter, "missing-slot"))
 
+    relators = [(rel, [ball._walk.get(letter, (empty,))[0] for letter in rel])
+                for rel in p.relators]
     for v in ball.vertices():
-        for rel in p.relators:
-            walk = ball.trace_walk(v, rel)
-            if walk is None:
-                continue  # trace leaves the ball; nothing to check
-            verts, _ = walk
-            if verts[-1] != v:
-                violations.append((v, rel.pretty(), "open-trace"))
-                continue
-            seen = set()
-            for x in verts[:-1]:
-                if x in seen:
+        for rel, cols in relators:
+            x, walk = v, [v]
+            for col in cols:
+                x = col[x]
+                if x < 0:
+                    break  # trace leaves the ball; nothing to check
+                walk.append(x)
+            else:
+                if x != v:
+                    violations.append((v, rel.pretty(), "open-trace"))
+                elif len(set(walk)) < len(cols):  # walk[0] == walk[-1]
                     violations.append((v, rel.pretty(), "trace-revisit"))
-                    break
-                seen.add(x)
     return violations
 
 

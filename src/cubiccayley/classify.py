@@ -17,7 +17,8 @@ ball's radius, so the radius limits what a ball can show:
   order; without it the ball is also a VI ball whose second pair closes
   beyond the radius, and the verdict is ``Inconclusive``.
 * Under b<->c, V(n, m) and VIII(m) have the same balls below radius 2n,
-  where the (bc)^2n polygon first fits; such a ball reads VIII(m).
+  where the (bc)^2n polygon first fits; such a ball reads VIII(m), and
+  every VIII verdict names the V alternative in its evidence.
 """
 
 from __future__ import annotations
@@ -220,7 +221,9 @@ def classify_ball(ball: CayleyBall) -> ClassificationReport:
     Raises NotInCatalogue only on an odd colour-pair order beside a
     closing ``(cbcd)`` word, and Inconclusive, naming the probe, when no
     candidate word closes within the radius.  Below radius 2n a V(n, m)
-    ball is read as VIII(m): under b<->c the two balls agree there.
+    ball is read as VIII(m): under b<->c the two balls agree there, so a
+    VIII(m) verdict's evidence names ``"alternative"``: V(n', m) under
+    b<->c for every n' > radius/2.
     """
     if ball.radius < 3 and len(ball.interior) != ball.n_vertices:
         raise Inconclusive("hinge")
@@ -316,6 +319,10 @@ def classify_ball(ball: CayleyBall) -> ClassificationReport:
 
     identity = renaming is None or all(k == v for k, v in renaming.items())
     evidence, level = _ball_evidence(ball)
+    if tp.type_id == "VIII":
+        # the (bc)^2n' polygon of V(n', m) closes only at radius 2n'
+        evidence["alternative"] = (
+            f"V(n', {tp.m}) under b<->c for every n' > {ball.radius}/2")
     report = ClassificationReport(tp, None if identity else renaming,
                                   level, evidence)
     if ball.presentation is not None:

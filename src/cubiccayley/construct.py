@@ -147,7 +147,7 @@ class _PolygonGraph(RawGraph):
         cur = start
         for i, (g, s) in enumerate(seq):
             last = i == len(seq) - 1
-            hit = self.slots[cur].get((g, s))
+            hit = self.step(cur, (g, s))
             if hit is not None:
                 cur = hit
                 if last and cur != start:
@@ -160,19 +160,20 @@ class _PolygonGraph(RawGraph):
             raise ConstructionIncomplete("polygon failed to close")
 
     def distances(self) -> List[int]:
-        dist = [-1] * len(self.slots)
+        nbr, L = self.nbr, self.L
+        dist = [-1] * self.n_vertices
         dist[0] = 0
         queue = [0]
         for v in queue:
-            for w in self.slots[v].values():
-                if dist[w] < 0:
+            for w in nbr[v * L:v * L + L]:
+                if w >= 0 and dist[w] < 0:
                     dist[w] = dist[v] + 1
                     queue.append(w)
         return dist
 
     def free_slot(self, v: int, candidates) -> Optional[tuple]:
         for slot in candidates:
-            if slot not in self.slots[v]:
+            if self.step(v, slot) is None:
                 return slot
         return None
 
@@ -184,7 +185,7 @@ def _build_glue_tree(tp: TypeParams, radius: int) -> RawGraph:
 
         def glue_seq(g, v):
             # start the trace at the endpoint whose a^-1 slot is free
-            x = v if g.free_slot(v, [("a", -1)]) else g.slots[v][("b", 1)]
+            x = v if g.free_slot(v, [("a", -1)]) else g.step(v, ("b", 1))
             return x, [("b", 1), ("a", 1)] * n
     elif tp.type_id == "II":
         seed = [("a", 1), ("b", 1), ("a", -1), ("b", 1)] * n
@@ -213,12 +214,12 @@ def _build_glue_tree(tp: TypeParams, radius: int) -> RawGraph:
     # polygons are glued at every free slot but those of the shared b
     p = tp.presentation()
     candidates = [letter for letter in p.letters if letter[0] != "b"]
-    graph = _PolygonGraph(p.involutions)
+    graph = _PolygonGraph(p)
     graph.trace_cycle(graph.new_vertex(), seed)
     while True:
         dist = graph.distances()
         # overbuild one layer so boundary-boundary edges are present
-        targets = [v for v in range(len(graph.slots))
+        targets = [v for v in range(graph.n_vertices)
                    if dist[v] <= radius and graph.free_slot(v, candidates)]
         if not targets:
             break
@@ -285,31 +286,33 @@ def _build_amalgam(tp: TypeParams, radius: int) -> RawGraph:
     """One BFS over normal forms: each element gets a dense int id when it
     is discovered, and the image of a letter is computed only while its
     slot is free, so each edge is computed and added once, from the end
-    that reaches it first."""
+    that reaches it first.  An element is the amalgam's int, and each
+    letter's image is one O(1) trie step per factor element."""
     am, actions = _amalgam_for(tp)
     p = tp.presentation()
-    mul = am.mul_factor
     factor_steps = {}
     for colour, (steps, directed) in actions.items():
         factor_steps[(colour, 1)] = steps
         if directed:
             factor_steps[(colour, -1)] = [(tag, am.groups[tag].inv(x))
                                           for tag, x in reversed(steps)]
-    moves = [(letter, factor_steps[letter]) for letter in p.letters]
+    moves = [(col, letter,
+              [am.move(tag, x) for tag, x in factor_steps[letter]])
+             for col, letter in enumerate(p.letters)]
 
-    graph = RawGraph(p.involutions)
+    graph = RawGraph(p)
+    nbr, L, apply = graph.nbr, graph.L, am.apply
     ids = {am.identity: graph.new_vertex()}
     elements = [am.identity]
     dist = [0]
     for i, u in enumerate(elements):
         inner = dist[i] < radius
-        slots = graph.slots[i]
-        for letter, steps in moves:
-            if letter in slots:
+        for col, letter, steps in moves:
+            if nbr[i * L + col] >= 0:
                 continue
             v = u
-            for tag, x in steps:
-                v = mul(v, tag, x)
+            for move in steps:
+                v = apply(v, move)
             j = ids.get(v)
             if j is None:
                 if not inner:
@@ -328,7 +331,7 @@ def _build_amalgam(tp: TypeParams, radius: int) -> RawGraph:
 def _build_type_ix(n: int) -> RawGraph:
     """Dihedral 2n-cycle alternating b,c with a parallel d edge on every c
     edge (the relator cd makes d coincide with c)."""
-    graph = RawGraph(frozenset("bcd"))
+    graph = RawGraph(TypeParams("IX", n=n).presentation())
     for _ in range(2 * n):
         graph.new_vertex()
     for k in range(n):

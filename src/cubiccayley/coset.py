@@ -284,7 +284,7 @@ def ball_from_table(table: CosetTable, radius: int) -> CayleyBall:
         radius = min(radius, max(dist.values(), default=0))
 
     # dense ids in distance order: the identity coset is vertex 0
-    graph = RawGraph(p.involutions)
+    graph = RawGraph(p)
     ids = {v: graph.new_vertex() for v in dist}
     for v in dist:
         for gen in p.generators:

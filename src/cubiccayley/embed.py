@@ -369,8 +369,9 @@ def _translation_spot_check(emb: RotationEmbedding) -> bool:
                 if iu is None or iv is None:
                     ok = False
                     break
-                hit = min((i for (g, _), (i, w) in ball.slots(iu).items()
-                           if g == e.colour and w == iv), default=None)
+                hit = min((i for i, w in ball.adjacency[iu] if w == iv
+                           and ball.edges[i].colour == e.colour),
+                          default=None)
                 if hit is None:
                     ok = False
                     break

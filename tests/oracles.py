@@ -7,13 +7,16 @@ component sweep per candidate, of the reachability searches, each its
 own loop over an adjacency list rebuilt on every call, of the cycle
 space check, which searched a union-find forest once per fundamental
 cycle, of the amalgam builder, whose normal forms were frozen
-dataclasses keyed by their own hash, and of the enumeration oracle, which
-ran a fixed ``cap`` and ``2·cap`` cosets whatever the ball.  The library
-now runs linear-time checks, prunes the center's candidates with one
-cut-vertex pass, answers every reachability question with
-``CayleyBall.bfs``, builds amalgam balls from plain tuples numbered by
-dense ints and runs the oracle of ``cross_check`` on a doubling schedule
-up to ``cap``; the differential tests compare the two.  The render
+dataclasses keyed by their own hash, ``c * t1 ... tk`` over right coset
+representatives, so a step could carry c through every piece, and of
+the enumeration oracle, which ran a fixed ``cap`` and ``2·cap`` cosets
+whatever the ball.  The library now runs linear-time checks, prunes the
+center's candidates with one cut-vertex pass, answers every
+reachability question with ``CayleyBall.bfs``, builds amalgam balls
+from int normal forms ``t1 ... tk * c`` on a prefix trie (left coset
+representatives, one O(1) step per factor element) numbered by dense
+ints and runs the oracle of ``cross_check`` on a doubling schedule up
+to ``cap``; the differential tests compare the two.  The render
 layout's tree walk, which dequeued from the front of a list and walked
 the whole ball, is kept too: the library stops at the drawn depth.  So
 is the two-lookup step over slots keyed by ``(colour, "out"/"in"/None)``:
@@ -22,6 +25,10 @@ assembly ``make_ball``, which took a raw edge list on any hashable
 vertices and rebuilt a slot map of dicts from it, and ``ball_from_table``,
 which fed it coset numbers: each builder now hands the library's
 ``make_ball`` a ``RawGraph`` on dense ids, walked with lists.  So are
+the ball's slot map, one dict per vertex (``ball_slots``), and
+``certify_ball`` walking every relator through it: the library keeps
+flat letter columns and per-vertex edge lists, and compiles each
+relator to its columns once.  So are
 the face walk ``trace_faces``, which stepped tuple darts through
 ``rot.index`` lookups, and the orbit count ``_count_faces`` on networkx's
 ``(a, b, key)`` darts: the library builds one face-successor permutation
@@ -944,6 +951,69 @@ def step_edge(slots: List[dict], v: int, letter):
     if hit is None:
         hit = slots[v].get((g, "out" if s > 0 else "in"))
     return hit
+
+
+# ---------------------------------------------------------------------------
+# a ball's slots as one dict per vertex, and certify_ball walking them
+# ---------------------------------------------------------------------------
+
+def ball_slots(ball: CayleyBall) -> List[Dict[Letter, Tuple[int, int]]]:
+    """Per vertex, ``{letter: (edge id, neighbour)}`` filled in edge-id
+    order, as ``CayleyBall._build_slots`` built it: a directed edge u -> v
+    fills ``(g, 1)`` at u and ``(g, -1)`` at v, an involution edge
+    ``(g, 1)`` at both ends; a second edge in a slot is an error."""
+    slots: List[Dict[Letter, Tuple[int, int]]] = [dict() for _ in ball.words]
+    for i, e in enumerate(ball.edges):
+        a = (e.colour, 1)
+        b = (e.colour, -1) if e.directed else a
+        for end, slot, other in ((e.u, a, e.v), (e.v, b, e.u)):
+            if slot in slots[end]:
+                raise CubicCayleyError(
+                    f"duplicate {slot} slot at vertex {end}")
+            slots[end][slot] = (i, other)
+    return slots
+
+
+def _slot_step(ball: CayleyBall, slots, v: int, letter):
+    """``CayleyBall.step_edge`` over dict slots: ``(g, -1)`` of an
+    involution colour falls back to its undirected ``(g, 1)`` edge."""
+    hit = slots[v].get(letter)
+    if hit is None and letter[1] < 0:
+        hit = slots[v].get((letter[0], 1))
+        if hit is not None and ball.edges[hit[0]].directed:
+            return None
+    return hit
+
+
+def certify_ball(ball: CayleyBall, p: Presentation) -> List[tuple]:
+    """``ball.certify_ball`` as it was: the missing slots of each interior
+    vertex, then per vertex and relator one walk through the dict slots,
+    reporting an open trace or a vertex met twice before the end."""
+    slots = ball_slots(ball)
+    violations = []
+    for v in sorted(ball.interior):
+        for letter in p.letters:
+            if letter not in slots[v]:
+                violations.append((v, letter, "missing-slot"))
+    for v in ball.vertices():
+        for rel in p.relators:
+            verts = [v]
+            for letter in rel:
+                hit = _slot_step(ball, slots, verts[-1], letter)
+                if hit is None:
+                    break
+                verts.append(hit[1])
+            else:
+                if verts[-1] != v:
+                    violations.append((v, rel.pretty(), "open-trace"))
+                    continue
+                seen = set()
+                for x in verts[:-1]:
+                    if x in seen:
+                        violations.append((v, rel.pretty(), "trace-revisit"))
+                        break
+                    seen.add(x)
+    return violations
 
 
 # ---------------------------------------------------------------------------

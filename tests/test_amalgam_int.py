@@ -1,7 +1,8 @@
 """Differential and axiom tests for the amalgam route: the int-keyed
-builder on ``(c, seq)`` tuples gives the same balls and the same normal
-forms as the dataclass builder kept in ``oracles.py``, and the normal-form
-arithmetic obeys the group axioms on random factor words."""
+builder on trie normal forms gives the same balls as the dataclass builder
+kept in ``oracles.py``, its normal forms split random words into the same
+equality classes, and the normal-form arithmetic obeys the group axioms
+on random factor words."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,24 +87,41 @@ def _evaluate(am, word, g=None):
     return g
 
 
-def _times(am, g, h):
-    """g * h on normal forms: right-multiply g by h's letters."""
-    c, seq = h
-    if c:
+def _times(am, g, word):
+    """g times the element of ``word``, multiplied in as the oracle's
+    normal form ``c * t1 ... tk`` of that element."""
+    old_am = O.oracle_amalgam(am)
+    h = old_am.identity
+    for tag, x in word:
+        h = old_am.mul_factor(h, tag, x)
+    if h.c:
         g = am.mul_factor(g, "A", am.w["A"])
-    return _evaluate(am, seq, g)
+    return _evaluate(am, h.seq, g)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_DECOMPOSITIONS, _RAW_WORDS)
-def test_tuples_equal_oracle_normal_forms(tp, raw):
+@given(_DECOMPOSITIONS, st.lists(_RAW_WORDS, min_size=2, max_size=6))
+def test_equality_partition_matches_oracle(tp, raws):
+    """Words are equal as trie ints exactly when the oracle's dataclass
+    normal forms are equal.  Beside the drawn words: the first followed
+    by each other one and its inverse, and every prefix of the first
+    two, so that equal and unequal pairs both occur."""
     am, _ = _amalgam_for(tp)
     old_am = O.oracle_amalgam(am)
-    word = _word(am, raw)
-    g = old_am.identity
-    for tag, x in word:
-        g = old_am.mul_factor(g, tag, x)
-    assert _evaluate(am, word) == (g.c, g.seq)
+    words = [_word(am, raw) for raw in raws]
+    words += [words[0] + w + [(t, am.groups[t].inv(x)) for t, x in reversed(w)]
+              for w in words[1:]]
+    words += [w[:k] for w in words[:2] for k in range(len(w))]
+    new, old = [], []
+    for word in words:
+        new.append(_evaluate(am, word))
+        g = old_am.identity
+        for tag, x in word:
+            g = old_am.mul_factor(g, tag, x)
+        old.append(g)
+    for i in range(len(words)):
+        for j in range(len(words)):
+            assert (new[i] == new[j]) == (old[i] == old[j]), (i, j)
 
 
 @settings(max_examples=200, deadline=None)
@@ -111,11 +129,11 @@ def test_tuples_equal_oracle_normal_forms(tp, raw):
 def test_group_axioms(tp, raw_u, raw_v, tag):
     am, _ = _amalgam_for(tp)
     u, v = _word(am, raw_u), _word(am, raw_v)
-    gu, gv = _evaluate(am, u), _evaluate(am, v)
+    gu = _evaluate(am, u)
     # right identity
     assert am.mul_factor(gu, tag, am.groups[tag].identity) == gu
     # a word followed by its inverse
     inverse = [(t, am.groups[t].inv(x)) for t, x in reversed(u)]
     assert _evaluate(am, u + inverse) == am.identity
-    # evaluating u then v equals evaluating the concatenation uv
-    assert _times(am, gu, gv) == _evaluate(am, u + v)
+    # u times the normal form of v equals evaluating the concatenation uv
+    assert _times(am, gu, v) == _evaluate(am, u + v)

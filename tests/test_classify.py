@@ -3,6 +3,7 @@
 import pytest
 
 from cubiccayley import classify as C
+from cubiccayley.ball import RawGraph, make_ball, rooted_isomorphic
 from cubiccayley.classify import (classify_ball, classify_presentation,
                                   finite_case_report, nonplanar_screen)
 from cubiccayley.construct import (TypeParams, construct,
@@ -216,6 +217,27 @@ def test_blind_v_below_radius_2n_reads_viii():
     report = classify_ball(construct(v, 4))
     assert (report.type_id, report.params) == ("VIII", {"m": 2})
     assert report.evidence["presentation_agrees"] is False
+
+
+def test_blind_viii_names_the_v_alternative():
+    # V(3,2) at r4 is the VIII(2) ball under b<->c, and the verdict says so
+    v_ball = construct(TypeParams("V", n=3, m=2), 4)
+    p = TypeParams("VIII", m=2).presentation()
+    swapped = RawGraph(p)
+    for _ in v_ball.vertices():
+        swapped.new_vertex()
+    for e in v_ball.edges:  # the center is vertex 0
+        swapped.add_edge(e.u, e.v, {"b": "c", "c": "b"}.get(e.colour,
+                                                            e.colour), 1)
+    assert rooted_isomorphic(make_ball(p, swapped, 4),
+                             construct(TypeParams("VIII", m=2), 4))
+    for ball in (v_ball, construct(TypeParams("VIII", m=2), 5)):
+        report = classify_ball(ball)
+        assert (report.type_id, report.params) == ("VIII", {"m": 2})
+        assert report.evidence["alternative"] == (
+            f"V(n', 2) under b<->c for every n' > {ball.radius}/2")
+    report = classify_ball(construct(TypeParams("V", n=3, m=2), 6))
+    assert report.type_id == "V" and "alternative" not in report.evidence
 
 
 def _sweep_cells(largest):

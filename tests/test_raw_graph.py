@@ -92,12 +92,18 @@ def test_coset_cuts_match_old_assembly(text, cap):
 
 
 def test_add_edge_rejects_a_used_slot():
-    graph = RawGraph(frozenset("b"))
+    graph = RawGraph(parse_presentation("<a,b|b^2>"))
     u, v, w = graph.new_vertex(), graph.new_vertex(), graph.new_vertex()
     graph.add_edge(u, v, "a", 1)
     graph.add_edge(u, w, "b", 1)
-    assert graph.slots == [{("a", 1): v, ("b", 1): w}, {("a", -1): u},
-                           {("b", 1): u}]
+    # one row per vertex, one column per letter (a, a^-1, b); -1 is empty
+    assert graph.letters == (("a", 1), ("a", -1), ("b", 1))
+    assert graph.nbr == [v, -1, w,
+                         -1, u, -1,
+                         -1, -1, u]
+    assert [[graph.step(x, letter) for letter in graph.letters]
+            for x in (u, v, w)] == [[v, None, w], [None, u, None],
+                                    [None, None, u]]
     assert graph.edges == [(u, v, "a", True), (u, w, "b", False)]
     with pytest.raises(ConstructionIncomplete):
         graph.add_edge(w, v, "a", 1)  # v already has its a^-1 edge

@@ -92,7 +92,7 @@ def _components(adj, removed):
         seen.add(s)
         comp = [s]
         for v in comp:
-            for _, w in adj[v].values():
+            for _, w in adj[v]:
                 if w not in seen:
                     seen.add(w)
                     comp.append(w)
@@ -108,11 +108,12 @@ def test_cut_pass_matches_removal(n, seed):
     rng = random.Random(seed)
     edges = [(rng.randrange(n), rng.randrange(n))
              for _ in range(rng.randrange(2 * n + 1))]
-    # slot-map format: per vertex, {slot: (edge id, neighbour)}
-    adj = [{} for _ in range(n)]
+    # CayleyBall.adjacency format: per vertex, (edge id, neighbour) pairs
+    # in edge-id order, a loop once per end
+    adj = [[] for _ in range(n)]
     for eid, (u, v) in enumerate(edges):
-        adj[u][eid, 0] = (eid, v)
-        adj[v][eid, 1] = (eid, u)
+        adj[u].append((eid, v))
+        adj[v].append((eid, u))
     removed = frozenset(rng.sample(range(n), rng.randrange(2)))
     base = len(_components(adj, removed))
     live = [v for v in range(n) if v not in removed]
