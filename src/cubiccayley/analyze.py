@@ -15,6 +15,8 @@ distances of a loaded ball and the spin propagation of an embedding.
 The loops that stay do something else:
 
 * ``_cut_vertices`` is a low-link depth-first pass, another algorithm;
+* ``independent_paths`` searches a flow's residual graph on split
+  vertices, at most deg(x) + 1 linear passes, without networkx;
 * ``embed._translation_spot_check`` stops at vertices whose image
   under the translation leaves the ball;
 * ``render`` orders each vertex's children by the embedding's rotation,
@@ -38,8 +40,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
 
 from .ball import CayleyBall, Edge
 from .errors import BallTooSmall, InvalidParams, NoSeparatorFound
@@ -318,28 +318,50 @@ def colour_pair_orders(ball: CayleyBall, bound: int) -> List[ColourPairOrder]:
 
 
 # ---------------------------------------------------------------------------
-# independent paths (Menger via vertex-split max-flow)
+# independent paths (Menger by augmenting paths)
 # ---------------------------------------------------------------------------
 
 def independent_paths(ball: CayleyBall, x: int, y: int) -> int:
-    """Maximum number of internally vertex-disjoint x-y paths in the ball."""
+    """Maximum number of internally vertex-disjoint x-y paths in the ball.
+
+    Unit-capacity augmenting paths (Even & Tarjan 1975) on the split
+    graph, not a networkx flow: state 2v enters v and 2v + 1 leaves it.
+    Every vertex but x and y passes one path; each edge id carries one
+    path per direction, so parallel edges add capacity; loops are
+    skipped.  Each augmenting path is one breadth-first pass of the
+    residual graph, so the cost is at most deg(x) + 1 linear passes.
+    """
     if x == y:
         raise InvalidParams("endpoints must differ")
     if x not in ball.interior or y not in ball.interior:
         raise InvalidParams("endpoints must be interior")
-    big = len(ball.edges) + 3
-    g = nx.DiGraph()
-    for v in ball.vertices():
-        g.add_edge(("in", v), ("out", v),
-                   capacity=big if v in (x, y) else 1)
-    for e in ball.edges:
-        for a, b in ((e.u, e.v), (e.v, e.u)):
-            u, w = ("out", a), ("in", b)
-            if g.has_edge(u, w):
-                g[u][w]["capacity"] += 1  # parallel edges add capacity
-            else:
-                g.add_edge(u, w, capacity=1)
-    return int(nx.maximum_flow_value(g, ("out", x), ("in", y)))
+    adj = ball.adjacency
+    used = set()  # arcs on a path: darts 2 * eid + (head > tail), ~vertex
+    source, sink = 2 * x + 1, 2 * y
+    for paths in itertools.count():
+        prev, queue = {source: None}, [source]  # state -> (state, arc)
+        for s in queue:
+            v = s >> 1
+            if s & 1:  # leave v by a free dart, or go back into v
+                moves = [(2 * w, 2 * eid + (w > v)) for eid, w in adj[v]
+                         if w != v and 2 * eid + (w > v) not in used]
+            else:  # enter v: back along its used dart, or through v
+                moves = [(2 * u + 1, 2 * eid + (v > u)) for eid, u in adj[v]
+                         if u != v and 2 * eid + (v > u) in used]
+            if (~v in used) == s & 1:
+                moves.append((s ^ 1, ~v))
+            for t, arc in moves:
+                if t not in prev:
+                    prev[t] = (s, arc)
+                    queue.append(t)
+            if sink in prev:
+                break
+        else:
+            return paths
+        t = sink
+        while t != source:  # forward arcs join the paths, reverse ones leave
+            t, arc = prev[t]
+            used ^= {arc}
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ column per letter (the presentation's letters first, in their order):
 ``nbr[i][v]`` is the neighbour of v through letter i and ``eid[i][v]``
 that edge's id, -1 for an empty slot.  Beside them each vertex keeps
 its ``(edge id, neighbour)`` pairs in edge-id order, which is the order
-every traversal scans.  ``slots(v)`` reads a vertex's slots back as a
-dict in that order.  A ``RawGraph`` keeps its slots row by row, the
-neighbour through letter i at ``nbr[v * L + i]``.
+every traversal scans.  ``step_edge(v, letter)`` reads one slot.  A
+``RawGraph`` keeps its slots row by row, the neighbour through letter i
+at ``nbr[v * L + i]``.
 
 Vertex ids are assigned canonically: breadth-first from the center, letters
 explored in the order of ``Presentation.letters``, which makes vertex
@@ -26,15 +26,15 @@ does this numbering on the ``RawGraph`` a builder grows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import ConstructionIncomplete, CubicCayleyError, ParseError
 from .presentation import Letter, Presentation, Word
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """A coloured edge, directed ones from ``u`` to ``v = u * colour``; it
+    equals, hashes and unpacks as the tuple ``(u, v, colour, directed)``."""
     u: int
     v: int
     colour: str
@@ -46,21 +46,28 @@ class Edge:
 
 class CayleyBall:
     def __init__(self, presentation: Optional[Presentation], center: int,
-                 radius: int, edges: List[Edge], words: List[str],
+                 radius: int, edges: List[Edge], words,
                  interior: frozenset, distances: List[int]):
         self.presentation = presentation
         self.center = center
         self.radius = radius
         self.edges = edges
-        self.words = words
+        self._words = words
         self.interior = interior
         self.distances = distances
         self._index_slots()
 
+    @property
+    def words(self) -> List[str]:
+        """Word labels; given as a function, it is called on first read."""
+        if callable(self._words):
+            self._words = self._words()
+        return self._words
+
     def _index_slots(self):
         """One pass over the edges fills the letter columns and the
         per-vertex edge lists, and rejects a second edge in a slot."""
-        n = len(self.words)
+        n = len(self.distances)
         letters = list(self.presentation.letters) if self.presentation else []
         col = {letter: i for i, letter in enumerate(letters)}
         nbr = [[-1] * n for _ in letters]
@@ -78,15 +85,14 @@ class CayleyBall:
 
         # per directedness, colour -> the columns filled at u and at v
         ends = ({}, {})
-        for i, e in enumerate(self.edges):
-            at = ends[e.directed].get(e.colour)
+        for i, (u, v, colour, directed) in enumerate(self.edges):
+            at = ends[directed].get(colour)
             if at is None:
-                a = column((e.colour, 1))
-                b = column((e.colour, -1)) if e.directed else a
-                at = ends[e.directed][e.colour] = (a, nbr[a], eid[a],
-                                                   b, nbr[b], eid[b])
+                a = column((colour, 1))
+                b = column((colour, -1)) if directed else a
+                at = ends[directed][colour] = (a, nbr[a], eid[a],
+                                               b, nbr[b], eid[b])
             a, nbr_a, eid_a, b, nbr_b, eid_b = at
-            u, v = e.u, e.v
             if nbr_a[u] >= 0:
                 raise CubicCayleyError(
                     f"duplicate {letters[a]} slot at vertex {u}")
@@ -115,30 +121,16 @@ class CayleyBall:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.words)
+        return len(self.distances)
 
     def vertices(self):
-        return range(len(self.words))
+        return range(len(self.distances))
 
     @property
     def adjacency(self) -> List[List[Tuple[int, int]]]:
         """Per vertex, its ``(edge id, neighbour)`` pairs in edge-id
         order; a loop appears once per end.  Shared: do not mutate."""
         return self._adj
-
-    def slots(self, v: int) -> Dict[Letter, Tuple[int, int]]:
-        """``{letter: (edge id, neighbour)}`` of the filled slots at v, in
-        edge-id order: v's edge list, each edge keyed by the letter of
-        its end at v (a directed loop: ``(g, 1)`` first)."""
-        out = {}
-        edges = self.edges
-        for eid, w in self._adj[v]:
-            e = edges[eid]
-            if e.directed and e.v == v and (e.u != v or (e.colour, 1) in out):
-                out[(e.colour, -1)] = (eid, w)
-            else:
-                out[(e.colour, 1)] = (eid, w)
-        return out
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -289,13 +281,13 @@ class CayleyBall:
                 raise ParseError(f"ball center {center!r} is not a vertex id")
             if not (type(radius) is int and radius >= 0):
                 raise ParseError(f"ball radius {radius!r} is not a count")
-            ball = cls(pres, center, radius, edges, words, interior, [])
+            ball = cls(pres, center, radius, edges, words, interior, [0] * n)
             tree = ball.bfs((center,))
             if len(tree) < n:
                 raise ParseError(
                     f"ball is not connected: {n - len(tree)} vertices "
                     "unreachable from the center")
-            ball.distances = dist = [0] * n
+            dist = ball.distances
             for v, (u, _) in tree.items():
                 if u is not None:
                     dist[v] = dist[u] + 1
@@ -317,7 +309,7 @@ class CayleyBall:
             (min(e.u, e.v), max(e.u, e.v), e.colour, e.directed,
              e.u if e.directed else min(e.u, e.v))
             for e in self.edges)
-        return (len(self.words), self.center, tuple(edge_keys))
+        return (len(self.distances), self.center, tuple(edge_keys))
 
 
 class RawGraph:
@@ -379,32 +371,26 @@ class RawGraph:
 def make_ball(presentation: Presentation, graph: RawGraph,
               radius: int) -> CayleyBall:
     """Truncate ``graph`` to the radius-``radius`` ball around its vertex
-    0 and renumber vertices canonically (shortlex BFS order).  The graph's
-    letters are the presentation's."""
+    0, vertices renumbered in shortlex BFS order and edges in (low end,
+    high end, colour, undirected first, tail) order.  The graph's letters
+    are the presentation's; ``words`` is built on its first read."""
     nbr, L = graph.nbr, graph.L
-    # each letter's text in a word label
-    texts = [Word((letter,)).pretty() for letter in presentation.letters]
-    sep = presentation.word_separator
-
     index = [-1] * graph.n_vertices  # raw vertex -> ball vertex
     index[0] = 0
     queue = [0]  # ball vertex -> raw vertex
-    words = [""]
-    dist = [0]
+    parent, letter, dist = [-1], [-1], [0]  # per ball vertex
     for i, v in enumerate(queue):
         if dist[i] >= radius:
             break  # the queue is in distance order
         d = dist[i] + 1
-        prefix = words[i] + sep if i else ""
-        for w, text in zip(nbr[v * L:v * L + L], texts):
+        for k, w in enumerate(nbr[v * L:v * L + L]):
             if w >= 0 and index[w] < 0:
                 index[w] = len(queue)
                 queue.append(w)
                 dist.append(d)
-                words.append(prefix + text)
-    words[0] = "1"
+                parent.append(i)
+                letter.append(k)
 
-    # edges in (low end, high end, colour, undirected first, tail) order
     keys = []
     for u, v, colour, directed in graph.edges:
         u, v = index[u], index[v]
@@ -415,7 +401,17 @@ def make_ball(presentation: Presentation, graph: RawGraph,
     edges = [Edge(u, v, colour, not undirected)
              for _, _, colour, undirected, u, v in keys]
     interior = frozenset(i for i, d in enumerate(dist) if d < radius)
-    return CayleyBall(presentation, 0, radius, edges, words, interior, dist)
+    return CayleyBall(presentation, 0, radius, edges, lambda: _word_labels(
+        presentation, parent, letter), interior, dist)
+
+
+def _word_labels(p: Presentation, parent: List[int], letter: List[int]):
+    """Word label per vertex: its BFS parent's label, then its letter."""
+    texts, sep = [Word((x,)).pretty() for x in p.letters], p.word_separator
+    words = ["1"]
+    for i, k in zip(parent[1:], letter[1:]):
+        words.append(words[i] + sep + texts[k] if i else texts[k])
+    return words
 
 
 def certify_ball(ball: CayleyBall, p: Presentation) -> List[tuple]:

@@ -155,10 +155,9 @@ def _spin_slots(ball: CayleyBall,
     out = []
     for v in ball.vertices():
         order = slots if spin[v] == 0 else slots[::-1]
-        here = ball.slots(v)
         # parallel involution edges share a slot pattern only in the
         # finite family IX, where distinct colours join the same pair
-        out.append([here[s] for s in order if s in here])
+        out.append([hit for s in order if (hit := ball.step_edge(v, s))])
     return out
 
 
@@ -327,11 +326,11 @@ def check_consistency(emb: RotationEmbedding) -> bool:
     """Every colour uniformly preserving or reversing on interior edges,
     plus a spot check that generator translations map faces to faces."""
     ball = emb.ball
-    for eid, e in enumerate(ball.edges):
-        if e.u not in ball.interior or e.v not in ball.interior:
+    for u, v, colour, _ in ball.edges:
+        if u not in ball.interior or v not in ball.interior:
             continue
-        agree = emb.spin[e.u] == emb.spin[e.v]
-        if agree != (emb.colour_spin[e.colour] == PRESERVING):
+        agree = emb.spin[u] == emb.spin[v]
+        if agree != (emb.colour_spin[colour] == PRESERVING):
             return False
     return _translation_spot_check(emb)
 
@@ -341,44 +340,43 @@ def _translation_spot_check(emb: RotationEmbedding) -> bool:
     to faces (margin permitting).
     Cost: per letter, one pass over the ball and one slot lookup per dart."""
     ball = emb.ball
-    p = ball.presentation
-    faces = emb.faces
-    closed_keys = {frozenset(f.edge_ids()) for f in faces if f.closed}
-    for letter in p.letters:
+    edges, letters = ball.edges, ball.presentation.letters
+    closed = [f.edge_ids() for f in emb.faces if f.closed]
+    closed_keys = set(map(frozenset, closed))
+    inner = [u in ball.interior and v in ball.interior
+             for u, v, _, _ in edges]
+    # per vertex, its (letter, neighbour) slots in alphabet order
+    at = [[(x, hit[1]) for x in letters if (hit := ball.step_edge(v, x))]
+          for v in ball.vertices()]
+    for letter in letters:
         # propagate the colour-automorphism phi(center) = center * letter
         phi = {ball.center: ball.step(ball.center, letter)}
         queue = [ball.center]
         for v in queue:
             if phi.get(v) is None:
                 continue
-            for slot, (eid, w) in ball.slots(v).items():
+            for slot, w in at[v]:
                 img = ball.step(phi[v], slot)
                 if w not in phi:
                     phi[w] = img
                     queue.append(w)
                 elif img is not None and phi[w] != img:
                     return False
-        for f in faces:
-            if not f.closed:
-                continue
+        for eids in closed:
             mapped = set()
-            ok = True
-            for eid, _ in f.darts:
-                e = ball.edges[eid]
-                iu, iv = phi.get(e.u), phi.get(e.v)
+            for eid in eids:
+                u, v, colour, _ = edges[eid]
+                iu, iv = phi.get(u), phi.get(v)
                 if iu is None or iv is None:
-                    ok = False
                     break
                 hit = min((i for i, w in ball.adjacency[iu] if w == iv
-                           and ball.edges[i].colour == e.colour),
-                          default=None)
+                           and edges[i].colour == colour), default=None)
                 if hit is None:
-                    ok = False
                     break
                 mapped.add(hit)
-            if ok and all(ball.edges[i].u in ball.interior and
-                          ball.edges[i].v in ball.interior for i in mapped):
-                if frozenset(mapped) not in closed_keys:
+            else:  # every edge mapped: an interior image must be a face
+                if all(inner[i] for i in mapped) and \
+                        frozenset(mapped) not in closed_keys:
                     return False
     return True
 

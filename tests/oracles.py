@@ -46,8 +46,12 @@ from relator lengths, and ``embed``'s spin tables and ``vap_free``
 tuple; ``catalogue_report`` rebuilds a ``classify_presentation`` report
 from them.  So is the least rotation of the relator normal form, which
 compared every rotation of the word and of its inverse, quadratic in the
-relator's length: the library finds it with Duval's factorisation.  The
-oracles keep their own copies of
+relator's length: the library finds it with Duval's factorisation.  So
+is the Menger count ``independent_paths`` as a networkx maximum flow:
+the library runs at most deg(x) + 1 augmenting breadth-first passes.
+So is ``CayleyBall.slots(v)`` (``slots``), which rebuilt v's slot dict
+from its edge list on every call: the library reads its letter columns
+with ``step_edge``.  The oracles keep their own copies of
 every traversal, so they cannot follow a change in the library.  Do not
 import this module from ``src``.
 """
@@ -205,7 +209,7 @@ def _translation_spot_check(emb: RotationEmbedding) -> bool:
         for v in queue:
             if phi.get(v) is None:
                 continue
-            for slot, (eid, w) in ball.slots(v).items():
+            for slot, (eid, w) in slots(ball, v).items():
                 g, s = slot
                 img = ball.step(phi[v], (g, s))
                 if w not in phi:
@@ -364,6 +368,30 @@ def _relator_cycles(ball: CayleyBall, rel: Word):
         seen.add(key)
         cycles.append((tuple(verts[:-1]), key))
     return cycles
+
+
+def independent_paths(ball: CayleyBall, x: int, y: int) -> int:
+    """``analyze.independent_paths`` as it was: networkx's maximum flow
+    (preflow-push) on a ``DiGraph`` of the split vertices, every vertex
+    but x and y of capacity 1, one unit arc per edge end and direction,
+    parallel edges adding capacity."""
+    if x == y:
+        raise InvalidParams("endpoints must differ")
+    if x not in ball.interior or y not in ball.interior:
+        raise InvalidParams("endpoints must be interior")
+    big = len(ball.edges) + 3
+    g = nx.DiGraph()
+    for v in ball.vertices():
+        g.add_edge(("in", v), ("out", v),
+                   capacity=big if v in (x, y) else 1)
+    for e in ball.edges:
+        for a, b in ((e.u, e.v), (e.v, e.u)):
+            u, w = ("out", a), ("in", b)
+            if g.has_edge(u, w):
+                g[u][w]["capacity"] += 1  # parallel edges add capacity
+            else:
+                g.add_edge(u, w, capacity=1)
+    return int(nx.maximum_flow_value(g, ("out", x), ("in", y)))
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +737,7 @@ def _propagate(ball: CayleyBall, colour_spin: Dict[str, str]) -> List[int]:
     spin[ball.center] = 0
     queue = [ball.center]
     for v in queue:
-        for slot, (eid, w) in sorted(ball.slots(v).items()):
+        for slot, (eid, w) in sorted(slots(ball, v).items()):
             colour = ball.edges[eid].colour
             want = spin[v] ^ (0 if colour_spin[colour] == PRESERVING else 1)
             if spin[w] < 0:
@@ -962,7 +990,8 @@ def ball_slots(ball: CayleyBall) -> List[Dict[Letter, Tuple[int, int]]]:
     order, as ``CayleyBall._build_slots`` built it: a directed edge u -> v
     fills ``(g, 1)`` at u and ``(g, -1)`` at v, an involution edge
     ``(g, 1)`` at both ends; a second edge in a slot is an error."""
-    slots: List[Dict[Letter, Tuple[int, int]]] = [dict() for _ in ball.words]
+    slots: List[Dict[Letter, Tuple[int, int]]] = [
+        dict() for _ in ball.vertices()]
     for i, e in enumerate(ball.edges):
         a = (e.colour, 1)
         b = (e.colour, -1) if e.directed else a
@@ -972,6 +1001,22 @@ def ball_slots(ball: CayleyBall) -> List[Dict[Letter, Tuple[int, int]]]:
                     f"duplicate {slot} slot at vertex {end}")
             slots[end][slot] = (i, other)
     return slots
+
+
+def slots(ball: CayleyBall, v: int) -> Dict[Letter, Tuple[int, int]]:
+    """``CayleyBall.slots(v)`` as it was: ``{letter: (edge id,
+    neighbour)}`` of the filled slots at v, in edge-id order, read off
+    v's edge list, each edge keyed by the letter of its end at v (a
+    directed loop: ``(g, 1)`` first).  The library reads one slot at a
+    time from its letter columns with ``step_edge``."""
+    out = {}
+    for eid, w in ball.adjacency[v]:
+        e = ball.edges[eid]
+        if e.directed and e.v == v and (e.u != v or (e.colour, 1) in out):
+            out[(e.colour, -1)] = (eid, w)
+        else:
+            out[(e.colour, 1)] = (eid, w)
+    return out
 
 
 def _slot_step(ball: CayleyBall, slots, v: int, letter):

@@ -2,10 +2,13 @@
 
 * The amalgam builder's neighbour-per-slot table and edge list equal
   those of the dataclass builder ``oracles.build_amalgam``.
-* ``make_ball`` on every builder's ``RawGraph`` gives the words, edges,
-  interior and distances of ``oracles.make_ball``, and the flat ball's
-  ``slots(v)`` and ``adjacency`` read back the slot dicts that
-  ``oracles.ball_slots`` builds from the same edges, in the same order.
+* ``make_ball`` on every builder's ``RawGraph`` gives the words (built
+  on first read), edges, interior and distances of ``oracles.make_ball``;
+  ``oracles.slots(ball, v)``, the edge-list reading that
+  ``CayleyBall.slots`` was, and the flat ball's ``adjacency`` read back
+  the slot dicts that ``oracles.ball_slots`` builds from the same edges,
+  in the same order; and ``step_edge`` over the letter columns finds
+  the same slots.
 * ``certify_ball`` gives ``oracles.certify_ball``'s (empty) list.
 
 Cells: hypothesis draws over the amalgam families with n, m <= 6 and
@@ -77,8 +80,11 @@ def _assert_ball_matches_oracle(p, graph, radius):
     assert new.distances == old.distances
     slots = O.ball_slots(new)
     for v in new.vertices():
-        assert list(new.slots(v).items()) == list(slots[v].items()), v
+        reading = O.slots(new, v)
+        assert list(reading.items()) == list(slots[v].items()), v
         assert new.adjacency[v] == list(slots[v].values()), v
+        assert {x: hit for x in p.letters
+                if (hit := new.step_edge(v, x))} == reading, v
     assert certify_ball(new, p) == O.certify_ball(new, p) == []
 
 
