@@ -30,7 +30,8 @@ ball minus the center, then one confirming search per cut vertex it
 tries.  The all-pairs separator, hinge and nos searches are still
 enumeration: every candidate vertex pair or edge costs one search of
 the ball, so their cost grows with the square of the ball or faster.
-``two_basis_check`` is linear in the closed relator walks of the ball;
+The GF(2) and nos checks filter the closed relator walks the ball keeps
+(``CayleyBall.relator_walks``): ``two_basis_check`` is linear in them;
 ``cycle_space_span_check`` builds one breadth-first forest of the
 interior and reads each fundamental cycle off its root-path masks.
 """
@@ -50,7 +51,6 @@ from .presentation import Presentation, Word
 class SeparationCertificate:
     x: int
     y: int
-    components: Tuple[Tuple[int, ...], ...]
     path: Tuple[int, ...]
     z: Word
     checks: dict = field(default_factory=dict, compare=False)
@@ -144,7 +144,7 @@ def _cut_vertices(adj, witnesses, removed) -> Optional[Set[int]]:
 
 def _shortest_path(ball, x: int, y: int) -> Tuple[int, ...]:
     """The path from x to y in the breadth-first tree from x."""
-    tree = ball.bfs((x,))
+    tree = ball.bfs((x,), until=y)
     if y not in tree:
         raise NoSeparatorFound(f"no path between {x} and {y} inside the ball")
     path = [y]
@@ -165,17 +165,9 @@ def _path_word(ball: CayleyBall, path: Sequence[int]) -> Word:
 
 
 def _certificate(ball, x: int, y: int) -> SeparationCertificate:
-    removed = frozenset((x, y))
-    seen = set(removed)
-    comps = []
-    for start in ball.vertices():
-        if start not in seen:
-            comp = ball.bfs((start,), removed)
-            seen.update(comp)
-            comps.append(tuple(sorted(comp)))
     path = _shortest_path(ball, x, y)
     z = _path_word(ball, path)
-    cert = SeparationCertificate(x, y, tuple(comps), path, z)
+    cert = SeparationCertificate(x, y, path, z)
     twice = Word(z.letters + z.letters)
     cert.checks["z_squared_closes"] = ball.trace_word(x, twice) == x
     colours = {g for g, _ in z}
@@ -373,9 +365,8 @@ def _relator_circuit_masks(ball: CayleyBall, p: Presentation,
     """Distinct nonzero edge-XOR masks of closed relator walks, in order."""
     masks = []
     seen = set()
-    base = sorted(ball.interior) if interior_only else ball.vertices()
-    for verts, eids in ball.closed_relator_walks(base, p.relators):
-        if interior_only and any(u not in ball.interior for u in verts):
+    for _, verts, eids in ball.relator_walks(p.relators):
+        if interior_only and not ball.interior.issuperset(verts):
             continue
         mask = 0
         for eid in eids:
@@ -465,14 +456,14 @@ def _relator_cycles(ball: CayleyBall, rel: Word):
     """Interior cycles induced by ``rel``: (vertex tuple, eid frozenset)."""
     cycles = []
     seen = set()
-    for verts, eids in ball.closed_relator_walks(sorted(ball.interior), [rel]):
-        if any(u not in ball.interior for u in verts):
+    for _, verts, eids in ball.relator_walks((rel,)):
+        if not ball.interior.issuperset(verts):
             continue
         key = frozenset(eids)
         if key in seen or len(key) != len(eids):
             continue
         seen.add(key)
-        cycles.append((tuple(verts[:-1]), key))
+        cycles.append((verts[:-1], key))
     return cycles
 
 

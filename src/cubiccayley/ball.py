@@ -56,6 +56,7 @@ class CayleyBall:
         self.interior = interior
         self.distances = distances
         self._index_slots()
+        self._closed_walks = {}  # relator tuple -> its relator_walks
 
     @property
     def words(self) -> List[str]:
@@ -138,11 +139,11 @@ class CayleyBall:
     def incident_edges(self, v: int):
         return [eid for eid, _ in self._adj[v]]
 
-    def bfs(self, sources, removed_vertices=(), removed_edges=()
-            ) -> Dict[int, Tuple[Optional[int], Optional[int]]]:
+    def bfs(self, sources, removed_vertices=(), removed_edges=(),
+            until=None) -> Dict[int, Tuple[Optional[int], Optional[int]]]:
         """Breadth-first tree ``{vertex: (parent, edge id)}`` of the ball
-        minus the removed vertices and edges, in discovery order; each
-        source maps to ``(None, None)``.
+        minus the removed vertices and edges, in discovery order, up to
+        ``until`` if given; each source maps to ``(None, None)``.
 
         Order rule: the sources are enqueued in the order given, and each
         dequeued vertex scans its edges in edge-id order.  A vertex's
@@ -161,6 +162,8 @@ class CayleyBall:
                 if w not in tree and w not in removed_vertices and \
                         eid not in removed_edges:
                     tree[w] = (v, eid)
+                    if w == until:
+                        return tree
                     queue.append(w)
         return tree
 
@@ -207,13 +210,21 @@ class CayleyBall:
         return verts, eids
 
     def closed_relator_walks(self, bases, relators):
-        """Walks (verts, eids) of each relator from each base, in order,
-        that stay in the ball and return to their base."""
+        """Walks ``(i, verts, eids)`` (int tuples) of each ``relators[i]``
+        from each base, in order, that stay in the ball and close."""
         for v in bases:
-            for rel in relators:
+            for i, rel in enumerate(relators):
                 walk = self.trace_walk(v, rel)
                 if walk is not None and walk[0][-1] == v:
-                    yield walk
+                    yield i, tuple(walk[0]), tuple(walk[1])
+
+    def relator_walks(self, relators) -> List[tuple]:
+        """``closed_relator_walks`` from every vertex, walked on the first
+        read of a relator tuple and kept.  Shared: do not mutate."""
+        walks, key = self._closed_walks, tuple(relators)
+        if key not in walks:
+            walks[key] = list(self.closed_relator_walks(self.vertices(), key))
+        return walks[key]
 
     # -- serialisation -----------------------------------------------------
 
@@ -228,8 +239,26 @@ class CayleyBall:
             "interior": sorted(self.interior),
         }
 
+    _BALL = ('{\n  "center": %d,\n  "edges": %s,\n  "interior": %s,\n  '
+             '"presentation": %s,\n  "radius": %d,\n  "vertices": %s\n}\n')
+    _EDGE = ('    {\n      "colour": %s,\n      "directed": %s,\n'
+             '      "u": %d,\n      "v": %d\n    }')
+    _VERTEX = '    {\n      "id": %d,\n      "word": %s\n    }'
+
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\\n"``
+        byte for byte: one template per record, the same string escapes,
+        and each list at depth 1 as ``indent=2`` writes it."""
+        enc = json.encoder.encode_basestring_ascii
+        lists = ([self._EDGE % (enc(c), ("false", "true")[d], u, v)
+                  for u, v, c, d in self.edges],
+                 list(map("    %d".__mod__, sorted(self.interior))),
+                 [self._VERTEX % (i, enc(w)) for i, w in enumerate(self.words)])
+        edges, interior, vertices = (",\n".join(x).join(("[\n", "\n  ]"))
+                                     if x else "[]" for x in lists)
+        pres = enc(self.presentation.pretty()) if self.presentation else "null"
+        return self._BALL % (self.center, edges, interior, pres, self.radius,
+                             vertices)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CayleyBall":

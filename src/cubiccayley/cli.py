@@ -106,7 +106,7 @@ def cmd_build(args) -> int:
     else:
         ball = construct(_type_params(args), args.radius)
     # both builders certify the ball and raise on a violation (exit 6)
-    _write_text(ball.to_json() + "\n", args.output)
+    _write_text(ball.to_json(), args.output)
     print(f"certified ball: {ball.n_vertices} vertices, "
           f"{len(ball.edges)} edges, {len(ball.interior)} interior, "
           f"radius {ball.radius}", file=sys.stderr)

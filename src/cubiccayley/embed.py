@@ -20,6 +20,7 @@ close Euler.  Its verdict is never taken on faith: a planar one is
 certified by the same sphere count over the rotation networkx returns,
 a non-planar one by an explicit K5/K33 subdivision that is checked
 degree-by-degree; that route alone yields Kuratowski witnesses.
+``to_dict`` reads faces against the relator walks the ball keeps.
 """
 
 from __future__ import annotations
@@ -304,9 +305,8 @@ def trace_faces(emb: RotationEmbedding,
 
 
 def _relator_circuit_keys(ball: CayleyBall):
-    return {frozenset(eids) for _, eids in ball.closed_relator_walks(
-        ball.vertices(), ball.presentation.relators)
-        if len(set(eids)) == len(eids) > 1}
+    return {frozenset(eids) for _, _, eids in ball.relator_walks(
+        ball.presentation.relators) if len(set(eids)) == len(eids) > 1}
 
 
 def face_relator_match(ball: CayleyBall, face: FaceWalk) -> bool:
@@ -318,7 +318,7 @@ def face_relator_match(ball: CayleyBall, face: FaceWalk) -> bool:
     bases = sorted({x for eid in key
                     for x in (ball.edges[eid].u, ball.edges[eid].v)})
     return any(len(eids) == len(key) and frozenset(eids) == key
-               for _, eids in ball.closed_relator_walks(
+               for _, _, eids in ball.closed_relator_walks(
                    bases, ball.presentation.relators))
 
 

@@ -51,7 +51,9 @@ is the Menger count ``independent_paths`` as a networkx maximum flow:
 the library runs at most deg(x) + 1 augmenting breadth-first passes.
 So is ``CayleyBall.slots(v)`` (``slots``), which rebuilt v's slot dict
 from its edge list on every call: the library reads its letter columns
-with ``step_edge``.  The oracles keep their own copies of
+with ``step_edge``.  So is ``CayleyBall.to_json`` as the standard
+encoder (``ball_to_json``): the library writes its fixed schema from
+templates.  The oracles keep their own copies of
 every traversal, so they cannot follow a change in the library.  Do not
 import this module from ``src``.
 """
@@ -60,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -85,6 +88,16 @@ from cubiccayley.errors import (BallTooSmall, CubicCayleyError,
 from cubiccayley.presentation import (Letter, Presentation, Word,
                                       parse_presentation,
                                       relator_multiset_normal_form)
+
+
+# ---------------------------------------------------------------------------
+# ball
+# ---------------------------------------------------------------------------
+
+def ball_to_json(ball: CayleyBall) -> str:
+    """``CayleyBall.to_json`` as it was: the standard encoder over
+    ``to_dict``, which CPython runs in pure Python under ``indent``."""
+    return json.dumps(ball.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +475,11 @@ def _shortest_path(ball, adj, x: int, y: int) -> Tuple[int, ...]:
 
 
 def _certificate(ball, adj, x: int, y: int) -> SeparationCertificate:
-    comps = _components(ball, adj, frozenset((x, y)))
+    # the oracle's own separation test: a full component sweep
+    assert len(_components(ball, adj, frozenset((x, y)))) > 1, (x, y)
     path = _shortest_path(ball, adj, x, y)
     z = _path_word(ball, path)
-    cert = SeparationCertificate(
-        x, y, tuple(tuple(sorted(c)) for c in comps), path, z)
+    cert = SeparationCertificate(x, y, path, z)
     twice = Word(z.letters + z.letters)
     cert.checks["z_squared_closes"] = ball.trace_word(x, twice) == x
     colours = {g for g, _ in z}

@@ -30,6 +30,9 @@ def test_build_writes_ball(tmp_path, capsys):
     assert "certified ball" in err
     data = json.loads(out.read_text())
     assert len(data["vertices"]) == 16
+    # the file is the ball's JSON text, with no line added
+    ball = construct_mod.construct(construct_mod.TypeParams("I", n=2), 4)
+    assert out.read_bytes() == ball.to_json().encode()
 
 
 def test_build_presentation_finite(capsys):
