@@ -21,8 +21,8 @@ The loops that stay do something else:
   under the translation leaves the ball;
 * ``render`` orders each vertex's children by the embedding's rotation,
   which shapes the drawn tree;
-* ``ball.make_ball`` and ``construct._PolygonGraph.distances`` walk a
-  ``ball.RawGraph``, the graph a builder grows, and
+* ``ball.RawGraph.walk`` walks the graph a builder grows, for
+  ``make_ball`` and for each gluing round of the glue tree, and
   ``coset._ball_distances`` walks a coset table, not a ``CayleyBall``.
 
 The separator search at the center costs one cut-vertex pass over the

@@ -322,9 +322,9 @@ class CayleyBall:
                     dist[v] = dist[u] + 1
         except ParseError:
             raise
-        # ValueError: an overlong exponent in the presentation;
-        # CubicCayleyError: two edges in one slot
-        except (KeyError, TypeError, ValueError, CubicCayleyError) as exc:
+        # CubicCayleyError: two edges in one slot (the presentation's
+        # own errors, overlong exponents among them, are ParseErrors)
+        except (KeyError, TypeError, CubicCayleyError) as exc:
             raise ParseError(f"malformed ball: {exc!r}")
         return ball
 
@@ -381,6 +381,32 @@ class RawGraph:
         w = self.nbr[v * self.L + self._ends[letter][0]]
         return w if w >= 0 else None
 
+    def walk(self, radius: int):
+        """Vertex 0's breadth-first walk out to ``radius``, each vertex
+        scanning its slots in the order of ``letters``: the vertices
+        within ``radius`` in shortlex order.  Returns ``(order, index,
+        parent, letter, dist)``: the raw ids in walk order, each raw id's
+        place in it (-1 beyond the radius), and per place its parent's
+        place, the letter column that reached it (-1 at the root) and its
+        distance."""
+        nbr, L = self.nbr, self.L
+        index = [-1] * self.n_vertices
+        index[0] = 0
+        order = [0]
+        parent, letter, dist = [-1], [-1], [0]
+        for i, v in enumerate(order):
+            if dist[i] >= radius:
+                break  # the walk is in distance order
+            d = dist[i] + 1
+            for k, w in enumerate(nbr[v * L:v * L + L]):
+                if w >= 0 and index[w] < 0:
+                    index[w] = len(order)
+                    order.append(w)
+                    dist.append(d)
+                    parent.append(i)
+                    letter.append(k)
+        return order, index, parent, letter, dist
+
     def add_edge(self, u: int, v: int, g: str, s: int):
         """The edge at u for the letter (g, s), ending at v.  Raises
         ConstructionIncomplete if either end already has that slot."""
@@ -400,26 +426,10 @@ class RawGraph:
 def make_ball(presentation: Presentation, graph: RawGraph,
               radius: int) -> CayleyBall:
     """Truncate ``graph`` to the radius-``radius`` ball around its vertex
-    0, vertices renumbered in shortlex BFS order and edges in (low end,
+    0, vertices numbered by ``graph.walk`` and edges in (low end,
     high end, colour, undirected first, tail) order.  The graph's letters
     are the presentation's; ``words`` is built on its first read."""
-    nbr, L = graph.nbr, graph.L
-    index = [-1] * graph.n_vertices  # raw vertex -> ball vertex
-    index[0] = 0
-    queue = [0]  # ball vertex -> raw vertex
-    parent, letter, dist = [-1], [-1], [0]  # per ball vertex
-    for i, v in enumerate(queue):
-        if dist[i] >= radius:
-            break  # the queue is in distance order
-        d = dist[i] + 1
-        for k, w in enumerate(nbr[v * L:v * L + L]):
-            if w >= 0 and index[w] < 0:
-                index[w] = len(queue)
-                queue.append(w)
-                dist.append(d)
-                parent.append(i)
-                letter.append(k)
-
+    _, index, parent, letter, dist = graph.walk(radius)
     keys = []
     for u, v, colour, directed in graph.edges:
         u, v = index[u], index[v]

@@ -27,7 +27,7 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from . import analyze
 from .ball import CayleyBall
@@ -104,28 +104,17 @@ def _rename(p: Presentation, sigma: Dict[str, str]) -> Presentation:
     return Presentation(gens, relators)
 
 
-def _essentials(p: Presentation) -> List[Word]:
-    """Relators other than the involution markers g^2."""
-    out = []
-    for w in p.relators:
-        if len(w) == 2 and w.letters[0] == w.letters[1] \
-                and w.letters[0][0] in p.involutions:
-            continue
-        out.append(w)
-    return out
-
-
 def _catalogue_hint(p: Presentation) -> str:
     inv = p.involutions
     if len(p.generator_names) == 2:
-        for w in _essentials(p):
+        for w in p.essentials:
             gens = {g for g, _ in w}
             if len(gens) == 1 and next(iter(gens)) not in inv and len(w) > 2:
                 return (f"case-1 pattern: pure power {w.pretty()} of the "
                         "non-involution generator without the matching "
                         "(a^2 b)^n completion")
         return "2-generator relator multiset matches no catalogue family"
-    for w in _essentials(p):
+    for w in p.essentials:
         gens = sorted({g for g, _ in w})
         if len(gens) == 2 and len(w) >= 6 and len(w) % 2 == 0:
             seq = [g for g, _ in w]
@@ -138,7 +127,7 @@ def _catalogue_hint(p: Presentation) -> str:
 
 
 def _letter_counts(p: Presentation) -> Counter:
-    return Counter(g for w in _essentials(p) for g, _ in w)
+    return Counter(g for w in p.essentials for g, _ in w)
 
 
 @functools.lru_cache(maxsize=256)

@@ -7,15 +7,18 @@ holds and how ``params`` reads n and m off a presentation.
 Two independent routes exist for every family:
 
 * an explicit builder -- a polygon glue-tree for the hinged tree-of-cycles
-  families (I, II, VI, VIII), exact amalgam arithmetic for the remaining
-  infinite families (III, IV, V, VII), and a direct finite construction for
-  the degenerate family IX;
+  families (I, II, VI, VIII), whose polygons are the relators of the
+  family's row, exact amalgam arithmetic for the remaining infinite
+  families (III, IV, V, VII), and a direct finite construction for the
+  degenerate family IX;
 * truncated Todd-Coxeter coset enumeration, used as the oracle by
   ``cross_check``.
 
 Both routes hand ``make_ball`` a ``ball.RawGraph`` on dense int ids whose
 vertex 0 is the identity: each builder grows one, and
 ``coset.ball_from_table`` numbers the cosets of a table into one.
+``RawGraph.walk`` is the one breadth-first walk of such a graph, both
+for ``make_ball`` and for each gluing round of the glue tree.
 
 Every ball returned by ``construct`` has passed ``certify_ball``.
 """
@@ -136,98 +139,66 @@ class TypeParams:
 # polygon glue-tree engine (types I, II, VI, VIII)
 # ---------------------------------------------------------------------------
 
-class _PolygonGraph(RawGraph):
-    """Partial cubic coloured graph grown by gluing relator polygons along
-    the shared involution colour ``b``."""
-
-    def trace_cycle(self, start: int, seq):
-        """Trace a relator polygon from ``start``, reusing edges whose slots
-        are filled and creating fresh vertices elsewhere; the last step must
-        close the cycle."""
-        cur = start
-        for i, (g, s) in enumerate(seq):
-            last = i == len(seq) - 1
-            hit = self.step(cur, (g, s))
-            if hit is not None:
-                cur = hit
-                if last and cur != start:
-                    raise ConstructionIncomplete("polygon failed to close")
-                continue
-            target = start if last else self.new_vertex()
-            self.add_edge(cur, target, g, s)
-            cur = target
-        if cur != start:
-            raise ConstructionIncomplete("polygon failed to close")
-
-    def distances(self) -> List[int]:
-        nbr, L = self.nbr, self.L
-        dist = [-1] * self.n_vertices
-        dist[0] = 0
-        queue = [0]
-        for v in queue:
-            for w in nbr[v * L:v * L + L]:
-                if w >= 0 and dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        return dist
-
-    def free_slot(self, v: int, candidates) -> Optional[tuple]:
-        for slot in candidates:
-            if self.step(v, slot) is None:
-                return slot
-        return None
+def _trace_cycle(graph: RawGraph, start: int, seq):
+    """Trace a relator polygon from ``start``, reusing edges whose slots
+    are filled and creating fresh vertices elsewhere; the last step must
+    close the cycle."""
+    cur = start
+    for i, (g, s) in enumerate(seq):
+        last = i == len(seq) - 1
+        hit = graph.step(cur, (g, s))
+        if hit is not None:
+            cur = hit
+            if last and cur != start:
+                raise ConstructionIncomplete("polygon failed to close")
+            continue
+        target = start if last else graph.new_vertex()
+        graph.add_edge(cur, target, g, s)
+        cur = target
+    if cur != start:
+        raise ConstructionIncomplete("polygon failed to close")
 
 
 def _build_glue_tree(tp: TypeParams, radius: int) -> RawGraph:
-    n, m = tp.n, tp.m
-    if tp.type_id == "I":
-        seed = [("a", 1), ("b", 1)] * n
+    """Glue the family's relator polygons along the shared involution
+    colour ``b``, reading them off its presentation.
 
-        def glue_seq(g, v):
-            # start the trace at the endpoint whose a^-1 slot is free
-            x = v if g.free_slot(v, [("a", -1)]) else g.step(v, ("b", 1))
-            return x, [("b", 1), ("a", 1)] * n
-    elif tp.type_id == "II":
-        seed = [("a", 1), ("b", 1), ("a", -1), ("b", 1)] * n
-
-        def glue_seq(g, v):
-            if g.free_slot(v, [("a", 1)]):
-                return v, [("b", 1), ("a", 1), ("b", 1), ("a", -1)] * n
-            return v, [("b", 1), ("a", -1), ("b", 1), ("a", 1)] * n
-    elif tp.type_id == "VI":
-        seed = [("b", 1), ("c", 1)] * n
-
-        def glue_seq(g, v):
-            if g.free_slot(v, [("c", 1)]):
-                return v, [("b", 1), ("c", 1)] * n
-            return v, [("b", 1), ("d", 1)] * m
-    elif tp.type_id == "VIII":
-        seed = [("b", 1), ("c", 1), ("b", 1), ("d", 1)] * m
-
-        def glue_seq(g, v):
-            if g.free_slot(v, [("c", 1)]):
-                return v, [("b", 1), ("d", 1), ("b", 1), ("c", 1)] * m
-            return v, [("b", 1), ("c", 1), ("b", 1), ("d", 1)] * m
-    else:  # pragma: no cover
-        raise InvalidParams(tp.type_id)
-
-    # polygons are glued at every free slot but those of the shared b
+    The first relator other than the markers seeds the graph.  Each round
+    walks the vertices within ``radius`` (one layer more than the ball,
+    so boundary-boundary edges are present) and, in raw id order, gives
+    each vertex with a free slot the first rotation of a relator that
+    starts with ``b`` and whose last letter, arriving, fills a free slot:
+    traced from the vertex, or else from its ``b``-neighbour.  Every
+    polygon alternates ``b`` with the other colours, so every vertex has
+    its ``b`` slot and a free slot is one of the others."""
     p = tp.presentation()
-    candidates = [letter for letter in p.letters if letter[0] != "b"]
-    graph = _PolygonGraph(p)
-    graph.trace_cycle(graph.new_vertex(), seed)
+    relators = p.essentials
+    polygons = {}  # letters -> the letter whose slot the last step fills
+    for rel in relators:
+        for i, (g, _) in enumerate(rel.letters):
+            if g == "b":
+                seq = rel.letters[i:] + rel.letters[:i]
+                polygons.setdefault(seq, (seq[-1][0], -seq[-1][1]))
+    graph = RawGraph(p)
+    _trace_cycle(graph, graph.new_vertex(), relators[0].letters)
+    nbr, L = graph.nbr, graph.L
     while True:
-        dist = graph.distances()
-        # overbuild one layer so boundary-boundary edges are present
-        targets = [v for v in range(graph.n_vertices)
-                   if dist[v] <= radius and graph.free_slot(v, candidates)]
+        targets = sorted(v for v in graph.walk(radius)[0]
+                         if -1 in nbr[v * L:v * L + L])
         if not targets:
-            break
+            return graph
         for v in targets:
-            if graph.free_slot(v, candidates):
-                x, seq = glue_seq(graph, v)
-                graph.trace_cycle(x, seq)
-    return graph
+            if -1 not in nbr[v * L:v * L + L]:
+                continue  # filled by a polygon glued earlier this round
+            for x in (v, graph.step(v, ("b", 1))):
+                seq = next((seq for seq, arrival in polygons.items()
+                            if graph.step(x, arrival) is None), None)
+                if seq is not None:
+                    _trace_cycle(graph, x, seq)
+                    break
+            else:
+                raise ConstructionIncomplete(
+                    f"no relator polygon fits at vertex {v}")
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +359,8 @@ def construct_presentation_ball(p: Presentation, radius: int,
 def _cap_schedule(start: int, cap: int) -> List[int]:
     """``start, 2·start, 4·start, …`` while below ``cap``, then ``cap`` and
     ``2·cap``: the ceiling pair is always the last comparison."""
+    if cap < 1:
+        raise InvalidParams(f"cap must be >= 1, got {cap}")
     steps = []
     step = max(start, 1)
     while step < cap:

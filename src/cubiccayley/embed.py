@@ -500,8 +500,6 @@ def _kuratowski_witness(sub: nx.Graph) -> KuratowskiWitness:
                 for a, b in itertools.combinations(branch, 2)}
     elif len(branch) == 6 and degrees == [3] * 6:
         kind = "K33"
-        ends = {(min(p[0], p[-1]), max(p[0], p[-1])) for p in paths}
-        want = None  # checked via bipartition below
     else:
         return KuratowskiWitness("unknown", tuple(branch),
                                  tuple(paths), False)

@@ -22,6 +22,9 @@ Letter = Tuple[str, int]  # (generator name, sign in {+1, -1})
 
 # longest relator the parser expands; checked before each power is expanded
 MAX_RELATOR_LETTERS = 10_000
+# deepest parenthesis nesting the parser reads; each level is two frames
+# of its recursion, well inside Python's default stack limit
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,14 @@ class Presentation:
                      for s in ((1,) if g.involution else (1, -1)))
 
     @property
+    def essentials(self) -> Tuple[Word, ...]:
+        """The relators other than the involution markers ``g^2``."""
+        inv = self.involutions
+        return tuple(w for w in self.relators
+                     if not (len(w) == 2 and w.letters[0] == w.letters[1]
+                             and w.letters[0][0] in inv))
+
+    @property
     def word_separator(self) -> str:
         """What joins the letters of a word written over this alphabet."""
         return _separator(self.generator_names)
@@ -140,6 +151,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message):
         raise ParseError(message, self.pos)
@@ -204,10 +216,14 @@ class _Parser:
         tok = self.peek()
         if tok == "(":
             self.take("(")
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self.error(f"parentheses nested deeper than {MAX_NESTING}")
             letters = self.parse_relator(names)
             if self.peek() != ")":
                 self.error("unclosed parenthesis")
             self.take(")")
+            self.depth -= 1
         elif tok is None:
             self.error("unexpected end of relator")
         elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
@@ -233,10 +249,14 @@ class _Parser:
         if exp is None or not re.fullmatch(r"-?\d+", exp):
             self.error("expected integer exponent after '^'")
         self.take()
-        k = int(exp)
-        if k == 0:
+        digits = exp.lstrip("-").lstrip("0")
+        # more digits than the letter bound has make the relator too long;
+        # they are not read, as Python reads at most 4300 into an int
+        if len(digits) > len(str(MAX_RELATOR_LETTERS)):
+            self.error(f"relator longer than {MAX_RELATOR_LETTERS} letters")
+        if not digits:
             self.error("exponent must be nonzero")
-        return (-1, -k) if k < 0 else (1, k)
+        return (-1 if exp[0] == "-" else 1), int(digits)
 
     def take_letters(self, names) -> list:
         """Split a run of letters into declared generator names, longest first."""

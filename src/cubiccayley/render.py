@@ -8,35 +8,28 @@ output is byte-identical across runs for the same input and options.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .ball import CayleyBall
 from .errors import RenderError
 
-DEFAULT_COLOURS = {"a": "#d62728", "b": "#1f77b4",
-                   "c": "#2ca02c", "d": "#9467bd"}
+# the DOT and SVG colour of each generator; any other is drawn _FALLBACK
+COLOURS = {"a": "#d62728", "b": "#1f77b4", "c": "#2ca02c", "d": "#9467bd"}
 _FALLBACK = "#7f7f7f"
+WIDTH = HEIGHT = 840  # the SVG canvas
 
 
 @dataclass(frozen=True)
 class RenderSpec:
     layout: str = "auto"  # radial, tree or auto
     depth: int = 3
-    stylesheet: Dict[str, str] = field(default_factory=lambda: dict(DEFAULT_COLOURS))
-    width: int = 840
-    height: int = 840
 
     def __post_init__(self):
         if self.layout not in ("radial", "tree", "auto"):
             raise RenderError(f"unknown layout {self.layout!r}")
         if self.depth < 0:
             raise RenderError("depth must be >= 0")
-        if len(set(self.stylesheet.values())) < len(self.stylesheet):
-            raise RenderError("generator colours must be distinct")
-
-    def colour(self, generator: str) -> str:
-        return self.stylesheet.get(generator, _FALLBACK)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +48,7 @@ def to_dot(ball: CayleyBall) -> str:
     for e in ball.edges:
         arrow = "" if e.directed else ", dir=none"
         lines.append(
-            f'  {e.u} -> {e.v} [color="{DEFAULT_COLOURS.get(e.colour, _FALLBACK)}"'
+            f'  {e.u} -> {e.v} [color="{COLOURS.get(e.colour, _FALLBACK)}"'
             f', label="{e.colour}"{arrow}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -97,8 +90,8 @@ def layout_positions(ball: CayleyBall, spec: RenderSpec,
             f"depth {spec.depth} exceeds ball radius {ball.radius}")
     shown = [v for v in ball.vertices() if ball.distances[v] <= depth]
     max_d = max((ball.distances[v] for v in shown), default=0)
-    unit = (min(spec.width, spec.height) / 2 - 40) / max(max_d, 1)
-    cx, cy = spec.width / 2, spec.height / 2
+    unit = (min(WIDTH, HEIGHT) / 2 - 40) / max(max_d, 1)
+    cx, cy = WIDTH / 2, HEIGHT / 2
     children = _bfs_children(ball, rotation, depth)
     pos = {ball.center: (cx, cy)}
     wedge = {ball.center: (0.0, 2 * math.pi)}
@@ -135,19 +128,19 @@ def to_svg(ball: CayleyBall, spec: Optional[RenderSpec] = None,
     spec = spec or RenderSpec()
     pos = layout_positions(ball, spec, rotation)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}"'
-        f' height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}"'
+        f' height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         '<defs><marker id="arrow" viewBox="0 0 10 10" refX="9" refY="5"'
         ' markerWidth="5" markerHeight="5" orient="auto-start-reverse">'
         '<path d="M 0 0 L 10 5 L 0 10 z"/></marker></defs>',
-        f'<rect width="{spec.width}" height="{spec.height}" fill="white"/>',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     pair_count: Dict[frozenset, int] = {}
     for e in ball.edges:
         if e.u not in pos or e.v not in pos:
             continue
         (x1, y1), (x2, y2) = pos[e.u], pos[e.v]
-        colour = spec.colour(e.colour)
+        colour = COLOURS.get(e.colour, _FALLBACK)
         marker = ' marker-end="url(#arrow)"' if e.directed else ""
         key = frozenset((e.u, e.v))
         k = pair_count.get(key, 0)

@@ -53,7 +53,12 @@ So is ``CayleyBall.slots(v)`` (``slots``), which rebuilt v's slot dict
 from its edge list on every call: the library reads its letter columns
 with ``step_edge``.  So is ``CayleyBall.to_json`` as the standard
 encoder (``ball_to_json``): the library writes its fixed schema from
-templates.  The oracles keep their own copies of
+templates.  So is the glue tree ``_build_glue_tree`` with a
+hand-written copy of each hinged family's polygons and a breadth-first
+search of the whole raw graph every round (``_PolygonGraph``), and
+``classify``'s ``_essentials``: the library reads the polygons off the
+family's presentation (``Presentation.essentials``) and walks only the
+ball with ``RawGraph.walk``.  The oracles keep their own copies of
 every traversal, so they cannot follow a change in the library.  Do not
 import this module from ``src``.
 """
@@ -71,18 +76,19 @@ import networkx as nx
 from cubiccayley.analyze import (SeparationCertificate, _deep_vertices,
                                  _gf2_insert, _gf2_reduce, _path_word,
                                  sound_margin)
-from cubiccayley.ball import CayleyBall, Edge, rooted_isomorphic
-from cubiccayley.classify import (_catalogue_hint, _essentials, _rename,
-                                  _renamings)
-from cubiccayley.construct import _amalgam_for
+from cubiccayley.ball import (CayleyBall, Edge, RawGraph,
+                              rooted_isomorphic)
+from cubiccayley.classify import _catalogue_hint, _rename, _renamings
+from cubiccayley.construct import TypeParams, _amalgam_for
 from cubiccayley.coset import (CosetTable, complete_ball_region,
                                enumerate_cosets)
 from cubiccayley.embed import (PRESERVING, REVERSING, FaceWalk, Planar,
                                RotationEmbedding, _kuratowski_witness,
                                _rotation_from_spin, as_multigraph,
                                sphere_faces)
-from cubiccayley.errors import (BallTooSmall, CubicCayleyError,
-                                InvalidParams, NoSeparatorFound, NotCubic,
+from cubiccayley.errors import (BallTooSmall, ConstructionIncomplete,
+                                CubicCayleyError, InvalidParams,
+                                NoSeparatorFound, NotCubic,
                                 NotInCatalogue, OracleInconclusive,
                                 SpinConflict, UndefinedInterior)
 from cubiccayley.presentation import (Letter, Presentation, Word,
@@ -1273,6 +1279,17 @@ def vap_free(type_id) -> bool:
     return type_id not in ("III", "IV", "V", "VII")
 
 
+def _essentials(p: Presentation) -> List[Word]:
+    """Relators other than the involution markers g^2."""
+    out = []
+    for w in p.relators:
+        if len(w) == 2 and w.letters[0] == w.letters[1] \
+                and w.letters[0][0] in p.involutions:
+            continue
+        out.append(w)
+    return out
+
+
 def _candidate_params(type_id: str, q: Presentation):
     """Cheap parameter guesses from relator lengths; each guess is
     verified against the canonical presentation afterwards."""
@@ -1379,3 +1396,102 @@ def canonical_cyclic(w: Word, inv: frozenset = frozenset()) -> Tuple[Letter, ...
             if best is None or rot < best:
                 best = rot
     return best if best is not None else ()
+
+
+# ---------------------------------------------------------------------------
+# construct: the glue tree from a hand-written copy of each family's
+# relators, with a whole-graph breadth-first search every round
+# ---------------------------------------------------------------------------
+
+class _PolygonGraph(RawGraph):
+    """Partial cubic coloured graph grown by gluing relator polygons along
+    the shared involution colour ``b``."""
+
+    def trace_cycle(self, start: int, seq):
+        """Trace a relator polygon from ``start``, reusing edges whose slots
+        are filled and creating fresh vertices elsewhere; the last step must
+        close the cycle."""
+        cur = start
+        for i, (g, s) in enumerate(seq):
+            last = i == len(seq) - 1
+            hit = self.step(cur, (g, s))
+            if hit is not None:
+                cur = hit
+                if last and cur != start:
+                    raise ConstructionIncomplete("polygon failed to close")
+                continue
+            target = start if last else self.new_vertex()
+            self.add_edge(cur, target, g, s)
+            cur = target
+        if cur != start:
+            raise ConstructionIncomplete("polygon failed to close")
+
+    def distances(self) -> List[int]:
+        nbr, L = self.nbr, self.L
+        dist = [-1] * self.n_vertices
+        dist[0] = 0
+        queue = [0]
+        for v in queue:
+            for w in nbr[v * L:v * L + L]:
+                if w >= 0 and dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        return dist
+
+    def free_slot(self, v: int, candidates) -> Optional[tuple]:
+        for slot in candidates:
+            if self.step(v, slot) is None:
+                return slot
+        return None
+
+
+def _build_glue_tree(tp: TypeParams, radius: int) -> RawGraph:
+    n, m = tp.n, tp.m
+    if tp.type_id == "I":
+        seed = [("a", 1), ("b", 1)] * n
+
+        def glue_seq(g, v):
+            # start the trace at the endpoint whose a^-1 slot is free
+            x = v if g.free_slot(v, [("a", -1)]) else g.step(v, ("b", 1))
+            return x, [("b", 1), ("a", 1)] * n
+    elif tp.type_id == "II":
+        seed = [("a", 1), ("b", 1), ("a", -1), ("b", 1)] * n
+
+        def glue_seq(g, v):
+            if g.free_slot(v, [("a", 1)]):
+                return v, [("b", 1), ("a", 1), ("b", 1), ("a", -1)] * n
+            return v, [("b", 1), ("a", -1), ("b", 1), ("a", 1)] * n
+    elif tp.type_id == "VI":
+        seed = [("b", 1), ("c", 1)] * n
+
+        def glue_seq(g, v):
+            if g.free_slot(v, [("c", 1)]):
+                return v, [("b", 1), ("c", 1)] * n
+            return v, [("b", 1), ("d", 1)] * m
+    elif tp.type_id == "VIII":
+        seed = [("b", 1), ("c", 1), ("b", 1), ("d", 1)] * m
+
+        def glue_seq(g, v):
+            if g.free_slot(v, [("c", 1)]):
+                return v, [("b", 1), ("d", 1), ("b", 1), ("c", 1)] * m
+            return v, [("b", 1), ("c", 1), ("b", 1), ("d", 1)] * m
+    else:  # pragma: no cover
+        raise InvalidParams(tp.type_id)
+
+    # polygons are glued at every free slot but those of the shared b
+    p = tp.presentation()
+    candidates = [letter for letter in p.letters if letter[0] != "b"]
+    graph = _PolygonGraph(p)
+    graph.trace_cycle(graph.new_vertex(), seed)
+    while True:
+        dist = graph.distances()
+        # overbuild one layer so boundary-boundary edges are present
+        targets = [v for v in range(graph.n_vertices)
+                   if dist[v] <= radius and graph.free_slot(v, candidates)]
+        if not targets:
+            break
+        for v in targets:
+            if graph.free_slot(v, candidates):
+                x, seq = glue_seq(graph, v)
+                graph.trace_cycle(x, seq)
+    return graph

@@ -14,7 +14,8 @@ import ast
 from pathlib import Path
 
 import cubiccayley
-from cubiccayley.construct import TYPE_IDS
+from cubiccayley.construct import FAMILIES, TYPE_IDS
+from cubiccayley.presentation import parse_presentation
 
 SRC = Path(cubiccayley.__file__).resolve().parent
 
@@ -73,3 +74,50 @@ def test_guard_catches_family_tables(tmp_path):
              family_table_violations(tmp_path)]
     assert lines == [("construct.py", 2), ("embed.py", 1), ("embed.py", 4),
                      ("embed.py", 6)]
+
+
+# The glue tree reads its polygons off the family's presentation.  Its
+# builder may name the shared colour ``b``, along which every hinged
+# family glues, and nothing else of a family: no type id compared, no
+# other generator spelled.
+_GLUE_LETTERS = {g for family in FAMILIES.values()
+                 for g in parse_presentation(family.text(3, 3))
+                 .generator_names} - {"b"}
+
+
+def glue_tree_violations(path: Path):
+    """``(line, source)`` for each comparison with a type id or its
+    ``type_id`` field, and each generator-name literal other than ``b``,
+    in ``_build_glue_tree`` of the module at ``path``."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for func in ast.walk(tree):
+        if not (isinstance(func, ast.FunctionDef)
+                and func.name == "_build_glue_tree"):
+            continue
+        doc = ast.get_docstring(func, clean=False)
+        for node in ast.walk(func):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any(isinstance(x, ast.Constant) and x.value in TYPE_IDS
+                       or isinstance(x, ast.Attribute) and x.attr == "type_id"
+                       for x in sides):
+                    found.append((node.lineno, ast.unparse(node)[:60]))
+            elif isinstance(node, ast.Constant) and node.value != doc \
+                    and node.value in _GLUE_LETTERS:
+                found.append((node.lineno, repr(node.value)))
+    return sorted(found)
+
+
+def test_glue_tree_spells_no_family():
+    assert glue_tree_violations(SRC / "construct.py") == []
+
+
+def test_glue_guard_catches_hand_written_polygons():
+    """The builder kept in ``oracles.py`` branches on each hinged type id
+    and spells every family's polygon letter by letter."""
+    found = glue_tree_violations(Path(__file__).parent / "oracles.py")
+    compares = [src for _, src in found if "type_id" in src]
+    letters = {src for _, src in found if "type_id" not in src}
+    assert len(compares) == 4
+    assert letters == {"'a'", "'c'", "'d'"}

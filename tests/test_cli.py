@@ -9,6 +9,7 @@ import pytest
 
 from cubiccayley import cli
 from cubiccayley.cli import main
+from test_presentation import DEEP_NESTING, HUGE_EXPONENT
 from test_spin_planarity import RENAMED  # catalogue families, renamed
 
 # the package exports a function named construct, which hides the module
@@ -85,6 +86,32 @@ def test_classify_oversized_power_is_parse_error(capsys):
     assert time.perf_counter() - start < 2
     assert code == 1
     assert "longer than 10000 letters" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", HUGE_EXPONENT),
+    ("classify", DEEP_NESTING),
+    ("build", "--presentation", DEEP_NESTING),
+])
+def test_input_past_python_limits_is_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "--presentation", "<a,b|b^2,a^3>", "--radius", "2",
+     "--cap", "0"),
+    ("build", "--presentation", "<a,b|b^2,a^3>", "--radius", "2",
+     "--cap", "-5"),
+    ("verify", "--grid", "smoke", "--cap", "0"),
+])
+def test_cap_below_one_is_invalid(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cap must be >= 1, got {argv[-1]}\n"
 
 
 def test_embed_json(capsys):

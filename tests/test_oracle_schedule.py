@@ -16,7 +16,7 @@ from cubiccayley.construct import (TypeParams, _cap_schedule, _doubling_ball,
                                    _oracle_ball, construct_presentation_ball,
                                    cross_check)
 from cubiccayley.coset import ball_from_table, enumerate_cosets
-from cubiccayley.errors import OracleInconclusive
+from cubiccayley.errors import InvalidParams, OracleInconclusive
 from cubiccayley.presentation import parse_presentation
 
 # the package exports the function ``construct`` under the module's name
@@ -53,6 +53,19 @@ def test_schedule_doubles_up_to_the_ceiling_pair():
     assert _cap_schedule(7, 100) == [7, 14, 28, 56, 100, 200]
     assert _cap_schedule(25, 100) == [25, 50, 100, 200]
     assert _cap_schedule(0, 3) == [1, 2, 3, 6]
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_cap_below_one_is_invalid(cap):
+    """Every cap passes through the schedule, which rejects it before
+    any enumeration runs."""
+    with pytest.raises(InvalidParams, match=f"cap must be >= 1, got {cap}"):
+        _cap_schedule(1, cap)
+    with pytest.raises(InvalidParams):
+        construct_presentation_ball(parse_presentation("<a,b|b^2,a^3>"), 2,
+                                    cap=cap)
+    with pytest.raises(InvalidParams):
+        cross_check(TypeParams("I", n=3), 2, cap=cap)
 
 
 @pytest.mark.parametrize("radius", [3, 6])

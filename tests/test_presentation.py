@@ -1,11 +1,12 @@
 """Parser, word reduction and relator normal form."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles as O
-from cubiccayley.errors import EmptyRelator, ParseError, UnknownGenerator
-from cubiccayley.presentation import (MAX_RELATOR_LETTERS, Word,
+from cubiccayley.errors import (CubicCayleyError, EmptyRelator, ParseError,
+                                UnknownGenerator)
+from cubiccayley.presentation import (MAX_NESTING, MAX_RELATOR_LETTERS, Word,
                                       _canonical_cyclic, free_reduce,
                                       parse_presentation,
                                       relator_multiset_normal_form)
@@ -150,6 +151,41 @@ def test_least_rotation_matches_all_rotations_oracle(period, repeats, inv):
 def test_relator_length_bound(text):
     with pytest.raises(ParseError, match=f"longer than {MAX_RELATOR_LETTERS}"):
         parse_presentation(text)
+
+
+# Python reads at most 4300 digits into an int, and each parenthesis
+# level is two frames of the parser's recursion
+HUGE_EXPONENT = "<a,b|b^2,a^" + "9" * 5000 + ">"
+DEEP_NESTING = "<a,b|b^2," + "(" * 3000 + "a" + ")" * 3000 + ">"
+
+
+def test_input_past_python_limits_is_parse_error():
+    with pytest.raises(ParseError, match=f"longer than {MAX_RELATOR_LETTERS}"):
+        parse_presentation(HUGE_EXPONENT)
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING}"):
+        parse_presentation(DEEP_NESTING)
+
+
+def test_limits_leave_valid_input_alone():
+    # leading zeros do not count against the exponent's digits
+    p = parse_presentation("<a,b|b^2,a^-" + "0" * 5000 + "3>")
+    assert p.relators[1] == Word((("a", -1),) * 3)
+    deep = "(" * MAX_NESTING + "ab" + ")" * MAX_NESTING
+    assert parse_presentation(f"<a,b|b^2,{deep}>").relators[1] == \
+        parse_presentation("<a,b|b^2,ab>").relators[1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="<>|,()^- 01239abcx_", max_size=40))
+@example(HUGE_EXPONENT)
+@example(DEEP_NESTING)
+def test_parser_raises_only_package_errors(text):
+    """Text over the token alphabet parses or raises a package error,
+    which the CLI turns into one ``error:`` line and an exit code."""
+    try:
+        parse_presentation(text)
+    except CubicCayleyError:
+        pass
 
 
 def test_relator_at_length_bound_parses():

@@ -8,8 +8,8 @@ from cubiccayley.ball import CayleyBall
 from cubiccayley.construct import TypeParams, construct
 from cubiccayley.embed import embed
 from cubiccayley.errors import RenderError
-from cubiccayley.render import (RenderSpec, _bfs_children, layout_positions,
-                                to_dot, to_svg)
+from cubiccayley.render import (HEIGHT, WIDTH, RenderSpec, _bfs_children,
+                                layout_positions, to_dot, to_svg)
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +58,8 @@ def test_layout_positions_within_canvas(ball_iv):
     spec = RenderSpec(depth=3)
     pos = layout_positions(ball_iv, spec)
     for x, y in pos.values():
-        assert 0 <= x <= spec.width
-        assert 0 <= y <= spec.height
+        assert 0 <= x <= WIDTH
+        assert 0 <= y <= HEIGHT
 
 
 def test_depth_overflow():
@@ -73,8 +73,6 @@ def test_spec_validation():
         RenderSpec(layout="spiral")
     with pytest.raises(RenderError):
         RenderSpec(depth=-1)
-    with pytest.raises(RenderError):
-        RenderSpec(stylesheet={"b": "#fff", "c": "#fff"})
 
 
 def _cut(ball, rotation, depth):
