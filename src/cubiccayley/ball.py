@@ -13,9 +13,9 @@ column per letter (the presentation's letters first, in their order):
 ``nbr[i][v]`` is the neighbour of v through letter i and ``eid[i][v]``
 that edge's id, -1 for an empty slot.  Beside them each vertex keeps
 its ``(edge id, neighbour)`` pairs in edge-id order, which is the order
-every traversal scans.  ``step_edge(v, letter)`` reads one slot.  A
-``RawGraph`` keeps its slots row by row, the neighbour through letter i
-at ``nbr[v * L + i]``.
+every traversal scans.  ``step_edge(v, letter)`` reads one slot and
+``column(letter)`` a letter's two columns.  A ``RawGraph`` keeps its
+slots row by row, the neighbour through letter i at ``nbr[v * L + i]``.
 
 Vertex ids are assigned canonically: breadth-first from the center, letters
 explored in the order of ``Presentation.letters``, which makes vertex
@@ -185,6 +185,10 @@ class CayleyBall:
             if w >= 0:
                 return cols[1][v], w
         return None
+
+    def column(self, letter):
+        """``step_edge``'s (neighbour, edge id) columns, or None.  Shared."""
+        return self._walk.get(letter)
 
     def trace_word(self, v: int, word: Word) -> Optional[int]:
         for letter in word:

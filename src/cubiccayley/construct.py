@@ -348,6 +348,8 @@ def construct_presentation_ball(p: Presentation, radius: int,
     A truncated table must give the same ball at ``cap`` and ``2·cap``
     cosets: with no builder to compare against, agreement at a smaller
     size is no evidence (see the ``coset`` docstring)."""
+    if radius < 0:
+        raise InvalidParams("radius must be >= 0")
     ball = _doubling_ball(p, radius, cap, cap)
     violations = certify_ball(ball, p)
     if violations:

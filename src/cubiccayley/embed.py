@@ -4,23 +4,25 @@ The embedding of each family is determined (up to reflection) by which
 colours preserve spin and which reverse it: the spin table of the
 family's ``construct.FAMILIES`` row, where the vap-free flag lives too.
 The rotation is built by fixing the center's cyclic order and
-propagating spins across edges by colour parity.
+propagating spins across edges by colour parity; spins, rotations and
+the translation spot check read the ball's slot columns.
 
 Every face question goes through one face-successor permutation on int
-darts, built by ``face_successor`` in one step per dart: ``trace_faces``
-walks it cut at the boundary, ``sphere_faces`` counts its uncut orbits.
-A rotation whose faces close Euler's formula V - E + F = 2 on each
-component is a planar embedding.  So ``planarity_check`` certifies a
-ball whose presentation classifies into one of the families I-IX with
-that family's own spin rotation, renamed onto the ball's colours, and
-asks networkx nothing.  networkx decides planarity only for the rest:
-graphs that are not balls, balls without a catalogue presentation, and
-any ball whose spin table conflicts or whose spin rotation does not
-close Euler.  Its verdict is never taken on faith: a planar one is
-certified by the same sphere count over the rotation networkx returns,
-a non-planar one by an explicit K5/K33 subdivision that is checked
-degree-by-degree; that route alone yields Kuratowski witnesses.
-``to_dict`` reads faces against the relator walks the ball keeps.
+darts, which ``face_successor`` builds once per ``RotationEmbedding``:
+``sphere_faces`` counts its orbits, ``trace_faces`` walks it cut at the
+boundary by masking the darts whose head is not interior.  A rotation
+whose faces close Euler's formula V - E + F = 2 on each component is a
+planar embedding.  So ``planarity_check`` certifies a ball whose
+presentation classifies into one of the families I-IX by
+``spin_embedding(ball).sphere_faces()``, and asks networkx nothing.
+networkx decides planarity only for the rest: graphs that are not balls,
+balls without a catalogue presentation, and any ball whose spin table
+conflicts or whose spin rotation does not close Euler.  Its verdict is
+never taken on faith: a planar one is certified by the same sphere count
+over the rotation networkx returns, a non-planar one by an explicit
+K5/K33 subdivision that is checked degree-by-degree; that route alone
+yields Kuratowski witnesses.  ``to_dict`` looks its closed faces up
+among the relator walks the ball keeps.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class FaceWalk:
         return len(self.darts) if self.closed else None
 
     def edge_ids(self) -> Tuple[int, ...]:
-        return tuple(eid for eid, _ in self.darts)
+        return tuple([eid for eid, _ in self.darts])
 
     def vertices(self, ball: CayleyBall) -> Tuple[int, ...]:
         out = []
@@ -70,17 +72,41 @@ class FaceWalk:
 class RotationEmbedding:
     def __init__(self, ball: CayleyBall, tp: Optional[TypeParams],
                  spin: List[int], rotation: List[List[int]],
-                 colour_spin: Dict[str, str]):
+                 colour_spin: Dict[str, str], slots: Optional[list] = None):
         self.ball = ball
         self.tp = tp
         self.spin = spin
         self.rotation = rotation  # per vertex: incident edge ids, cyclic
         self.colour_spin = colour_spin
+        self.slots = slots  # the rotation as (neighbour, edge id) pairs
+
+    @functools.cached_property
+    def ends(self) -> List[Tuple[int, int]]:
+        """Per edge id its ``(u, v)``: dart ``2·eid`` runs from u to v."""
+        return [(u, v) for u, v, _, _ in self.ball.edges]
+
+    @functools.cached_property
+    def successor(self) -> List[int]:
+        """The uncut face-successor permutation, built once.  Shared."""
+        return face_successor(self.ends, enumerate(self.rotation))
+
+    @functools.cached_property
+    def cut_successor(self) -> Tuple[List[int], List[int]]:
+        """``successor`` with -1 for each dart whose head is not interior,
+        and the inverse of that.  Shared."""
+        heads = [h for u, v in self.ends for h in (v, u)]  # per dart
+        inner = self.ball.interior
+        succ = [s if h in inner else -1 for s, h in zip(self.successor, heads)]
+        pred = [-1] * len(succ)
+        for d, s in enumerate(succ):
+            if s >= 0:
+                pred[s] = d
+        return succ, pred
 
     def sphere_faces(self) -> Tuple[int, bool]:
         """``sphere_faces`` of the uncut rotation; a ball is connected."""
-        return sphere_faces(self.ball.n_vertices, 1, _ends(self.ball),
-                            enumerate(self.rotation))
+        return sphere_faces(self.ball.n_vertices, 1, self.ends, None,
+                            self.successor)
 
     @functools.cached_property
     def faces(self) -> List[FaceWalk]:
@@ -88,18 +114,17 @@ class RotationEmbedding:
         return trace_faces(self)
 
     def to_dict(self) -> dict:
-        circuit_keys = _relator_circuit_keys(self.ball)
+        matched = _relator_faces(self)
         return {
             "colour_spin": dict(self.colour_spin),
             "vertices": {
                 str(v): {"spin": self.spin[v], "rotation": self.rotation[v]}
                 for v in self.ball.vertices()},
             "faces": [{
-                "edges": list(f.edge_ids()),
+                "edges": [eid for eid, _ in f.darts],
                 "closed": f.closed,
-                "relator_match": f.closed and
-                frozenset(f.edge_ids()) in circuit_keys,
-            } for f in self.faces],
+                "relator_match": i in matched,
+            } for i, f in enumerate(self.faces)],
         }
 
 
@@ -108,15 +133,6 @@ def _presentation(ball: CayleyBall) -> Presentation:
     if ball.presentation is None:
         raise InvalidParams("ball carries no presentation")
     return ball.presentation
-
-
-def _base_slots(p: Presentation):
-    """The canonical positive-spin cyclic order of edge slots: the
-    alphabet order."""
-    slots = list(p.letters)
-    if len(slots) != 3:
-        raise InvalidParams("embedding requires a cubic colour scheme")
-    return slots
 
 
 def _propagate(ball: CayleyBall, colour_spin: Dict[str, str]) -> List[int]:
@@ -150,20 +166,17 @@ def _propagate(ball: CayleyBall, colour_spin: Dict[str, str]) -> List[int]:
 
 def _spin_slots(ball: CayleyBall,
                 spin: List[int]) -> List[List[Tuple[int, int]]]:
-    """Per vertex, its ``(edge id, neighbour)`` slot entries in the cyclic
+    """Per vertex, its ``(neighbour, edge id)`` slot entries in the cyclic
     order its spin picks: the alphabet order at spin 0, reversed at 1."""
-    slots = _base_slots(_presentation(ball))
-    out = []
-    for v in ball.vertices():
-        order = slots if spin[v] == 0 else slots[::-1]
-        # parallel involution edges share a slot pattern only in the
-        # finite family IX, where distinct colours join the same pair
-        out.append([hit for s in order if (hit := ball.step_edge(v, s))])
-    return out
-
-
-def _rotation_from_spin(ball: CayleyBall, spin: List[int]) -> List[List[int]]:
-    return [[eid for eid, _ in at] for at in _spin_slots(ball, spin)]
+    letters = _presentation(ball).letters
+    if len(letters) != 3:
+        raise InvalidParams("embedding requires a cubic colour scheme")
+    cols = [c for c in map(ball.column, letters) if c is not None]
+    orders = (cols, cols[::-1])
+    # parallel involution edges share a slot pattern only in the finite
+    # family IX, where distinct colours join the same pair
+    return [[(nbr[v], eid[v]) for nbr, eid in orders[s != 0] if nbr[v] >= 0]
+            for v, s in enumerate(spin)]
 
 
 def embed(ball: CayleyBall, tp: TypeParams) -> RotationEmbedding:
@@ -200,43 +213,44 @@ def _embed(ball: CayleyBall, tp: TypeParams,
            table: Dict[str, str]) -> RotationEmbedding:
     """Rotation system realising a spin table keyed by the ball's colours."""
     spin = _propagate(ball, table)
-    return RotationEmbedding(ball, tp, spin, _rotation_from_spin(ball, spin),
-                             table)
+    slots = _spin_slots(ball, spin)
+    rotation = [[eid for _, eid in at] for at in slots]
+    return RotationEmbedding(ball, tp, spin, rotation, table, slots)
 
 
 # ---------------------------------------------------------------------------
 # faces: one successor permutation per rotation system
 # ---------------------------------------------------------------------------
 
-def face_successor(ends, rotation, keep=None) -> List[int]:
+def face_successor(ends, rotation) -> List[int]:
     """The face-successor permutation of a rotation system, in O(E).
 
     Dart ``2·eid + direction`` runs along edge ``eid`` from ``ends[eid][0]``
     to ``ends[eid][1]`` when direction is 0, back when it is 1.  For each
     ``(vertex h, cyclic edge ids)`` pair of ``rotation``, the dart that
     arrives at h along one edge is followed by the dart that leaves h along
-    the next.  A dart whose head is not in ``keep`` (when given) has
-    successor -1, which cuts its walk.
+    the next.  A dart that arrives where no rotation continues it has
+    successor -1.
     """
     succ = [-1] * (2 * len(ends))
     for h, rot in rotation:
-        if keep is not None and h not in keep:
-            continue
         for eid, nxt in zip(rot, rot[1:] + rot[:1]):
             succ[2 * eid + (ends[eid][1] != h)] = 2 * nxt + (ends[nxt][0] != h)
     return succ
 
 
-def sphere_faces(n_vertices: int, components: int, ends,
-                 rotation) -> Tuple[int, bool]:
+def sphere_faces(n_vertices: int, components: int, ends, rotation,
+                 succ: Optional[List[int]] = None) -> Tuple[int, bool]:
     """Faces of an uncut rotation system on the sphere, and whether
     V - E + F = 2·components, i.e. every component has genus 0.
 
     F counts the orbits of the face permutation, one step per dart, plus
     one face per isolated vertex.  A rotation that leaves a dart without a
-    successor is no rotation system and never closes the count.
+    successor is no rotation system and never closes the count.  ``succ``
+    is the rotation's successor permutation when it is already built.
     """
-    succ = face_successor(ends, rotation)
+    if succ is None:
+        succ = face_successor(ends, rotation)
     seen = bytearray(len(succ))
     faces = n_vertices - len({x for end in ends for x in end})
     for start in range(len(succ)):
@@ -251,26 +265,17 @@ def sphere_faces(n_vertices: int, components: int, ends,
     return faces, euler_ok
 
 
-def _ends(ball: CayleyBall) -> List[Tuple[int, int]]:
-    return [(e.u, e.v) for e in ball.edges]
-
-
 def trace_faces(emb: RotationEmbedding,
                 bound: Optional[int] = None) -> List[FaceWalk]:
     """All face walks of the rotation system, cut at boundary vertices.
 
-    A walk is closed when its orbit returns to its first dart with every
-    vertex interior.  A walk that reaches the boundary is extended
-    backwards to the boundary too and left open, never closed
-    artificially.  A walk longer than ``bound`` darts is cut and flagged;
-    no orbit exceeds 2E darts, so the default never cuts one.
+    A walk of ``emb.cut_successor`` is closed when it returns to its first
+    dart.  A walk that reaches the boundary is extended backwards to the
+    boundary too and left open, never closed artificially.  A walk longer
+    than ``bound`` darts is cut and flagged; no orbit exceeds 2E darts,
+    so the default never cuts one.
     """
-    ball = emb.ball
-    succ = face_successor(_ends(ball), enumerate(emb.rotation), ball.interior)
-    pred = [-1] * len(succ)
-    for d, s in enumerate(succ):
-        if s >= 0:
-            pred[s] = d
+    succ, pred = emb.cut_successor
     limit = len(succ) if bound is None else bound
     visited = bytearray(len(succ))
     faces = []
@@ -299,14 +304,26 @@ def trace_faces(emb: RotationEmbedding,
                 visited[prv] = 1
                 prv = pred[prv]
             walk = back[::-1] + walk
-        faces.append(FaceWalk(tuple((d >> 1, d & 1) for d in walk),
+        faces.append(FaceWalk(tuple([(d >> 1, d & 1) for d in walk]),
                               closed, hit_bound))
     return faces
 
 
-def _relator_circuit_keys(ball: CayleyBall):
-    return {frozenset(eids) for _, _, eids in ball.relator_walks(
-        ball.presentation.relators) if len(set(eids)) == len(eids) > 1}
+def _relator_faces(emb: RotationEmbedding) -> set:
+    """Indices of the closed faces whose edge set is a relator circuit; a
+    walk builds its edge set only on a closed face with its least edge id."""
+    filed, sizes = {}, set()  # least edge id -> {edge set: face indices}
+    for i, f in enumerate(emb.faces):
+        if f.closed and len(key := frozenset(f.edge_ids())) > 1:
+            filed.setdefault(min(key), {}).setdefault(key, []).append(i)
+            sizes.add(len(key))
+    relators, matched = emb.ball.presentation.relators, set()
+    wanted = [len(rel) in sizes for rel in relators]
+    for r, _, eids in emb.ball.relator_walks(relators):
+        if wanted[r] and (keys := filed.get(min(eids))) and \
+                (key := frozenset(eids)) in keys and len(key) == len(eids):
+            matched.update(keys[key])
+    return matched
 
 
 def face_relator_match(ball: CayleyBall, face: FaceWalk) -> bool:
@@ -325,12 +342,10 @@ def face_relator_match(ball: CayleyBall, face: FaceWalk) -> bool:
 def check_consistency(emb: RotationEmbedding) -> bool:
     """Every colour uniformly preserving or reversing on interior edges,
     plus a spot check that generator translations map faces to faces."""
-    ball = emb.ball
-    for u, v, colour, _ in ball.edges:
-        if u not in ball.interior or v not in ball.interior:
-            continue
-        agree = emb.spin[u] == emb.spin[v]
-        if agree != (emb.colour_spin[colour] == PRESERVING):
+    interior, spin, table = emb.ball.interior, emb.spin, emb.colour_spin
+    for u, v, colour, _ in emb.ball.edges:
+        if u in interior and v in interior and \
+                (spin[u] == spin[v]) != (table[colour] == PRESERVING):
             return False
     return _translation_spot_check(emb)
 
@@ -338,42 +353,45 @@ def check_consistency(emb: RotationEmbedding) -> bool:
 def _translation_spot_check(emb: RotationEmbedding) -> bool:
     """Left-translation by each generator must map closed interior faces
     to faces (margin permitting).
-    Cost: per letter, one pass over the ball and one slot lookup per dart."""
+    Cost: per letter, one pass over the slot columns and one column read
+    per face edge."""
     ball = emb.ball
-    edges, letters = ball.edges, ball.presentation.letters
+    edges, letters, c = ball.edges, ball.presentation.letters, ball.center
     closed = [f.edge_ids() for f in emb.faces if f.closed]
     closed_keys = set(map(frozenset, closed))
+    # an edge u -> v maps to the edge in its (colour, 1) column at phi(u),
+    # which must end at phi(v)
+    cols = {g: ball.column((g, 1)) for g in {g for _, _, g, _ in edges}}
+    faces = [[(u, v, *cols[g]) for u, v, g, _ in map(edges.__getitem__, eids)]
+             for eids in closed]
     inner = [u in ball.interior and v in ball.interior
              for u, v, _, _ in edges]
-    # per vertex, its (letter, neighbour) slots in alphabet order
-    at = [[(x, hit[1]) for x in letters if (hit := ball.step_edge(v, x))]
-          for v in ball.vertices()]
+    nbrs = [col[0] for col in map(ball.column, letters) if col is not None]
     for letter in letters:
-        # propagate the colour-automorphism phi(center) = center * letter
-        phi = {ball.center: ball.step(ball.center, letter)}
-        queue = [ball.center]
-        for v in queue:
-            if phi.get(v) is None:
-                continue
-            for slot, w in at[v]:
-                img = ball.step(phi[v], slot)
-                if w not in phi:
+        # propagate the colour-automorphism phi(center) = center * letter;
+        # -2: not reached yet, -1: the image leaves the ball
+        phi = [-2] * ball.n_vertices
+        phi[c] = hit[1] if (hit := ball.step_edge(c, letter)) else -1
+        queue = [c] if phi[c] >= 0 else []
+        for v in queue:  # every queued vertex has an image in the ball
+            x = phi[v]
+            for nbr in nbrs:
+                w, img = nbr[v], nbr[x]
+                if w < 0:
+                    continue
+                if phi[w] == -2:
                     phi[w] = img
-                    queue.append(w)
-                elif img is not None and phi[w] != img:
+                    if img >= 0:
+                        queue.append(w)
+                elif img >= 0 and phi[w] != img:
                     return False
-        for eids in closed:
+        for face in faces:
             mapped = set()
-            for eid in eids:
-                u, v, colour, _ = edges[eid]
-                iu, iv = phi.get(u), phi.get(v)
-                if iu is None or iv is None:
+            for u, v, nbr, eid in face:
+                iu, iv = phi[u], phi[v]
+                if iu < 0 or iv < 0 or nbr[iu] != iv:
                     break
-                hit = min((i for i, w in ball.adjacency[iu] if w == iv
-                           and edges[i].colour == colour), default=None)
-                if hit is None:
-                    break
-                mapped.add(hit)
+                mapped.add(eid[iu])
             else:  # every edge mapped: an interior image must be a face
                 if all(inner[i] for i in mapped) and \
                         frozenset(mapped) not in closed_keys:
@@ -433,21 +451,15 @@ def planarity_check(g):
 
 
 def _spin_planarity(ball: CayleyBall) -> Optional[Planar]:
-    """The sphere count of the family's spin rotation, when it closes
+    """The sphere count of the family's spin embedding, when it closes
     Euler; None sends the ball to networkx."""
     try:
-        spin = _propagate(ball, _ball_spin_table(ball)[1])
+        emb = spin_embedding(ball)
     except (InvalidParams, NotCubic, NotInCatalogue, SpinConflict):
         return None
-    ordered = _spin_slots(ball, spin)
-    face_count, euler_ok = sphere_faces(
-        ball.n_vertices, 1, _ends(ball),
-        ((v, [eid for eid, _ in slots]) for v, slots in enumerate(ordered)))
-    if not euler_ok:
-        return None
-    return Planar({v: [(w, eid) for eid, w in slots]
-                   for v, slots in enumerate(ordered)},
-                  face_count, euler_ok, "spin")
+    face_count, euler_ok = emb.sphere_faces()
+    return Planar(dict(enumerate(emb.slots)), face_count, euler_ok,
+                  "spin") if euler_ok else None
 
 
 def _networkx_planarity(g):

@@ -22,7 +22,9 @@ WIDTH = HEIGHT = 840  # the SVG canvas
 
 @dataclass(frozen=True)
 class RenderSpec:
-    layout: str = "auto"  # radial, tree or auto
+    # radial, tree or auto: validated but never read, every value draws
+    # the radial tree; the field can go only with a benchmark change
+    layout: str = "auto"
     depth: int = 3
 
     def __post_init__(self):

@@ -35,6 +35,11 @@ the face walk ``trace_faces``, which stepped tuple darts through
 on int darts and walks or counts that.  So is ``planarity_check`` as it
 was when it asked networkx for an embedding of every graph: the library
 now certifies a catalogue ball with its family's spin rotation.  So is
+that spin route with its own propagation, ``step_edge`` spin slots and
+sphere count (``spin_planarity``), and the translation spot check on a
+dict ``phi`` that scanned an edge list for each face edge's image
+(``translation_spot_check_dict``): the library goes through
+``spin_embedding(ball).sphere_faces()`` and reads its slot columns.  So is
 the spin-table search that embedded the finite family IX, which tried
 every preserving/reversing table in a fixed order and took the first one
 whose rotation closed the sphere count: the library now gives IX a fixed
@@ -83,9 +88,10 @@ from cubiccayley.construct import TypeParams, _amalgam_for
 from cubiccayley.coset import (CosetTable, complete_ball_region,
                                enumerate_cosets)
 from cubiccayley.embed import (PRESERVING, REVERSING, FaceWalk, Planar,
-                               RotationEmbedding, _kuratowski_witness,
-                               _rotation_from_spin, as_multigraph,
+                               RotationEmbedding, _ball_spin_table,
+                               _kuratowski_witness, as_multigraph,
                                sphere_faces)
+from cubiccayley.embed import _propagate as _spin_propagate
 from cubiccayley.errors import (BallTooSmall, ConstructionIncomplete,
                                 CubicCayleyError, InvalidParams,
                                 NoSeparatorFound, NotCubic,
@@ -313,6 +319,84 @@ def planarity_check(g):
         mg.number_of_nodes(), nx.number_connected_components(mg),
         [(u, v) for u, v, _ in edges], by_eid)
     return Planar(rotation, face_count, euler_ok, "networkx")
+
+
+def _spin_slots(ball: CayleyBall,
+                spin: List[int]) -> List[List[Tuple[int, int]]]:
+    """Per vertex, its ``(edge id, neighbour)`` slots in spin order, as
+    the library read them with one ``step_edge`` per letter: the alphabet
+    order at spin 0, reversed otherwise."""
+    letters = list(ball.presentation.letters)
+    return [[hit for x in (letters if spin[v] == 0 else letters[::-1])
+             if (hit := ball.step_edge(v, x))] for v in ball.vertices()]
+
+
+def _rotation_from_spin(ball: CayleyBall, spin: List[int]) -> List[List[int]]:
+    return [[eid for eid, _ in at] for at in _spin_slots(ball, spin)]
+
+
+def translation_spot_check_dict(emb: RotationEmbedding) -> bool:
+    """``embed._translation_spot_check`` as it was before it read the slot
+    columns: phi a dict, each face edge's image the least edge id of its
+    colour between the two images in the image's edge list."""
+    ball = emb.ball
+    edges, letters = ball.edges, ball.presentation.letters
+    closed = [f.edge_ids() for f in emb.faces if f.closed]
+    closed_keys = set(map(frozenset, closed))
+    inner = [u in ball.interior and v in ball.interior
+             for u, v, _, _ in edges]
+    at = [[(x, hit[1]) for x in letters if (hit := ball.step_edge(v, x))]
+          for v in ball.vertices()]
+    for letter in letters:
+        phi = {ball.center: ball.step(ball.center, letter)}
+        queue = [ball.center]
+        for v in queue:
+            if phi.get(v) is None:
+                continue
+            for slot, w in at[v]:
+                img = ball.step(phi[v], slot)
+                if w not in phi:
+                    phi[w] = img
+                    queue.append(w)
+                elif img is not None and phi[w] != img:
+                    return False
+        for eids in closed:
+            mapped = set()
+            for eid in eids:
+                u, v, colour, _ = edges[eid]
+                iu, iv = phi.get(u), phi.get(v)
+                if iu is None or iv is None:
+                    break
+                hit = min((i for i, w in ball.adjacency[iu] if w == iv
+                           and edges[i].colour == colour), default=None)
+                if hit is None:
+                    break
+                mapped.add(hit)
+            else:
+                if all(inner[i] for i in mapped) and \
+                        frozenset(mapped) not in closed_keys:
+                    return False
+    return True
+
+
+def spin_planarity(ball: CayleyBall) -> Optional[Planar]:
+    """The spin route of ``embed.planarity_check`` as it was before it
+    went through ``spin_embedding(ball).sphere_faces()``: the library's
+    spin table and propagation, then its own ``step_edge`` spin slots and
+    sphere count.  None where the library falls back to networkx."""
+    try:
+        spin = _spin_propagate(ball, _ball_spin_table(ball)[1])
+    except (InvalidParams, NotCubic, NotInCatalogue, SpinConflict):
+        return None
+    ordered = _spin_slots(ball, spin)
+    face_count, euler_ok = sphere_faces(
+        ball.n_vertices, 1, [(e.u, e.v) for e in ball.edges],
+        ((v, [eid for eid, _ in at]) for v, at in enumerate(ordered)))
+    if not euler_ok:
+        return None
+    return Planar({v: [(w, eid) for eid, w in at]
+                   for v, at in enumerate(ordered)},
+                  face_count, euler_ok, "spin")
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,12 @@ def _face_data(tp, radius):
     return ball, [f for f in faces if f.closed], faces
 
 
+def _relator_circuit_keys(ball):
+    """Edge sets of the closed relator walks that repeat no edge."""
+    return {frozenset(eids) for _, _, eids in ball.relator_walks(
+        ball.presentation.relators) if len(set(eids)) == len(eids) > 1}
+
+
 @report_line(5, "face profiles")
 def test_criterion_05_face_profiles():
     # closed faces <-> relator circuits for the polygon types and IX
@@ -180,7 +186,7 @@ def test_criterion_05_face_profiles():
         face_keys = {frozenset(f.edge_ids()) for f in closed}
         margin = analyze.sound_margin(tp.presentation())
         deep = set(analyze._deep_vertices(ball, margin))
-        for key in E._relator_circuit_keys(ball):
+        for key in _relator_circuit_keys(ball):
             vs = {v for eid in key
                   for v in (ball.edges[eid].u, ball.edges[eid].v)}
             if vs <= deep:

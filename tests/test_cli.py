@@ -114,6 +114,20 @@ def test_cap_below_one_is_invalid(capsys, argv):
     assert err == f"error: cap must be >= 1, got {argv[-1]}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("build", "--presentation", "<a,b|b^2,(ab)^3>", "--radius", "-1"),
+    ("embed", "<a,b|b^2,(ab)^3>", "--radius", "-1"),
+    ("render", "<a,b|b^2,(ab)^3>", "--radius", "-1"),
+    ("build", "--type", "I", "--n", "3", "--radius", "-1"),
+])
+def test_negative_radius_is_invalid(capsys, tmp_path, argv):
+    out_file = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "-o", str(out_file))
+    assert code == 2
+    assert out == "" and not out_file.exists()
+    assert err == "error: radius must be >= 0\n"
+
+
 def test_embed_json(capsys):
     code, out, _ = run(capsys, "embed", "--type", "IV", "--m", "2",
                        "--radius", "4")

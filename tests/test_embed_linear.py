@@ -43,14 +43,23 @@ def _synthetic_faces(ball, rng):
     return faces
 
 
+def _assert_relator_flags(emb):
+    # to_dict's relator_match flag per face, against every relator circuit
+    keys = O._relator_circuit_keys(emb.ball)
+    assert [f["relator_match"] for f in emb.to_dict()["faces"]] == [
+        f.closed and frozenset(f.edge_ids()) in keys for f in emb.faces]
+
+
 def _assert_agree(tp, radius, seed=0):
     ball, emb = _embedding(tp, radius)
     p = tp.presentation()
     faces = E.trace_faces(emb)
     for f in faces + _synthetic_faces(ball, random.Random(seed)):
         assert E.face_relator_match(ball, f) == O.face_relator_match(ball, f), f
-    assert E._relator_circuit_keys(ball) == O._relator_circuit_keys(ball)
+    _assert_relator_flags(emb)
     assert E._translation_spot_check(emb) == O._translation_spot_check(emb)
+    assert (E._translation_spot_check(emb)
+            == O.translation_spot_check_dict(emb))
     verdict = E.planarity_check(ball)
     assert isinstance(verdict, E.Planar)
     mg = E.as_multigraph(ball)
@@ -117,6 +126,8 @@ def test_swapped_rotation_translation_check(type_id, n, m):
     bad = E.RotationEmbedding(ball, tp, emb.spin, rotation, emb.colour_spin)
     verdict = E._translation_spot_check(bad)
     assert verdict == O._translation_spot_check(bad)
+    assert verdict == O.translation_spot_check_dict(bad)
+    _assert_relator_flags(bad)
     if type_id in ("I", "VI", "VIII"):
         assert verdict is False
 

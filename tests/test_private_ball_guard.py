@@ -2,7 +2,7 @@
 
 ``CayleyBall`` keeps its letter columns, per-vertex edge lists and step
 table under leading-underscore names; other code reads them through
-``slots``, ``step_edge``, ``trace_walk``, ``bfs`` and ``adjacency``, so
+``column``, ``step_edge``, ``trace_walk``, ``bfs`` and ``adjacency``, so
 the layout can change in one file.  ``private_reads`` reads the source
 with ``ast`` and reports every read of such a name outside ``ball.py``,
 in the package and in the tests.

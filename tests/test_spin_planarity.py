@@ -63,10 +63,34 @@ def test_spin_route_matches_networkx_on_report_balls(type_id, n, m, radius):
     _assert_agrees(CayleyBall.from_json(ball.to_json()), "spin")
 
 
+def _assert_same_as_before(ball):
+    # the route through spin_embedding gives, field for field, the Planar
+    # of the spin route that read its own step_edge slots and counted its
+    # own sphere faces; the rotation is read off the slot columns
+    verdict = E.planarity_check(ball)
+    assert verdict == O.spin_planarity(ball)
+    emb = E.spin_embedding(ball)
+    assert emb.rotation == O._rotation_from_spin(ball, emb.spin)
+
+
+@pytest.mark.parametrize("type_id,n,m", cli.SMOKE_GRID)
+def test_spin_route_unchanged_on_grid(type_id, n, m):
+    for radius in range(0, 7):
+        _assert_same_as_before(construct(TypeParams(type_id, n=n, m=m),
+                                         radius))
+
+
+@pytest.mark.parametrize("type_id,n,m,radius", REPORT_BALLS)
+def test_spin_route_unchanged_on_report_balls(type_id, n, m, radius):
+    ball = construct(TypeParams(type_id, n=n, m=m), radius)
+    _assert_same_as_before(CayleyBall.from_json(ball.to_json()))
+
+
 @pytest.mark.parametrize("text", sorted(RENAMED))
 def test_spin_route_on_renamed_presentations(text):
     ball = construct_presentation_ball(parse_presentation(text), 4, cap=1000)
     _assert_agrees(ball, "spin")
+    _assert_same_as_before(ball)
     assert E.spin_embedding(ball).colour_spin == RENAMED[text]
 
 
@@ -81,13 +105,13 @@ def test_wrong_family_falls_back_to_networkx(family, other):
     ball.presentation = TypeParams(other, **params[other]).presentation()
     _, table = E._ball_spin_table(ball)
     try:
-        spin = E._propagate(ball, table)
+        emb = E._embed(ball, None, table)
     except SpinConflict:
         assert (family, other) != ("II", "I")
     else:
-        rotation = E._rotation_from_spin(ball, spin)
-        assert not E.sphere_faces(ball.n_vertices, 1, E._ends(ball),
-                                  enumerate(rotation))[1]
+        assert not emb.sphere_faces()[1]
+    assert E._spin_planarity(ball) is None
+    assert O.spin_planarity(ball) is None
     _assert_agrees(ball, "networkx")
 
 
