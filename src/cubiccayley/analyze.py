@@ -286,6 +286,23 @@ def shortest_separating_path(ball: CayleyBall, margin: int = 1,
 # colour-pair orders
 # ---------------------------------------------------------------------------
 
+def periodic_closure(ball: CayleyBall, letters, lo: int,
+                     budget: int) -> Optional[int]:
+    """The least k >= lo for which (letters)^k, walked from the center,
+    closes there within ``budget`` letters, or None.  Each power is a
+    prefix of the next, so one walk of the periodic word tries every k,
+    and a walk that leaves the ball ends the search."""
+    v = ball.center
+    for k in range(1, budget // len(letters) + 1):
+        for letter in letters:
+            v = ball.step(v, letter)
+            if v is None:
+                return None
+        if k >= lo and v == ball.center:
+            return k
+    return None
+
+
 def colour_pair_orders(ball: CayleyBall, bound: int) -> List[ColourPairOrder]:
     """Closure length of the alternating two-colour walk from the center,
     for each pair of colours; ``bound`` caps the number of edge steps."""
@@ -295,17 +312,9 @@ def colour_pair_orders(ball: CayleyBall, bound: int) -> List[ColourPairOrder]:
     if bound < 2 * ball.radius:
         raise InvalidParams("bound must be at least twice the radius")
     out = []
-    for g1, g2 in itertools.combinations(p.generator_names, 2):
-        v = ball.center
-        order = None
-        for step in range(bound):
-            v = ball.step(v, (g1 if step % 2 == 0 else g2, 1))
-            if v is None:
-                break
-            if v == ball.center and step % 2 == 1:
-                order = (step + 1) // 2
-                break
-        out.append(ColourPairOrder((g1, g2), order, bound))
+    for pair in itertools.combinations(p.generator_names, 2):
+        order = periodic_closure(ball, [(g, 1) for g in pair], 1, bound)
+        out.append(ColourPairOrder(pair, order, bound))
     return out
 
 
@@ -362,10 +371,11 @@ def independent_paths(ball: CayleyBall, x: int, y: int) -> int:
 
 def _relator_circuit_masks(ball: CayleyBall, p: Presentation,
                            interior_only: bool) -> List[int]:
-    """Distinct nonzero edge-XOR masks of closed relator walks, in order."""
+    """Distinct nonzero edge-XOR masks of closed relator walks, in order;
+    the ``g^2`` markers are not walked, as each of their masks is 0."""
     masks = []
     seen = set()
-    for _, verts, eids in ball.relator_walks(p.relators):
+    for _, verts, eids in ball.relator_walks(p.essentials):
         if interior_only and not ball.interior.issuperset(verts):
             continue
         mask = 0

@@ -131,16 +131,9 @@ def _letter_counts(p: Presentation) -> Counter:
 
 
 @functools.lru_cache(maxsize=256)
-def _catalogue_counts(tp: TypeParams) -> Counter:
-    """A guess whose counts differ from these cannot match, so its
-    normal form is never computed."""
-    return _letter_counts(tp.presentation())
-
-
-@functools.lru_cache(maxsize=256)
 def _catalogue_normal_form(tp: TypeParams) -> str:
     """Relator normal form of a catalogue presentation; the candidates of
-    every call repeat, so each is parsed once."""
+    every call repeat, so each normal form is computed once."""
     return relator_multiset_normal_form(tp.presentation())
 
 
@@ -157,8 +150,8 @@ def classify_presentation(p: Presentation) -> ClassificationReport:
         for type_id, family in FAMILIES.items():
             try:
                 tp = TypeParams(type_id, **family.params(counts))
-                if _catalogue_counts(tp) != counts:
-                    continue
+                if _letter_counts(tp.presentation()) != counts:
+                    continue  # cannot match: skip the normal form
             except (InvalidParams, ParseError):
                 # ParseError: the guess spells a relator too long to parse
                 continue
@@ -186,16 +179,9 @@ def classify_presentation(p: Presentation) -> ClassificationReport:
 # ---------------------------------------------------------------------------
 
 def _smallest_closure(ball: CayleyBall, letters, lo: int):
-    """The least k >= lo for which (letters)^k closes at the center, or
-    None once the word is longer than twice the radius: a closed walk
+    """``analyze.periodic_closure`` within twice the radius: a closed walk
     stays within half its length of its start, so a shorter one fits."""
-    k = lo
-    while len(letters) * k <= 2 * ball.radius:
-        if ball.trace_word(ball.center, Word(tuple(letters) * k)) \
-                == ball.center:
-            return k
-        k += 1
-    return None
+    return analyze.periodic_closure(ball, letters, lo, 2 * ball.radius)
 
 
 def classify_ball(ball: CayleyBall) -> ClassificationReport:

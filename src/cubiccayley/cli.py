@@ -50,9 +50,9 @@ SMOKE_GRID = [
 ]
 
 
-def _dump(payload, args, default_name=None):
+def _dump(payload, output):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _write_text(text, args.output or default_name)
+    _write_text(text, output)
 
 
 def _write_text(text, output):
@@ -117,11 +117,9 @@ def cmd_classify(args) -> int:
     if os.path.exists(args.source) or args.source.endswith(".json"):
         ball = _load_ball(args.source)
         report = classify.classify_ball(ball)
-    elif args.blind:
-        raise InvalidParams("--blind needs a ball file, not a presentation")
     else:
         report = classify.classify_presentation(parse_presentation(args.source))
-    _dump(report.to_dict(), args)
+    _dump(report.to_dict(), args.output)
     return EXIT_OK
 
 
@@ -139,7 +137,7 @@ def cmd_embed(args) -> int:
     if not embed_mod.check_consistency(emb):
         print("embedding consistency check failed", file=sys.stderr)
         return EXIT_VERIFY
-    _dump(emb.to_dict(), args)
+    _dump(emb.to_dict(), args.output)
     return EXIT_OK
 
 
@@ -229,10 +227,8 @@ def _verify_separator_involution(ball: CayleyBall) -> dict:
 def cmd_verify(args) -> int:
     if args.grid:
         report = _verify_grid(args)
-        out = (os.path.join(args.output, "grid.json")
-               if args.output else None)
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        _write_text(text, out)
+        _dump(report, (os.path.join(args.output, "grid.json")
+                       if args.output else None))
         if not report["pass"]:
             failing = next(c for c in report["grid"] if not c["pass"])
             print(f"first failing cell: {failing['type']} "
@@ -247,7 +243,7 @@ def cmd_verify(args) -> int:
         report = _verify_separator_involution(_load_ball(args.source))
     else:
         raise InvalidParams(f"unknown check {args.check!r}")
-    _dump(report, args)
+    _dump(report, args.output)
     return EXIT_OK if report["pass"] else EXIT_VERIFY
 
 
@@ -292,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subcommand("classify", cmd_classify,
                    "classify a presentation or ball")
     p.add_argument("source", help="presentation string or ball JSON file")
-    p.add_argument("--blind", action="store_true")
 
     p = subcommand("embed", cmd_embed, "spin embedding as JSON")
     _add_size(p)

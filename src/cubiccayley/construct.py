@@ -9,8 +9,9 @@ Two independent routes exist for every family:
 * an explicit builder -- a polygon glue-tree for the hinged tree-of-cycles
   families (I, II, VI, VIII), whose polygons are the relators of the
   family's row, exact amalgam arithmetic for the remaining infinite
-  families (III, IV, V, VII), and a direct finite construction for the
-  degenerate family IX;
+  families (III, IV, V, VII), whose factors are read off the row's last
+  relator ``(w x)^m`` and the rest, and a direct finite construction for
+  the degenerate family IX;
 * truncated Todd-Coxeter coset enumeration, used as the oracle by
   ``cross_check``.
 
@@ -25,6 +26,7 @@ Every ball returned by ``construct`` has passed ``certify_ball``.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -131,7 +133,9 @@ class TypeParams:
             spin["b"] = REVERSING if self.n % 2 else PRESERVING
         return spin
 
+    @functools.lru_cache(maxsize=256)
     def presentation(self) -> Presentation:
+        """The parsed row, one object shared by all: it is frozen."""
         return parse_presentation(self.presentation_text())
 
 
@@ -145,16 +149,11 @@ def _trace_cycle(graph: RawGraph, start: int, seq):
     close the cycle."""
     cur = start
     for i, (g, s) in enumerate(seq):
-        last = i == len(seq) - 1
-        hit = graph.step(cur, (g, s))
-        if hit is not None:
-            cur = hit
-            if last and cur != start:
-                raise ConstructionIncomplete("polygon failed to close")
-            continue
-        target = start if last else graph.new_vertex()
-        graph.add_edge(cur, target, g, s)
-        cur = target
+        nxt = graph.step(cur, (g, s))
+        if nxt is None:
+            nxt = start if i == len(seq) - 1 else graph.new_vertex()
+            graph.add_edge(cur, nxt, g, s)
+        cur = nxt
     if cur != start:
         raise ConstructionIncomplete("polygon failed to close")
 
@@ -205,52 +204,37 @@ def _build_glue_tree(tp: TypeParams, radius: int) -> RawGraph:
 # amalgam arithmetic (types III, IV, V, VII)
 # ---------------------------------------------------------------------------
 
-def _amalgam_for(tp: TypeParams):
-    """The amalgam decomposition and generator actions of a hinge-free type.
+def _amalgam_for(p: Presentation):
+    """The amalgam A *_C B of a hinge-free family, read off its
+    presentation, and the factor element of each letter of ``p.letters``.
 
-    Returns (amalgam, actions) where actions maps each colour to a list of
-    (tag, factor element) to right-multiply by, plus a directedness flag.
+    The last relator other than the ``g^2`` markers is ``(w x)^m``: B is
+    D_m, generated by the reflections w and x.  The other generators and
+    relators give A: ``a`` with ``a^k`` gives Z_k, two involutions b, c
+    with ``(bc)^k`` give D_k, and with no relator D_inf.  C = {1, w}.
     """
-    n, m = tp.n, tp.m
-    if tp.type_id == "III":
-        # Z4 *_{Z2} D_n, amalgamating a^2 with the reflection generating
-        # the (a^2 b)-rotation subgroup
-        A, B = Cyclic(4), Dihedral(n)
-        am = Amalgam(A, B, w_a=2, w_b=(0, 1))
-        actions = {
-            "a": ([("A", 1)], True),
-            "b": ([("B", ((n - 1) % n, 1))], False),
-        }
-    elif tp.type_id == "IV":
-        # V4 *_{Z2} D_m over w = bc
-        A, B = Dihedral(2), Dihedral(m)
-        am = Amalgam(A, B, w_a=(1, 0), w_b=(0, 1))
-        actions = {
-            "b": ([("A", (0, 1))], False),
-            "c": ([("A", (1, 1))], False),
-            "d": ([("B", ((m - 1) % m, 1))], False),
-        }
-    elif tp.type_id == "V":
-        # D_{2n} *_{Z2} D_m over w = cbc
-        A, B = Dihedral(2 * n), Dihedral(m)
-        am = Amalgam(A, B, w_a=(2 * n - 2, 1), w_b=(0, 1))
-        actions = {
-            "b": ([("A", (0, 1))], False),
-            "c": ([("A", (2 * n - 1, 1))], False),
-            "d": ([("B", ((m - 1) % m, 1))], False),
-        }
-    elif tp.type_id == "VII":
-        # D_inf *_{Z2} D_m over w = b(cb)^n
-        A, B = Dihedral(None), Dihedral(m)
-        am = Amalgam(A, B, w_a=(n, 1), w_b=(0, 1))
-        actions = {
-            "b": ([("A", (0, 1))], False),
-            "c": ([("A", (-1, 1))], False),
-            "d": ([("B", ((m - 1) % m, 1))], False),
-        }
-    else:  # pragma: no cover
-        raise InvalidParams(tp.type_id)
-    return am, actions
+    *others, rel = p.essentials
+    x = rel.letters[-1][0]
+    m = sum(g == x for g, _ in rel)
+    gens = [g for g in p.generator_names if g != x]
+    if len(gens) == 1:
+        A = Cyclic(len(others[0]))
+        factor = {gens[0]: ("A", 1)}
+    else:
+        k = sum(g == gens[0] for g, _ in others[0]) if others else None
+        A = Dihedral(k)
+        factor = {gens[0]: ("A", (0, 1)),
+                  gens[1]: ("A", (-1 if k is None else k - 1, 1))}
+    factor[x] = ("B", ((m - 1) % m, 1))
+    groups = {"A": A, "B": Dihedral(m)}
+    steps = {}  # letter -> (tag, factor element); an inverse letter's inverse
+    for g, s in p.letters:
+        tag, e = factor[g]
+        steps[g, s] = (tag, e if s == 1 else groups[tag].inv(e))
+    w_a = A.identity  # w: the first period of the relator, less x
+    for letter in rel.letters[:len(rel) // m - 1]:
+        w_a = A.mul(w_a, steps[letter][1])
+    return Amalgam(A, groups["B"], w_a=w_a, w_b=(0, 1)), steps
 
 
 def _build_amalgam(tp: TypeParams, radius: int) -> RawGraph:
@@ -258,17 +242,10 @@ def _build_amalgam(tp: TypeParams, radius: int) -> RawGraph:
     is discovered, and the image of a letter is computed only while its
     slot is free, so each edge is computed and added once, from the end
     that reaches it first.  An element is the amalgam's int, and each
-    letter's image is one O(1) trie step per factor element."""
-    am, actions = _amalgam_for(tp)
+    letter's image is one O(1) trie step."""
     p = tp.presentation()
-    factor_steps = {}
-    for colour, (steps, directed) in actions.items():
-        factor_steps[(colour, 1)] = steps
-        if directed:
-            factor_steps[(colour, -1)] = [(tag, am.groups[tag].inv(x))
-                                          for tag, x in reversed(steps)]
-    moves = [(col, letter,
-              [am.move(tag, x) for tag, x in factor_steps[letter]])
+    am, steps = _amalgam_for(p)
+    moves = [(col, letter, am.move(*steps[letter]))
              for col, letter in enumerate(p.letters)]
 
     graph = RawGraph(p)
@@ -278,12 +255,10 @@ def _build_amalgam(tp: TypeParams, radius: int) -> RawGraph:
     dist = [0]
     for i, u in enumerate(elements):
         inner = dist[i] < radius
-        for col, letter, steps in moves:
+        for col, letter, move in moves:
             if nbr[i * L + col] >= 0:
                 continue
-            v = u
-            for move in steps:
-                v = apply(v, move)
+            v = apply(u, move)
             j = ids.get(v)
             if j is None:
                 if not inner:

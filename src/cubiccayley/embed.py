@@ -110,8 +110,8 @@ class RotationEmbedding:
 
     @functools.cached_property
     def faces(self) -> List[FaceWalk]:
-        """``trace_faces`` without a bound, walked once per embedding."""
-        return trace_faces(self)
+        """``trace_faces`` without a bound, walked once.  Shared."""
+        return _walk_faces(self, len(self.successor))
 
     def to_dict(self) -> dict:
         matched = _relator_faces(self)
@@ -272,11 +272,19 @@ def trace_faces(emb: RotationEmbedding,
     A walk of ``emb.cut_successor`` is closed when it returns to its first
     dart.  A walk that reaches the boundary is extended backwards to the
     boundary too and left open, never closed artificially.  A walk longer
-    than ``bound`` darts is cut and flagged; no orbit exceeds 2E darts,
-    so the default never cuts one.
+    than ``bound`` darts is cut and flagged.  No orbit exceeds 2E darts,
+    so a bound of 2E or more copies ``emb.faces`` unless one of them hit
+    2E, which only a loop can cause: its two darts share a successor.
     """
+    if bound is not None and (bound < len(emb.successor) or
+                              any(f.hit_bound for f in emb.faces)):
+        return _walk_faces(emb, bound)
+    return list(emb.faces)
+
+
+def _walk_faces(emb: RotationEmbedding, limit: int) -> List[FaceWalk]:
+    """``trace_faces`` with each walk cut after ``limit`` darts."""
     succ, pred = emb.cut_successor
-    limit = len(succ) if bound is None else bound
     visited = bytearray(len(succ))
     faces = []
     for start in range(len(succ)):
@@ -311,13 +319,14 @@ def trace_faces(emb: RotationEmbedding,
 
 def _relator_faces(emb: RotationEmbedding) -> set:
     """Indices of the closed faces whose edge set is a relator circuit; a
-    walk builds its edge set only on a closed face with its least edge id."""
+    walk builds its edge set only on a closed face with its least edge id;
+    a ``g^2`` marker, one edge walked twice, is never a circuit."""
     filed, sizes = {}, set()  # least edge id -> {edge set: face indices}
     for i, f in enumerate(emb.faces):
         if f.closed and len(key := frozenset(f.edge_ids())) > 1:
             filed.setdefault(min(key), {}).setdefault(key, []).append(i)
             sizes.add(len(key))
-    relators, matched = emb.ball.presentation.relators, set()
+    relators, matched = emb.ball.presentation.essentials, set()
     wanted = [len(rel) in sizes for rel in relators]
     for r, _, eids in emb.ball.relator_walks(relators):
         if wanted[r] and (keys := filed.get(min(eids))) and \

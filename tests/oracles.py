@@ -63,7 +63,13 @@ hand-written copy of each hinged family's polygons and a breadth-first
 search of the whole raw graph every round (``_PolygonGraph``), and
 ``classify``'s ``_essentials``: the library reads the polygons off the
 family's presentation (``Presentation.essentials``) and walks only the
-ball with ``RawGraph.walk``.  The oracles keep their own copies of
+ball with ``RawGraph.walk``.  So is the amalgam table
+``construct._amalgam_for``, which spelled the factors of III, IV, V and
+VII by hand (``amalgam_for``): the library reads them off the family's
+presentation.  So are ``classify``'s ``_smallest_closure``, which traced
+``(letters)^k`` afresh for every k, and ``colour_pair_orders``, which
+hand-walked its alternating word: the library walks each periodic word
+once (``analyze.periodic_closure``).  The oracles keep their own copies of
 every traversal, so they cannot follow a change in the library.  Do not
 import this module from ``src``.
 """
@@ -84,7 +90,7 @@ from cubiccayley.analyze import (SeparationCertificate, _deep_vertices,
 from cubiccayley.ball import (CayleyBall, Edge, RawGraph,
                               rooted_isomorphic)
 from cubiccayley.classify import _catalogue_hint, _rename, _renamings
-from cubiccayley.construct import TypeParams, _amalgam_for
+from cubiccayley.construct import TypeParams
 from cubiccayley.coset import (CosetTable, complete_ball_region,
                                enumerate_cosets)
 from cubiccayley.embed import (PRESERVING, REVERSING, FaceWalk, Planar,
@@ -97,6 +103,7 @@ from cubiccayley.errors import (BallTooSmall, ConstructionIncomplete,
                                 NoSeparatorFound, NotCubic,
                                 NotInCatalogue, OracleInconclusive,
                                 SpinConflict, UndefinedInterior)
+from cubiccayley.groups import Cyclic, Dihedral
 from cubiccayley.presentation import (Letter, Presentation, Word,
                                       parse_presentation,
                                       relator_multiset_normal_form)
@@ -957,12 +964,61 @@ def oracle_amalgam(am) -> Amalgam:
     return Amalgam(am.groups["A"], am.groups["B"], am.w["A"], am.w["B"])
 
 
+def amalgam_for(tp: TypeParams):
+    """``construct._amalgam_for`` as it was, a hand-written table per
+    type: the amalgam decomposition and generator actions of a hinge-free
+    type, over the dataclass ``Amalgam``.
+
+    Returns (amalgam, actions) where actions maps each colour to a list of
+    (tag, factor element) to right-multiply by, plus a directedness flag.
+    """
+    n, m = tp.n, tp.m
+    if tp.type_id == "III":
+        # Z4 *_{Z2} D_n, amalgamating a^2 with the reflection generating
+        # the (a^2 b)-rotation subgroup
+        A, B = Cyclic(4), Dihedral(n)
+        am = Amalgam(A, B, w_a=2, w_b=(0, 1))
+        actions = {
+            "a": ([("A", 1)], True),
+            "b": ([("B", ((n - 1) % n, 1))], False),
+        }
+    elif tp.type_id == "IV":
+        # V4 *_{Z2} D_m over w = bc
+        A, B = Dihedral(2), Dihedral(m)
+        am = Amalgam(A, B, w_a=(1, 0), w_b=(0, 1))
+        actions = {
+            "b": ([("A", (0, 1))], False),
+            "c": ([("A", (1, 1))], False),
+            "d": ([("B", ((m - 1) % m, 1))], False),
+        }
+    elif tp.type_id == "V":
+        # D_{2n} *_{Z2} D_m over w = cbc
+        A, B = Dihedral(2 * n), Dihedral(m)
+        am = Amalgam(A, B, w_a=(2 * n - 2, 1), w_b=(0, 1))
+        actions = {
+            "b": ([("A", (0, 1))], False),
+            "c": ([("A", (2 * n - 1, 1))], False),
+            "d": ([("B", ((m - 1) % m, 1))], False),
+        }
+    elif tp.type_id == "VII":
+        # D_inf *_{Z2} D_m over w = b(cb)^n
+        A, B = Dihedral(None), Dihedral(m)
+        am = Amalgam(A, B, w_a=(n, 1), w_b=(0, 1))
+        actions = {
+            "b": ([("A", (0, 1))], False),
+            "c": ([("A", (-1, 1))], False),
+            "d": ([("B", ((m - 1) % m, 1))], False),
+        }
+    else:  # pragma: no cover
+        raise InvalidParams(tp.type_id)
+    return am, actions
+
+
 def build_amalgam(tp, radius: int):
     """``construct._build_amalgam`` as it was: a BFS over dataclass
     elements, then a second sweep that recomputes every image to emit
     the raw edges."""
-    lib_am, actions = _amalgam_for(tp)
-    am = oracle_amalgam(lib_am)
+    am, actions = amalgam_for(tp)
 
     def images(u):
         out = []
@@ -1579,3 +1635,40 @@ def _build_glue_tree(tp: TypeParams, radius: int) -> RawGraph:
                 x, seq = glue_seq(graph, v)
                 graph.trace_cycle(x, seq)
     return graph
+
+
+# ---------------------------------------------------------------------------
+# classify and analyze: a closure probe per power, and a hand-walked
+# alternating word per colour pair
+# ---------------------------------------------------------------------------
+
+def smallest_closure(ball: CayleyBall, letters, lo: int):
+    """The least k >= lo for which (letters)^k closes at the center, or
+    None once the word is longer than twice the radius: a closed walk
+    stays within half its length of its start, so a shorter one fits."""
+    k = lo
+    while len(letters) * k <= 2 * ball.radius:
+        if ball.trace_word(ball.center, Word(tuple(letters) * k)) \
+                == ball.center:
+            return k
+        k += 1
+    return None
+
+
+def colour_pair_orders(ball: CayleyBall, bound: int):
+    """Per colour pair ``(pair, order)``: the closure length of the
+    alternating two-colour walk from the center within ``bound`` steps."""
+    out = []
+    for g1, g2 in itertools.combinations(ball.presentation.generator_names,
+                                         2):
+        v = ball.center
+        order = None
+        for step in range(bound):
+            v = ball.step(v, (g1 if step % 2 == 0 else g2, 1))
+            if v is None:
+                break
+            if v == ball.center and step % 2 == 1:
+                order = (step + 1) // 2
+                break
+        out.append(((g1, g2), order))
+    return out

@@ -1,8 +1,9 @@
-"""Differential and axiom tests for the amalgam route: the int-keyed
-builder on trie normal forms gives the same balls as the dataclass builder
-kept in ``oracles.py``, its normal forms split random words into the same
-equality classes, and the normal-form arithmetic obeys the group axioms
-on random factor words."""
+"""Differential and axiom tests for the amalgam route: the factors and
+letter elements read off each presentation are those of the hand-written
+table kept in ``oracles.py``, the int-keyed builder on trie normal forms
+gives the same balls as the dataclass builder kept there, its normal
+forms split random words into the same equality classes, and the
+normal-form arithmetic obeys the group axioms on random factor words."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,34 @@ def _assert_same_ball(tp, radius):
 @pytest.mark.parametrize("type_id,n,m", _GRID)
 def test_grid_matches_oracle(type_id, n, m, radius):
     _assert_same_ball(TypeParams(type_id, n=n, m=m), radius)
+
+
+# III n 2-8, IV m 2-8, V and VII n, m 2-8
+_TABLE_CELLS = ([TypeParams("III", n=n) for n in range(2, 9)]
+                + [TypeParams("IV", m=m) for m in range(2, 9)]
+                + [TypeParams(t, n=n, m=m) for t in ("V", "VII")
+                   for n in range(2, 9) for m in range(2, 9)])
+
+
+def _factors(am):
+    return [(type(am.groups[tag]).__name__, am.groups[tag].n, am.w[tag])
+            for tag in "AB"]
+
+
+def test_factors_match_the_table():
+    """Each letter maps to one factor element, an inverse letter to its
+    inverse: the table's action of the colour, run backwards."""
+    assert len(_TABLE_CELLS) == 112
+    for tp in _TABLE_CELLS:
+        am, steps = _amalgam_for(tp.presentation())
+        old, actions = O.amalgam_for(tp)
+        want = {}
+        for colour, ([(tag, x)], directed) in actions.items():
+            want[colour, 1] = (tag, x)
+            if directed:
+                want[colour, -1] = (tag, old.groups[tag].inv(x))
+        assert _factors(am) == _factors(old), tp
+        assert steps == want, tp
 
 
 def _type_params(type_id, n, m):
@@ -106,7 +135,7 @@ def test_equality_partition_matches_oracle(tp, raws):
     normal forms are equal.  Beside the drawn words: the first followed
     by each other one and its inverse, and every prefix of the first
     two, so that equal and unequal pairs both occur."""
-    am, _ = _amalgam_for(tp)
+    am, _ = _amalgam_for(tp.presentation())
     old_am = O.oracle_amalgam(am)
     words = [_word(am, raw) for raw in raws]
     words += [words[0] + w + [(t, am.groups[t].inv(x)) for t, x in reversed(w)]
@@ -127,7 +156,7 @@ def test_equality_partition_matches_oracle(tp, raws):
 @settings(max_examples=200, deadline=None)
 @given(_DECOMPOSITIONS, _RAW_WORDS, _RAW_WORDS, st.sampled_from("AB"))
 def test_group_axioms(tp, raw_u, raw_v, tag):
-    am, _ = _amalgam_for(tp)
+    am, _ = _amalgam_for(tp.presentation())
     u, v = _word(am, raw_u), _word(am, raw_v)
     gu = _evaluate(am, u)
     # right identity

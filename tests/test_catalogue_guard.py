@@ -7,10 +7,13 @@ keeps a table of its own keyed or listed by family.
 every dict, tuple, set or list literal that holds three or more family
 ids among its items or keys, outside the value assigned to ``FAMILIES``
 in ``construct.py``.  Two ids, such as the pair of families a check
-applies to, are not a table.
+applies to, are not a table.  A branch per family is a table too:
+``family_branch_violations`` reports every module that compares a
+``type_id`` with three or more distinct family ids.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import cubiccayley
@@ -74,6 +77,54 @@ def test_guard_catches_family_tables(tmp_path):
              family_table_violations(tmp_path)]
     assert lines == [("construct.py", 2), ("embed.py", 1), ("embed.py", 4),
                      ("embed.py", 6)]
+
+
+def _compared_ids(node):
+    """The family ids that a comparison holds a ``type_id`` against."""
+    sides = [node.left, *node.comparators]
+    if not any(isinstance(x, ast.Attribute) and x.attr == "type_id"
+               or isinstance(x, ast.Name) and x.id == "type_id"
+               for x in sides):
+        return set()
+    items = [item for x in sides
+             for item in (x.elts if isinstance(x, _LITERALS[1:]) else [x])]
+    return {item.value for item in items
+            if isinstance(item, ast.Constant) and item.value in TYPE_IDS}
+
+
+def family_branch_violations(src: Path):
+    """``(file, first line, ids)`` for every module that compares a
+    ``type_id`` with three or more distinct family ids."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        compares = [(node.lineno, _compared_ids(node))
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Compare)]
+        ids = set().union(*(found_ids for _, found_ids in compares))
+        if len(ids) >= 3:
+            line = min(line for line, found_ids in compares if found_ids)
+            found.append((path.name, line, sorted(ids)))
+    return found
+
+
+def test_no_module_branches_on_three_families():
+    assert family_branch_violations(SRC) == []
+
+
+def test_branch_guard_flags_the_hand_written_amalgam_table(tmp_path):
+    """The amalgam table kept in ``oracles.py`` branched on III, IV, V and
+    VII; two families compared, however often, are no table."""
+    import oracles as O
+    source = inspect.getsource(O.amalgam_for)
+    (tmp_path / "construct.py").write_text(source)
+    (tmp_path / "embed.py").write_text(
+        "def f(tp, type_id):\n"
+        "    if tp.type_id == 'V' or type_id == 'V':\n"
+        "        return tp.type_id not in ('IV', 'V')\n")
+    first = source.splitlines().index('    if tp.type_id == "III":') + 1
+    assert family_branch_violations(tmp_path) == [
+        ("construct.py", first, ["III", "IV", "V", "VII"])]
 
 
 # The glue tree reads its polygons off the family's presentation.  Its

@@ -311,3 +311,32 @@ def test_nonplanar_screen_propagates_programming_errors(monkeypatch):
     with pytest.raises(TypeError):
         nonplanar_screen(
             parse_presentation("<b,c,d | b^2,c^2,d^2,(bc)^3,(cbcd)^2>"))
+
+
+# ---------------------------------------------------------------------------
+# one walk of the periodic word per closure probe
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("type_id,n,m", GRID)
+def test_closure_probes_match_oracle(type_id, n, m):
+    """The probe that walks ``(letters)^k`` once for every k agrees with
+    the oracle that traced each power afresh, on every word of one to
+    four letters, and with the hand-walked ``colour_pair_orders``."""
+    import itertools
+
+    import oracles as O
+    from cubiccayley import analyze
+    tp = TypeParams(type_id, n=n, m=m)
+    for radius in range(9):
+        ball = construct(tp, radius)
+        letters = ball.presentation.letters
+        for k in range(1, 5):
+            for word in itertools.product(letters, repeat=k):
+                for lo in (1, 2):
+                    assert C._smallest_closure(ball, word, lo) == \
+                        O.smallest_closure(ball, word, lo), (radius, word)
+        if len(letters) == 3 and len(ball.presentation.involutions) == 3:
+            for bound in (2 * ball.radius, 2 * ball.radius + 5, 48):
+                got = analyze.colour_pair_orders(ball, bound)
+                assert [(o.pair, o.order) for o in got] == \
+                    O.colour_pair_orders(ball, bound)

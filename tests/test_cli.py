@@ -61,7 +61,7 @@ def test_classify_ball_blind(tmp_path, capsys):
     out = tmp_path / "ball.json"
     assert run(capsys, "build", "--type", "VI", "--n", "2", "--m", "3",
                "--radius", "6", "-o", str(out))[0] == 0
-    code, text, _ = run(capsys, "classify", str(out), "--blind")
+    code, text, _ = run(capsys, "classify", str(out))
     assert code == 0
     data = json.loads(text)
     assert data["type"] == "VI" and data["params"] == {"n": 2, "m": 3}
@@ -338,9 +338,9 @@ def test_verify_unreadable_ball_is_parse_error(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("argv", [["verify", "--check", "separator-involution"],
-                                  ["classify", "--blind"]])
+                                  ["classify"]])
 def test_disconnected_ball_is_parse_error(tmp_path, capsys, argv):
-    # verify used to exit 6 on a bogus separator, classify --blind 0
+    # verify used to exit 6 on a bogus separator, classify of a ball 0
     from test_ball import _disconnected
     bad = tmp_path / "disc.json"
     bad.write_text(json.dumps(_disconnected()))
@@ -358,6 +358,7 @@ def test_disconnected_ball_is_parse_error(tmp_path, capsys, argv):
     ["embed", "--type", "I", "--n", "2", "--format", "json"],
     ["render", "--type", "I", "--n", "2", "--format", "json"],
     ["render", "--type", "I", "--n", "2", "--layout", "tree"],
+    ["classify", "<a,b|b^2,(ab)^3>", "--blind"],
 ])
 def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -4,8 +4,11 @@ The size triples (vertices, edges, interior) were computed once from the
 independent Todd-Coxeter enumeration oracle and frozen here.
 """
 
+import sys
+
 import pytest
 
+from cubiccayley import cli
 from cubiccayley.ball import certify_ball
 from cubiccayley.construct import (TypeParams, construct,
                                    construct_presentation_ball, cross_check)
@@ -125,3 +128,33 @@ def test_oracle_inconclusive_on_tiny_cap():
     p = TypeParams("VII", n=2, m=2).presentation()
     with pytest.raises(OracleInconclusive):
         construct_presentation_ball(p, 6, cap=30)
+
+
+# ---------------------------------------------------------------------------
+# each catalogue row is parsed once per process
+# ---------------------------------------------------------------------------
+
+def test_second_smoke_pass_parses_no_catalogue_text(tmp_path, monkeypatch,
+                                                    capsys):
+    """``TypeParams.presentation`` keeps the parsed row, so construct, the
+    builders, ``cross_check``, the smoke cell and ``classify`` share one
+    object: after one ``verify --grid smoke`` pass, a second pass in the
+    same process parses no catalogue text."""
+    argv = ["verify", "--grid", "smoke", "-o", str(tmp_path / "grid")]
+    assert cli.main(argv) == 0
+    parsed = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cubiccayley") and \
+                hasattr(module, "parse_presentation"):
+            real = module.parse_presentation
+            monkeypatch.setattr(
+                module, "parse_presentation",
+                lambda text, real=real: parsed.append(text) or real(text))
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    catalogue = {TypeParams(t, n=n, m=m).presentation_text()
+                 for t, n, m in cli.SMOKE_GRID}
+    assert [text for text in parsed if text in catalogue] == []
+    fresh = TypeParams("I", n=97)  # a row no pass has read: parsed once
+    assert fresh.presentation() is fresh.presentation()
+    assert parsed.count(fresh.presentation_text()) == 1

@@ -2,7 +2,8 @@
 
 ``trace_faces`` walks the permutation that ``face_successor`` builds, and
 ``sphere_faces`` counts its uncut orbits; both are checked against the
-brute-force routines kept in ``oracles.py``.  The sphere count closes
+brute-force routines kept in ``oracles.py``.  A bound of 2E or more
+reuses the faces the embedding walked once, unless one of them hit 2E.  The sphere count closes
 Euler's formula V - E + F = 2·components on every planar graph,
 disconnected or edgeless ones included.
 """
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import oracles as O
 from cubiccayley import cli
 from cubiccayley import embed as E
+from cubiccayley.ball import CayleyBall
 from cubiccayley.construct import TypeParams, construct
 
 # the four balls of the structural report benchmark
@@ -74,6 +76,65 @@ def test_trace_faces_matches_oracle_on_draws(type_id, dn, dm, radius, seed,
     shuffled = E.RotationEmbedding(ball, emb.tp, emb.spin, rotation,
                                    emb.colour_spin)
     _assert_walks_agree(shuffled, bounds=(bound,))
+
+
+def _count_walks(monkeypatch):
+    walks = []
+    real = E._walk_faces
+    monkeypatch.setattr(E, "_walk_faces",
+                        lambda emb, limit: walks.append(limit)
+                        or real(emb, limit))
+    return walks
+
+
+@pytest.mark.parametrize("type_id,n,m", cli.SMOKE_GRID)
+def test_bounded_walks_reuse_the_embedding_faces(monkeypatch, type_id, n, m):
+    """A bound of 2E or more returns copies of ``emb.faces``: the first
+    call walks the faces once, and the later ones walk nothing."""
+    walks = _count_walks(monkeypatch)
+    for radius in (0, 2, 5, 8):
+        _, emb = _embedding(type_id, n, m, radius)
+        darts = 2 * len(emb.ball.edges)
+        before = len(walks)
+        for bound in (darts, darts + 1, 4 * darts + 8):
+            faces = E.trace_faces(emb, bound)
+            assert faces == O.trace_faces(emb, bound)
+            assert faces is not emb.faces
+        assert walks[before:] == [darts]
+
+
+def _loop_ball():
+    """Two vertices joined by b, with a directed a-loop at each."""
+    return CayleyBall.from_dict({
+        "presentation": "<a,b|b^2,a>", "center": 0, "radius": 1,
+        "vertices": [{"id": 0, "word": ""}, {"id": 1, "word": "b"}],
+        "edges": [{"u": 0, "v": 1, "colour": "b", "directed": False},
+                  {"u": 0, "v": 0, "colour": "a", "directed": True},
+                  {"u": 1, "v": 1, "colour": "a", "directed": True}],
+        "interior": [0, 1]})
+
+
+def test_walks_that_hit_2e_are_walked_again(monkeypatch):
+    """A loop listed twice in a rotation gives two darts one successor,
+    so a walk can run on without closing: it hits the 2E cut of
+    ``emb.faces``, and every bound is walked afresh.  The oracle reads a
+    loop's darts otherwise, so the walks are compared with a walk of the
+    permutation of a fresh embedding, whose faces were never read."""
+    ball = _loop_ball()
+    rotation = [[1, 0, 1], [2, 0, 2]]
+
+    def fresh():
+        return E.RotationEmbedding(ball, None, [0, 0], rotation,
+                                   {"a": E.PRESERVING, "b": E.PRESERVING})
+
+    darts = 2 * len(ball.edges)
+    bounds = [darts, darts + 1, 4 * darts + 8]
+    want = [E._walk_faces(fresh(), bound) for bound in bounds]
+    emb = fresh()
+    assert any(f.hit_bound for f in emb.faces)
+    walks = _count_walks(monkeypatch)
+    assert [E.trace_faces(emb, bound) for bound in bounds] == want
+    assert walks == bounds
 
 
 def _isolated(g):

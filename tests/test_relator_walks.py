@@ -7,8 +7,9 @@ its first read and keeps the closed walks; the face keys of
 * The memo equals a plain loop of ``trace_walk`` over every vertex and
   relator, and holds int tuples only.
 * ``to_dict``, ``cycle_space_span_check`` and ``two_basis_check``
-  together call ``trace_walk`` exactly n_vertices x |relators| times; a
-  presentation with other relators costs one pass of its own.
+  together call ``trace_walk`` exactly n_vertices x |essentials| times,
+  as none of them walks the ``g^2`` markers; a presentation with other
+  relators costs one pass of its own.
 * ``whole_ball_walks`` reads the package with ``ast`` and reports every
   module other than ``ball.py`` that hands ``closed_relator_walks`` the
   whole ball (``ball.vertices()``) or the whole interior
@@ -75,7 +76,7 @@ def test_report_readers_share_one_pass(monkeypatch, type_id, n, m, radius):
     emb.to_dict()
     A.cycle_space_span_check(ball, p)
     A.two_basis_check(ball, p)
-    assert len(calls) == ball.n_vertices * len(p.relators)
+    assert len(calls) == ball.n_vertices * len(p.essentials)
 
     # other relators are walked once more, under their own key
     other = parse_presentation("<a,b|b^2,a^4>") if type_id != "IX" else \
@@ -83,7 +84,7 @@ def test_report_readers_share_one_pass(monkeypatch, type_id, n, m, radius):
     before = len(calls)
     A.two_basis_check(ball, other)
     A.cycle_space_span_check(ball, other)
-    assert len(calls) - before == ball.n_vertices * len(other.relators)
+    assert len(calls) - before == ball.n_vertices * len(other.essentials)
 
 
 def whole_ball_walks(*dirs: Path):
