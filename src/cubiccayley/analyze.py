@@ -25,11 +25,13 @@ The loops that stay do something else:
   ``make_ball`` and for each gluing round of the glue tree, and
   ``coset._ball_distances`` walks a coset table, not a ``CayleyBall``.
 
-The separator search at the center costs one cut-vertex pass over the
-ball minus the center, then one confirming search per cut vertex it
-tries.  The all-pairs separator, hinge and nos searches are still
-enumeration: every candidate vertex pair or edge costs one search of
-the ball, so their cost grows with the square of the ball or faster.
+Every separating-pair question fixes a first removal and reads the
+second off one cut pass over the ball minus it (``_cut_vertices``),
+which names the vertices and edges whose further removal changes
+whether the witnesses are separated: one pass at the center, one per
+deep vertex or edge for the all-pairs and nos searches, so their cost
+is the ball's size times its deep part.
+``find_hinges`` makes one search per deep edge.
 The GF(2) and nos checks filter the closed relator walks the ball keeps
 (``CayleyBall.relator_walks``): ``two_basis_check`` is linear in them;
 ``cycle_space_span_check`` builds one breadth-first forest of the
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ball import CayleyBall, Edge
 from .errors import BallTooSmall, InvalidParams, NoSeparatorFound
@@ -86,39 +88,44 @@ def _separates(ball, witnesses, removed_vertices=frozenset(),
     return any(w not in reach for w in live)
 
 
-def _cut_vertices(adj, witnesses, removed) -> Optional[Set[int]]:
-    """Cut vertices of G minus ``removed``, or None when removing
-    ``removed`` alone already separates ``witnesses``.  ``adj`` is the
-    ball's ``adjacency``: per vertex, its (edge id, neighbour) pairs.
+def _cut_vertices(adj, witnesses, removed, removed_edges=()):
+    """``(separated, cuts, bridges)``: whether G minus the ``removed``
+    vertices and ``removed_edges`` separates ``witnesses``, and the
+    vertices and edge ids whose further removal changes that.  ``adj`` is
+    ``CayleyBall.adjacency``.
 
-    If ``removed`` does not separate the witnesses, one more vertex can
-    separate them only if it is a cut vertex here.  Cost: one iterative
-    depth-first pass (Hopcroft & Tarjan), linear in the ball.  The pass
-    skips the parent edge by id, so parallel edges count as cycles.
+    Cost: one iterative depth-first pass (Hopcroft & Tarjan), linear in
+    the ball.  It skips the parent edge by id, so parallel edges count as
+    cycles.  A tree edge u-w hangs w's subtree off u if low[w] >= disc[u],
+    and off the edge if low[w] > disc[u]; cutting it there separates the
+    witnesses iff the subtree holds some but not all of those left.  Once
+    they are separated, only removing the lone witness of one of exactly
+    two trees that hold any joins them again.
     """
     disc = [0] * len(adj)  # discovery time; 0 unvisited, -1 removed
     low = [0] * len(adj)
+    below = [0] * len(adj)  # witnesses in the depth-first subtree
     for v in removed:
         disc[v] = -1
-    cuts = set()
-    t = witness_trees = 0
+    total = sum(not disc[w] for w in witnesses)
+    cuts, bridges, spans = set(), set(), []
+    t = 0
     for root in range(len(adj)):
         if disc[root]:
             continue
         t += 1
         disc[root] = low[root] = t
-        hit = root in witnesses
-        root_children = 0
+        below[root] = root in witnesses
         stack = [(root, -1, iter(adj[root]))]
         while stack:
             v, parent_eid, edges = stack[-1]
             for eid, w in edges:
-                if eid == parent_eid:
+                if eid == parent_eid or eid in removed_edges:
                     continue
                 if not disc[w]:
                     t += 1
                     disc[w] = low[w] = t
-                    hit = hit or w in witnesses
+                    below[w] = w in witnesses
                     stack.append((w, eid, iter(adj[w])))
                     break
                 if 0 < disc[w] < low[v]:
@@ -129,17 +136,30 @@ def _cut_vertices(adj, witnesses, removed) -> Optional[Set[int]]:
                     continue
                 u = stack[-1][0]
                 low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    if u == root:
-                        root_children += 1
-                    else:
+                below[u] += below[v]
+                if below[v] and low[v] >= disc[u]:
+                    if below[v] < total - (u in witnesses):
                         cuts.add(u)
-        if root_children > 1:
-            cuts.add(root)
-        witness_trees += hit
-        if witness_trees > 1:
-            return None
-    return cuts
+                    if below[v] < total and low[v] > disc[u]:
+                        bridges.add(parent_eid)
+        if below[root]:  # the tree's discovery times are disc[root]..t
+            spans.append((disc[root], t, below[root]))
+    if len(spans) < 2:
+        return False, cuts, bridges
+    lone = {w for lo, hi, held in spans if held == 1 and len(spans) == 2
+            for w in witnesses if lo <= disc[w] <= hi}
+    return True, lone, set()
+
+
+def _separating_partners(ball, witnesses, candidates, removed=(),
+                         removed_edges=(), edges=False):
+    """The candidates (vertices, or edge ids with ``edges``), in order,
+    whose removal on top of the fixed one separates ``witnesses``, read
+    off one cut pass over G minus the fixed removal.  A removed candidate
+    vertex stands for the fixed removal alone."""
+    separated, *changes = _cut_vertices(ball.adjacency, witnesses, removed,
+                                        removed_edges)
+    return (y for y in candidates if (y in changes[edges]) != separated)
 
 
 def _shortest_path(ball, x: int, y: int) -> Tuple[int, ...]:
@@ -212,16 +232,16 @@ def connectivity_diagnostics(ball: CayleyBall, margin: int = 1) -> dict:
     inside the interior; anything closer to the boundary is dropped as a
     possible truncation artifact.  The default margin is the minimal
     discipline; ``sound_margin`` gives the relator-aware one.
+    Cost: one cut pass over G - x per deep x (``_separating_partners``);
+    x heads its own candidates, the partner x meaning x alone.
     """
     deep = sorted(_deep_vertices(ball, margin))
     witnesses = set(deep)
-    cut = any(_separates(ball, witnesses, frozenset((v,)))
-              for v in deep)
-    separators = []
-    for x, y in itertools.combinations(deep, 2):
-        if _separates(ball, witnesses, frozenset((x, y))):
-            separators.append(_certificate(ball, x, y))
-    return {"has_interior_cutvertex": cut, "two_separators": separators}
+    pairs = [(x, y) for i, x in enumerate(deep)
+             for y in _separating_partners(ball, witnesses, deep[i:], (x,))]
+    return {"has_interior_cutvertex": any(x == y for x, y in pairs),
+            "two_separators": [_certificate(ball, x, y)
+                               for x, y in pairs if x != y]}
 
 
 def find_hinges(ball: CayleyBall, margin: int = 1,
@@ -251,35 +271,28 @@ def shortest_separating_path(ball: CayleyBall, margin: int = 1,
     With ``center_only`` the first endpoint is pinned to the center
     (sound by vertex-transitivity) and candidates are scanned in
     distance order, so the first hit is minimal.
-    Cost: with ``center_only``, one cut-vertex pass over G - center and
-    one search per cut vertex tried; else one search per deep pair.
+    Cost: one cut pass over G - x per first endpoint x, only the center
+    with ``center_only`` (``_separating_partners``).
     """
     deep = sorted(_deep_vertices(ball, margin))
     witnesses = set(deep)
     if center_only:
         c = ball.center
-        cuts = _cut_vertices(ball.adjacency, witnesses, (c,))
-        for y in sorted(deep, key=lambda v: (ball.distances[v], v)):
-            if y != c and (cuts is None or y in cuts) and \
-                    _separates(ball, witnesses, frozenset((c, y))):
-                return _certificate(ball, c, y)
+        order = sorted((v for v in deep if v != c),
+                       key=lambda v: (ball.distances[v], v))
+        for y in _separating_partners(ball, witnesses, order, (c,)):
+            return _certificate(ball, c, y)
         raise NoSeparatorFound(
             "no separating pair at the center at this radius")
-    best = None
-    best_key = None
-    for x, y in itertools.combinations(deep, 2):
-        if not _separates(ball, witnesses, frozenset((x, y))):
-            continue
-        path = _shortest_path(ball, x, y)
-        key = (len(path), ball.distances[x] + ball.distances[y], x, y)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (x, y, path)
+    best = min(((len(_shortest_path(ball, x, y)),
+                 ball.distances[x] + ball.distances[y], x, y)
+                for i, x in enumerate(deep)
+                for y in _separating_partners(ball, witnesses, deep[i + 1:],
+                                              (x,))), default=None)
     if best is None:
         raise NoSeparatorFound(
             "no interior separating pair at this radius; report, do not guess")
-    x, y, _ = best
-    return _certificate(ball, x, y)
+    return _certificate(ball, *best[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -498,20 +511,19 @@ def nos_properties_check(ball: CayleyBall) -> dict:
     # (nosii): no deep 2-edge-cut unless both edges are d edges, and no
     # mixed vertex-plus-edge cut unless the edge is a d edge
     violations = []
-    for i, j in itertools.combinations(deep_eids, 2):
-        ei, ej = ball.edges[i], ball.edges[j]
-        if ei.colour == "d" and ej.colour == "d":
-            continue
-        if _separates(ball, deep, removed_edges=frozenset((i, j))):
-            violations.append(("edges", ei, ej))
+    for k, i in enumerate(deep_eids):
+        ei = ball.edges[i]
+        later = [j for j in deep_eids[k + 1:]
+                 if ei.colour != "d" or ball.edges[j].colour != "d"]
+        violations += [("edges", ei, ball.edges[j]) for j in
+                       _separating_partners(ball, deep, later,
+                                            removed_edges=(i,), edges=True)]
     for v in sorted(deep):
-        for i in deep_eids:
-            e = ball.edges[i]
-            if e.colour == "d" or v in (e.u, e.v):
-                continue
-            if _separates(ball, deep, frozenset((v,)),
-                          frozenset((i,))):
-                violations.append(("vertex+edge", v, e))
+        free = [i for i in deep_eids if ball.edges[i].colour != "d"
+                and v not in (ball.edges[i].u, ball.edges[i].v)]
+        violations += [("vertex+edge", v, ball.edges[i]) for i in
+                       _separating_partners(ball, deep, free, (v,),
+                                            edges=True)]
     report["nosii"] = {"ok": not violations, "violations": violations}
 
     cycles = _relator_cycles(ball, rel)

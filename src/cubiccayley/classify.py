@@ -390,16 +390,9 @@ def finite_case_report(p: Presentation, cap: int = 100000) -> dict:
         raise Overflow(f"enumeration did not close within {cap} cosets")
     order = len(table.live_cosets())
     ball = ball_from_table(table, max(order, 1))
-    pair_seen = set()
-    parallel = False
-    for e in ball.edges:
-        key = frozenset((e.u, e.v))
-        if key in pair_seen:
-            parallel = True
-        pair_seen.add(key)
-    diag = analyze.connectivity_diagnostics(ball, margin=0) \
-        if order >= 4 else {"has_interior_cutvertex": False,
-                            "two_separators": []}
+    ends = [frozenset((e.u, e.v)) for e in ball.edges]
+    parallel = len(set(ends)) < len(ends)
+    diag = analyze.connectivity_diagnostics(ball, margin=0)
     report = {
         "order": order,
         "parallel_edges": parallel,

@@ -562,12 +562,6 @@ def suppress_degree_two(g) -> nx.MultiGraph:
         mg.add_edge(a, b)
 
 
-def vap_free(tp: TypeParams) -> bool:
-    """Whether the family admits an embedding without vertex accumulation
-    points (catalogue lookup)."""
-    return tp.family.vap_free
-
-
 def two_coloured_face_check(emb: RotationEmbedding) -> bool:
     """No closed interior face of the produced embedding is a 2-coloured
     cycle; only meaningful for the two families the observation covers."""

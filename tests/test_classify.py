@@ -124,11 +124,16 @@ def test_finite_case_report_order_four():
 
 
 def test_finite_case_report_type_ix():
-    report = finite_case_report(TypeParams("IX", n=2).presentation())
-    assert report["order"] == 4
-    assert report["parallel_edges"]
-    assert report["two_separator"]
-    assert report["type"] == "IX"
+    # order 2 reaches connectivity_diagnostics too, which finds no
+    # separator in the two-vertex graph
+    for n, order in ((1, 2), (2, 4)):
+        report = finite_case_report(TypeParams("IX", n=n).presentation())
+        assert report["order"] == order
+        assert report["parallel_edges"]
+        assert report["two_separator"] == (n == 2)
+        assert not report["cutvertex"]
+        assert report["type"] == "IX"
+        assert report["params"] == {"n": n}
 
 
 def test_finite_case_report_overflow_on_infinite():

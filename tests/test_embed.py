@@ -106,11 +106,11 @@ def test_two_coloured_face_check():
 
 
 def test_vap_free_flags():
-    assert E.vap_free(TypeParams("I", n=2))
-    assert E.vap_free(TypeParams("VI", n=2, m=2))
+    assert TypeParams("I", n=2).family.vap_free
+    assert TypeParams("VI", n=2, m=2).family.vap_free
     for tp in (TypeParams("III", n=2), TypeParams("IV", m=2),
                TypeParams("V", n=2, m=2), TypeParams("VII", n=2, m=2)):
-        assert not E.vap_free(tp)
+        assert not tp.family.vap_free
 
 
 def test_planarity_witness_on_k5():

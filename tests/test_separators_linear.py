@@ -1,8 +1,10 @@
 """Differential tests: the separator search at the center, which prunes
 candidates with one cut-vertex pass, agrees with the per-candidate
-brute-force oracle in ``oracles.py``; the pass itself agrees with
-removal counting; and the search confirms at most two candidates, so
-per-candidate sweeps cannot come back unnoticed."""
+brute-force oracle in ``oracles.py``; the pass itself, cut vertices and
+bridges, agrees with removal counting; the center search confirms at
+most two candidates and the all-pairs searches make a number of passes
+and sweeps linear in the deep part and the pairs found, so per-pair
+sweeps cannot come back unnoticed."""
 
 import random
 
@@ -84,7 +86,7 @@ def test_ix_parallel_edges(n):
         _assert_agree(ball, margin)
 
 
-def _components(adj, removed):
+def _components(adj, removed, removed_edges=()):
     seen, comps = set(removed), []
     for s in range(len(adj)):
         if s in seen:
@@ -92,19 +94,23 @@ def _components(adj, removed):
         seen.add(s)
         comp = [s]
         for v in comp:
-            for _, w in adj[v]:
-                if w not in seen:
+            for eid, w in adj[v]:
+                if w not in seen and eid not in removed_edges:
                     seen.add(w)
                     comp.append(w)
         comps.append(comp)
     return comps
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 12), st.integers(0, 2 ** 16))
-def test_cut_pass_matches_removal(n, seed):
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2 ** 16), st.booleans())
+def test_cut_pass_matches_removal(n, seed, every_vertex):
     # random multigraphs with parallel edges and loops, minus a random
-    # vertex; cut vertices by brute force: remove each, count components
+    # vertex and a random edge; whether the witnesses are separated, and
+    # the vertices and edges whose removal changes that, by brute force:
+    # remove each, count the components holding a witness.  With every
+    # vertex a witness of a connected graph these are its cut vertices
+    # and bridges.
     rng = random.Random(seed)
     edges = [(rng.randrange(n), rng.randrange(n))
              for _ in range(rng.randrange(2 * n + 1))]
@@ -115,15 +121,22 @@ def test_cut_pass_matches_removal(n, seed):
         adj[u].append((eid, v))
         adj[v].append((eid, u))
     removed = frozenset(rng.sample(range(n), rng.randrange(2)))
-    base = len(_components(adj, removed))
-    live = [v for v in range(n) if v not in removed]
-    cuts = {v for v in live if len(_components(adj, removed | {v})) > base}
-    assert A._cut_vertices(adj, set(), removed) == cuts
-    # with witnesses on both sides of a cut the pass keeps everything
-    witnesses = set(rng.sample(live, min(len(live), 3)))
-    separated = sum(any(v in witnesses for v in comp)
-                    for comp in _components(adj, removed)) > 1
-    assert (A._cut_vertices(adj, witnesses, removed) is None) == separated
+    removed_edges = frozenset(rng.sample(range(len(edges)),
+                                         min(len(edges), rng.randrange(2))))
+    witnesses = set(range(n)) if every_vertex else \
+        set(rng.sample(range(n), rng.randrange(n + 1)))
+
+    def separated(vertices, eids):
+        return sum(any(v in witnesses for v in comp)
+                   for comp in _components(adj, vertices, eids)) > 1
+
+    base = separated(removed, removed_edges)
+    cuts = {v for v in range(n)
+            if separated(removed | {v}, removed_edges) != base}
+    bridges = {eid for eid in range(len(edges))
+               if separated(removed, removed_edges | {eid}) != base}
+    assert A._cut_vertices(adj, witnesses, removed, removed_edges) == \
+        (base, cuts, bridges)
 
 
 @pytest.mark.parametrize("type_id,n,m", _GRID_UP_TO_VII_2_2)
@@ -143,3 +156,44 @@ def test_center_search_confirms_at_most_two(monkeypatch, type_id, n, m):
     except NoSeparatorFound:
         assert (type_id, n) == ("IX", 1)
     assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("sound", [True, False])
+@pytest.mark.parametrize("type_id,n,m,radius", [
+    ("VI", 2, 3, 8), ("VIII", None, 2, 8), ("V", 2, 2, 9)])
+def test_pair_searches_sweep_linearly(monkeypatch, type_id, n, m, radius,
+                                      sound):
+    # searching per pair made 703, 990 and 3003 component sweeps in
+    # connectivity_diagnostics alone here at the sound margin, one per
+    # deep vertex and pair; at margin 1 the deep part of the last two
+    # has cut vertices, whose partners are read off the pass as well
+    ball = construct(TypeParams(type_id, n=n, m=m), radius)
+    margin = A.sound_margin(ball.presentation) if sound else 1
+    deep = set(A._deep_vertices(ball, margin))
+    deep_eids = sum(e.u in deep and e.v in deep for e in ball.edges)
+    calls = []
+
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("_separates", "_cut_vertices"):
+        monkeypatch.setattr(A, name, counting(getattr(A, name)))
+
+    def count(fn, *args):
+        calls.clear()
+        out = fn(*args)
+        return len(calls), out
+
+    made, diag = count(A.connectivity_diagnostics, ball, margin)
+    found = len(diag["two_separators"]) + diag["has_interior_cutvertex"]
+    assert made <= len(deep) + found
+    made, _ = count(A.shortest_separating_path, ball, margin)
+    assert made <= len(deep) + found
+    if not sound:
+        return  # nos_properties_check always takes the sound margin
+    made, report = count(A.nos_properties_check, ball)
+    found += sum(len(report[k]["violations"]) for k in ("nosii", "nosiv"))
+    assert made <= 2 * (len(deep) + deep_eids) + found

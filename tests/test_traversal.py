@@ -86,6 +86,21 @@ def test_nos_properties_match_oracle():
     assert report == O.nos_properties_check(ball)
 
 
+@pytest.mark.parametrize("type_id,n,m,radius,failing", [
+    ("VI", 2, 3, 8, {"nosii", "nosiv"}),
+    ("VIII", None, 2, 8, {"nosii", "nosiii", "nosiv", "nosv"}),
+    ("VII", 2, 2, 9, {"nosvi"}),
+])
+def test_nos_violations_match_oracle(type_id, n, m, radius, failing):
+    # controls on which some properties fail, so the violation lists
+    # are compared too
+    ball = construct(TypeParams(type_id, n=n, m=m), radius)
+    report = A.nos_properties_check(ball)
+    assert {k for k, v in report.items()
+            if k != "ok" and not v["ok"]} == failing
+    assert report == O.nos_properties_check(ball)
+
+
 def test_ix_spin_conflicts_match_oracle():
     # the IX embedding search tries every table; the same ones must fail
     for n in (1, 2, 3):
