@@ -30,7 +30,10 @@ second off one cut pass over the ball minus it (``_cut_vertices``),
 which names the vertices and edges whose further removal changes
 whether the witnesses are separated: one pass at the center, one per
 deep vertex or edge for the all-pairs and nos searches, so their cost
-is the ball's size times its deep part.
+is the ball's size times its deep part.  The nos check reads its
+vertex+edge cuts and its separating pairs off the same pass over G - v,
+and the certificates of every pair {x, y} come off one breadth-first
+tree from x.
 ``find_hinges`` makes one search per deep edge.
 The GF(2) and nos checks filter the closed relator walks the ball keeps
 (``CayleyBall.relator_walks``): ``two_basis_check`` is linear in them;
@@ -151,20 +154,35 @@ def _cut_vertices(adj, witnesses, removed, removed_edges=()):
     return True, lone, set()
 
 
-def _separating_partners(ball, witnesses, candidates, removed=(),
-                         removed_edges=(), edges=False):
+def _partners(cut_pass, candidates, edges=False):
     """The candidates (vertices, or edge ids with ``edges``), in order,
-    whose removal on top of the fixed one separates ``witnesses``, read
-    off one cut pass over G minus the fixed removal.  A removed candidate
-    vertex stands for the fixed removal alone."""
-    separated, *changes = _cut_vertices(ball.adjacency, witnesses, removed,
-                                        removed_edges)
+    whose removal on top of the fixed one separates the witnesses, read
+    off ``cut_pass``, the ``_cut_vertices`` pass over G minus the fixed
+    removal.  A removed candidate vertex stands for the fixed removal
+    alone."""
+    separated, *changes = cut_pass
     return (y for y in candidates if (y in changes[edges]) != separated)
 
 
-def _shortest_path(ball, x: int, y: int) -> Tuple[int, ...]:
-    """The path from x to y in the breadth-first tree from x."""
-    tree = ball.bfs((x,), until=y)
+def _separating_partners(ball, witnesses, candidates, removed=(),
+                         removed_edges=(), edges=False):
+    """``_partners`` of one cut pass over G minus the fixed removal."""
+    return _partners(_cut_vertices(ball.adjacency, witnesses, removed,
+                                   removed_edges), candidates, edges)
+
+
+def _vertex_partners(ball, deep, first=0):
+    """``(x, cut pass, partners)`` per vertex x of ``deep`` (sorted), in
+    order: one cut pass over G - x, the deep vertices as witnesses, and
+    the vertices from ``deep[i + first:]`` that separate them with x."""
+    witnesses, adj = set(deep), ball.adjacency
+    for i, x in enumerate(deep):
+        cut_pass = _cut_vertices(adj, witnesses, (x,))
+        yield x, cut_pass, list(_partners(cut_pass, deep[i + first:]))
+
+
+def _tree_path(tree, x: int, y: int) -> Tuple[int, ...]:
+    """The path from x to y in ``tree``, a breadth-first tree from x."""
     if y not in tree:
         raise NoSeparatorFound(f"no path between {x} and {y} inside the ball")
     path = [y]
@@ -184,8 +202,9 @@ def _path_word(ball: CayleyBall, path: Sequence[int]) -> Word:
     return Word(tuple(letters))
 
 
-def _certificate(ball, x: int, y: int) -> SeparationCertificate:
-    path = _shortest_path(ball, x, y)
+def _certificate(ball, path: Tuple[int, ...]) -> SeparationCertificate:
+    """The certificate of the separating pair at the ends of ``path``."""
+    x, y = path[0], path[-1]
     z = _path_word(ball, path)
     cert = SeparationCertificate(x, y, path, z)
     twice = Word(z.letters + z.letters)
@@ -232,16 +251,20 @@ def connectivity_diagnostics(ball: CayleyBall, margin: int = 1) -> dict:
     inside the interior; anything closer to the boundary is dropped as a
     possible truncation artifact.  The default margin is the minimal
     discipline; ``sound_margin`` gives the relator-aware one.
-    Cost: one cut pass over G - x per deep x (``_separating_partners``);
-    x heads its own candidates, the partner x meaning x alone.
+    Cost: one cut pass over G - x per deep x (``_vertex_partners``);
+    x heads its own candidates, the partner x meaning x alone.  The
+    paths come off one breadth-first tree from each x with partners.
     """
-    deep = sorted(_deep_vertices(ball, margin))
-    witnesses = set(deep)
-    pairs = [(x, y) for i, x in enumerate(deep)
-             for y in _separating_partners(ball, witnesses, deep[i:], (x,))]
-    return {"has_interior_cutvertex": any(x == y for x, y in pairs),
-            "two_separators": [_certificate(ball, x, y)
-                               for x, y in pairs if x != y]}
+    cut, separators = False, []
+    for x, _, partners in _vertex_partners(
+            ball, sorted(_deep_vertices(ball, margin))):
+        cut |= x in partners
+        ys = [y for y in partners if y != x]
+        if ys:
+            tree = ball.bfs((x,))
+            separators += [_certificate(ball, _tree_path(tree, x, y))
+                           for y in ys]
+    return {"has_interior_cutvertex": cut, "two_separators": separators}
 
 
 def find_hinges(ball: CayleyBall, margin: int = 1,
@@ -272,27 +295,33 @@ def shortest_separating_path(ball: CayleyBall, margin: int = 1,
     (sound by vertex-transitivity) and candidates are scanned in
     distance order, so the first hit is minimal.
     Cost: one cut pass over G - x per first endpoint x, only the center
-    with ``center_only`` (``_separating_partners``).
+    with ``center_only`` (``_separating_partners``), and one
+    breadth-first tree from each x with partners, which gives all their
+    paths; at the center the tree stops at the first partner.
     """
     deep = sorted(_deep_vertices(ball, margin))
-    witnesses = set(deep)
+    dist = ball.distances
     if center_only:
         c = ball.center
         order = sorted((v for v in deep if v != c),
-                       key=lambda v: (ball.distances[v], v))
-        for y in _separating_partners(ball, witnesses, order, (c,)):
-            return _certificate(ball, c, y)
+                       key=lambda v: (dist[v], v))
+        for y in _separating_partners(ball, set(deep), order, (c,)):
+            return _certificate(ball, _tree_path(
+                ball.bfs((c,), until=y), c, y))
         raise NoSeparatorFound(
             "no separating pair at the center at this radius")
-    best = min(((len(_shortest_path(ball, x, y)),
-                 ball.distances[x] + ball.distances[y], x, y)
-                for i, x in enumerate(deep)
-                for y in _separating_partners(ball, witnesses, deep[i + 1:],
-                                              (x,))), default=None)
+    best = None  # (path length, distance sum, x, y, path)
+    for x, _, partners in _vertex_partners(ball, deep, 1):
+        tree = ball.bfs((x,)) if partners else {}
+        for y in partners:
+            path = _tree_path(tree, x, y)
+            key = (len(path), dist[x] + dist[y], x, y, path)
+            if best is None or key < best:
+                best = key
     if best is None:
         raise NoSeparatorFound(
             "no interior separating pair at this radius; report, do not guess")
-    return _certificate(ball, *best[2:])
+    return _certificate(ball, best[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -518,17 +547,18 @@ def nos_properties_check(ball: CayleyBall) -> dict:
         violations += [("edges", ei, ball.edges[j]) for j in
                        _separating_partners(ball, deep, later,
                                             removed_edges=(i,), edges=True)]
-    for v in sorted(deep):
+    # the one cut pass over G - v gives the bridges here and the
+    # separating pairs {v, y} of connectivity_diagnostics for nosiii
+    sep_pairs = []
+    for v, cut_pass, partners in _vertex_partners(ball, sorted(deep)):
         free = [i for i in deep_eids if ball.edges[i].colour != "d"
                 and v not in (ball.edges[i].u, ball.edges[i].v)]
         violations += [("vertex+edge", v, ball.edges[i]) for i in
-                       _separating_partners(ball, deep, free, (v,),
-                                            edges=True)]
+                       _partners(cut_pass, free, edges=True)]
+        sep_pairs += [(v, y) for y in partners if y != v]
     report["nosii"] = {"ok": not violations, "violations": violations}
 
     cycles = _relator_cycles(ball, rel)
-    sep_pairs = [(c.x, c.y) for c in
-                 connectivity_diagnostics(ball, margin)["two_separators"]]
 
     # (nosiii): separating pairs on a relator cycle sit on its d edges
     violations = []

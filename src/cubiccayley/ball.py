@@ -20,11 +20,13 @@ slots row by row, the neighbour through letter i at ``nbr[v * L + i]``.
 Vertex ids are assigned canonically: breadth-first from the center, letters
 explored in the order of ``Presentation.letters``, which makes vertex
 ``i``'s word label the shortlex-minimal representative.  ``make_ball``
-does this numbering on the ``RawGraph`` a builder grows.
+does this numbering on the ``RawGraph`` a builder grows, with the
+cyclic garbage collector paused, since a ball holds no reference cycle.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -432,20 +434,33 @@ def make_ball(presentation: Presentation, graph: RawGraph,
     """Truncate ``graph`` to the radius-``radius`` ball around its vertex
     0, vertices numbered by ``graph.walk`` and edges in (low end,
     high end, colour, undirected first, tail) order.  The graph's letters
-    are the presentation's; ``words`` is built on its first read."""
-    _, index, parent, letter, dist = graph.walk(radius)
-    keys = []
-    for u, v, colour, directed in graph.edges:
-        u, v = index[u], index[v]
-        if u >= 0 and v >= 0:
-            low, high = (u, v) if u < v else (v, u)
-            keys.append((low, high, colour, not directed, u, v))
-    keys.sort()
-    edges = [Edge(u, v, colour, not undirected)
-             for _, _, colour, undirected, u, v in keys]
-    interior = frozenset(i for i, d in enumerate(dist) if d < radius)
-    return CayleyBall(presentation, 0, radius, edges, lambda: _word_labels(
-        presentation, parent, letter), interior, dist)
+    are the presentation's; ``words`` is built on its first read.
+
+    Everything built here is acyclic (sort keys, edges, int lists and
+    pairs), so the cyclic garbage collector is paused for the build: its
+    collections would only rescan that bulk.  The pause is process-wide;
+    on return or on an exception the collector is enabled again if it
+    was enabled before, and left disabled otherwise."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _, index, parent, letter, dist = graph.walk(radius)
+        keys = []
+        for u, v, colour, directed in graph.edges:
+            u, v = index[u], index[v]
+            if u >= 0 and v >= 0:
+                low, high = (u, v) if u < v else (v, u)
+                keys.append((low, high, colour, not directed, u, v))
+        keys.sort()
+        edges = [Edge(u, v, colour, not undirected)
+                 for _, _, colour, undirected, u, v in keys]
+        interior = frozenset(i for i, d in enumerate(dist) if d < radius)
+        return CayleyBall(presentation, 0, radius, edges,
+                          lambda: _word_labels(presentation, parent, letter),
+                          interior, dist)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _word_labels(p: Presentation, parent: List[int], letter: List[int]):

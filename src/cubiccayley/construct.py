@@ -242,11 +242,22 @@ def _build_amalgam(tp: TypeParams, radius: int) -> RawGraph:
     is discovered, and the image of a letter is computed only while its
     slot is free, so each edge is computed and added once, from the end
     that reaches it first.  An element is the amalgam's int, and each
-    letter's image is one O(1) trie step."""
+    letter's image is one O(1) trie step.
+
+    When every relator has even length, sending every generator to 1 in
+    Z_2 is a homomorphism, so the Cayley graph is bipartite: no edge
+    joins two vertices at the same distance from the identity.  A
+    vertex at distance ``radius`` then has all its ball edges already,
+    to the layer inside it, and the BFS, which meets the elements in
+    distance order, stops at the first such vertex without computing
+    images that cannot land in the ball.  Otherwise (III(n) for odd n,
+    IV(m) for odd m) those vertices still look for edges among
+    themselves."""
     p = tp.presentation()
     am, steps = _amalgam_for(p)
     moves = [(col, letter, am.move(*steps[letter]))
              for col, letter in enumerate(p.letters)]
+    bipartite = all(len(rel) % 2 == 0 for rel in p.relators)
 
     graph = RawGraph(p)
     nbr, L, apply = graph.nbr, graph.L, am.apply
@@ -255,6 +266,8 @@ def _build_amalgam(tp: TypeParams, radius: int) -> RawGraph:
     dist = [0]
     for i, u in enumerate(elements):
         inner = dist[i] < radius
+        if not inner and bipartite:
+            break
         for col, letter, move in moves:
             if nbr[i * L + col] >= 0:
                 continue

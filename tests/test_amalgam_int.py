@@ -2,8 +2,10 @@
 letter elements read off each presentation are those of the hand-written
 table kept in ``oracles.py``, the int-keyed builder on trie normal forms
 gives the same balls as the dataclass builder kept there, its normal
-forms split random words into the same equality classes, and the
-normal-form arithmetic obeys the group axioms on random factor words."""
+forms split random words into the same equality classes, the
+normal-form arithmetic obeys the group axioms on random factor words,
+and the parity rule that stops the builder at the boundary holds on the
+enumerated balls."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,11 +13,15 @@ from hypothesis import given, settings, strategies as st
 import oracles as O
 from cubiccayley import cli
 from cubiccayley.ball import make_ball
-from cubiccayley.construct import TypeParams, _amalgam_for, _build_amalgam
-from cubiccayley.groups import Cyclic
+from cubiccayley.construct import (TypeParams, _amalgam_for, _build_amalgam,
+                                   _oracle_ball)
+from cubiccayley.groups import Amalgam, Cyclic
 
 AMALGAM_TYPES = ("III", "IV", "V", "VII")
 _GRID = [c for c in cli.SMOKE_GRID if c[0] in AMALGAM_TYPES]
+# the grid's amalgam cells with a relator of odd length, (a^2b)^3 and
+# (bcd)^3
+_ODD = [("III", 3, None), ("IV", None, 3)]
 
 
 def _assert_same_ball(tp, radius):
@@ -166,3 +172,34 @@ def test_group_axioms(tp, raw_u, raw_v, tag):
     assert _evaluate(am, u + inverse) == am.identity
     # u times the normal form of v equals evaluating the concatenation uv
     assert _times(am, gu, v) == _evaluate(am, u + v)
+
+
+@pytest.mark.parametrize("radius", [4, 5, 6])
+@pytest.mark.parametrize("type_id,n,m", _GRID)
+def test_sphere_edges_only_with_an_odd_relator(type_id, n, m, radius):
+    # on the coset-enumeration ball, not the builder's: with every
+    # relator of even length no edge joins two vertices at distance r,
+    # which lets _build_amalgam stop at the first of them; the odd cells
+    # are the control that shows the parity test is needed
+    p = TypeParams(type_id, n=n, m=m).presentation()
+    even = all(len(rel) % 2 == 0 for rel in p.relators)
+    assert even == ((type_id, n, m) not in _ODD)
+    ball = _oracle_ball(p, radius, 5000)
+    sphere = [e for e in ball.edges
+              if ball.distances[e.u] == ball.distances[e.v] == radius]
+    assert bool(sphere) == (not even)
+
+
+def test_builder_applies_one_move_per_edge(monkeypatch):
+    # the builder used to compute, then drop, an image for every free
+    # slot of every boundary vertex: 11 889 applies for 5 997 edges here
+    calls = []
+    real = Amalgam.apply
+
+    def counting(self, g, move):
+        calls.append(1)
+        return real(self, g, move)
+
+    monkeypatch.setattr(Amalgam, "apply", counting)
+    graph = _build_amalgam(TypeParams("VII", n=3, m=2), 11)
+    assert len(calls) == len(graph.edges) == 5997

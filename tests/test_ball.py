@@ -1,12 +1,15 @@
 """Ball data structure, certification and serialisation."""
 
+import gc
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cubiccayley.ball import CayleyBall, certify_ball, rooted_isomorphic
-from cubiccayley.construct import TypeParams, construct
+from cubiccayley import ball as ball_module
+from cubiccayley.ball import (CayleyBall, certify_ball, make_ball,
+                              rooted_isomorphic)
+from cubiccayley.construct import TypeParams, _build_type_ix, construct
 from cubiccayley.errors import ParseError
 from cubiccayley.presentation import parse_presentation
 
@@ -148,3 +151,39 @@ def test_from_dict_rejects_disconnected():
     # an unreachable vertex used to get distance -1 and pass as deep
     with pytest.raises(ParseError, match="1 vertices unreachable"):
         CayleyBall.from_dict(_disconnected())
+
+
+@pytest.fixture
+def collector_state():
+    """Leaves the collector as the test found it, whatever the test did."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("raises", [False, True])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_make_ball_pauses_and_restores_the_collector(
+        monkeypatch, collector_state, enabled, raises):
+    # the collector is off while the ball is built, and afterwards in
+    # the state it was in before, also when building raises
+    seen = []
+    real = ball_module.CayleyBall
+
+    def building(*args):
+        seen.append(gc.isenabled())
+        if raises:
+            raise RuntimeError("build failed")
+        return real(*args)
+
+    monkeypatch.setattr(ball_module, "CayleyBall", building)
+    tp = TypeParams("IX", n=2)
+    (gc.enable if enabled else gc.disable)()
+    if raises:
+        with pytest.raises(RuntimeError, match="build failed"):
+            make_ball(tp.presentation(), _build_type_ix(2), 2)
+    else:
+        assert make_ball(tp.presentation(), _build_type_ix(2),
+                         2).n_vertices == 4
+    assert gc.isenabled() == enabled
+    assert seen == [False]

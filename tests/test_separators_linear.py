@@ -16,6 +16,7 @@ from test_acceptance import z_length
 from test_embed_linear import _MIN_PARAMS
 from cubiccayley import analyze as A
 from cubiccayley import cli
+from cubiccayley.ball import CayleyBall
 from cubiccayley.construct import (TypeParams, construct,
                                    construct_presentation_ball)
 from cubiccayley.errors import BallTooSmall, NoSeparatorFound
@@ -197,3 +198,48 @@ def test_pair_searches_sweep_linearly(monkeypatch, type_id, n, m, radius,
     made, report = count(A.nos_properties_check, ball)
     found += sum(len(report[k]["violations"]) for k in ("nosii", "nosiv"))
     assert made <= 2 * (len(deep) + deep_eids) + found
+
+
+def test_nos_makes_one_cut_pass_per_deep_vertex_and_edge(monkeypatch):
+    # its vertex+edge loop and connectivity_diagnostics each made a pass
+    # over G - v, 84 + 77 + 77 = 238 here; one pass gives both the
+    # bridges and the cut vertices
+    ball = construct(TypeParams("V", n=2, m=2), 9)
+    deep = set(A._deep_vertices(ball, A.sound_margin(ball.presentation)))
+    deep_eids = sum(e.u in deep and e.v in deep for e in ball.edges)
+    calls = []
+    real = A._cut_vertices
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(A, "_cut_vertices", counting)
+    assert A.nos_properties_check(ball)["ok"]
+    assert len(calls) == len(deep) + deep_eids == 161
+
+
+@pytest.mark.parametrize("type_id,n,m,radius", [
+    ("VI", 2, 3, 8), ("II", 2, None, 7), ("V", 2, 2, 9)])
+def test_pair_searches_grow_one_tree_per_first_endpoint(
+        monkeypatch, type_id, n, m, radius):
+    # a search per pair made 95, 1206 and 588 breadth-first searches in
+    # connectivity_diagnostics here, and the all-pairs search one more
+    # for its certificate; the first endpoints number 37, 44 and 132
+    ball = construct(TypeParams(type_id, n=n, m=m), radius)
+    calls = []
+    real = CayleyBall.bfs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(CayleyBall, "bfs", counting)
+    diag = A.connectivity_diagnostics(ball)
+    firsts = {c.x for c in diag["two_separators"]}
+    assert len(firsts) < len(diag["two_separators"])
+    assert len(calls) <= len(firsts)
+    calls.clear()
+    cert = A.shortest_separating_path(ball)
+    assert cert.x in firsts
+    assert len(calls) <= len(firsts)
