@@ -31,10 +31,10 @@ which names the vertices and edges whose further removal changes
 whether the witnesses are separated: one pass at the center, one per
 deep vertex or edge for the all-pairs and nos searches, so their cost
 is the ball's size times its deep part.  The nos check reads its
-vertex+edge cuts and its separating pairs off the same pass over G - v,
-and the certificates of every pair {x, y} come off one breadth-first
-tree from x.
-``find_hinges`` makes one search per deep edge.
+vertex+edge cuts, its separating pairs and its hinges (the edges from v
+to its partners) off the same pass over G - v, and the certificates of
+every pair {x, y} come off one breadth-first tree from x.
+``find_hinges``, which holds no pass, makes one search per deep edge.
 The GF(2) and nos checks filter the closed relator walks the ball keeps
 (``CayleyBall.relator_walks``): ``two_basis_check`` is linear in them;
 ``cycle_space_span_check`` builds one breadth-first forest of the
@@ -164,21 +164,15 @@ def _partners(cut_pass, candidates, edges=False):
     return (y for y in candidates if (y in changes[edges]) != separated)
 
 
-def _separating_partners(ball, witnesses, candidates, removed=(),
-                         removed_edges=(), edges=False):
-    """``_partners`` of one cut pass over G minus the fixed removal."""
-    return _partners(_cut_vertices(ball.adjacency, witnesses, removed,
-                                   removed_edges), candidates, edges)
-
-
-def _vertex_partners(ball, deep, first=0):
+def _vertex_partners(ball, deep):
     """``(x, cut pass, partners)`` per vertex x of ``deep`` (sorted), in
     order: one cut pass over G - x, the deep vertices as witnesses, and
-    the vertices from ``deep[i + first:]`` that separate them with x."""
+    the vertices y >= x of ``deep`` that separate them with x, the
+    partner x meaning x alone."""
     witnesses, adj = set(deep), ball.adjacency
     for i, x in enumerate(deep):
         cut_pass = _cut_vertices(adj, witnesses, (x,))
-        yield x, cut_pass, list(_partners(cut_pass, deep[i + first:]))
+        yield x, cut_pass, list(_partners(cut_pass, deep[i:]))
 
 
 def _tree_path(tree, x: int, y: int) -> Tuple[int, ...]:
@@ -294,8 +288,8 @@ def shortest_separating_path(ball: CayleyBall, margin: int = 1,
     With ``center_only`` the first endpoint is pinned to the center
     (sound by vertex-transitivity) and candidates are scanned in
     distance order, so the first hit is minimal.
-    Cost: one cut pass over G - x per first endpoint x, only the center
-    with ``center_only`` (``_separating_partners``), and one
+    Cost: one cut pass over G - x per first endpoint x
+    (``_vertex_partners``), only the center with ``center_only``, and one
     breadth-first tree from each x with partners, which gives all their
     paths; at the center the tree stops at the first partner.
     """
@@ -305,15 +299,17 @@ def shortest_separating_path(ball: CayleyBall, margin: int = 1,
         c = ball.center
         order = sorted((v for v in deep if v != c),
                        key=lambda v: (dist[v], v))
-        for y in _separating_partners(ball, set(deep), order, (c,)):
+        for y in _partners(_cut_vertices(ball.adjacency, set(deep), (c,)),
+                           order):
             return _certificate(ball, _tree_path(
                 ball.bfs((c,), until=y), c, y))
         raise NoSeparatorFound(
             "no separating pair at the center at this radius")
     best = None  # (path length, distance sum, x, y, path)
-    for x, _, partners in _vertex_partners(ball, deep, 1):
-        tree = ball.bfs((x,)) if partners else {}
-        for y in partners:
+    for x, _, partners in _vertex_partners(ball, deep):
+        ys = [y for y in partners if y != x]
+        tree = ball.bfs((x,)) if ys else {}
+        for y in ys:
             path = _tree_path(tree, x, y)
             key = (len(path), dist[x] + dist[y], x, y, path)
             if best is None or key < best:
@@ -370,9 +366,9 @@ def independent_paths(ball: CayleyBall, x: int, y: int) -> int:
     Unit-capacity augmenting paths (Even & Tarjan 1975) on the split
     graph, not a networkx flow: state 2v enters v and 2v + 1 leaves it.
     Every vertex but x and y passes one path; each edge id carries one
-    path per direction, so parallel edges add capacity; loops are
-    skipped.  Each augmenting path is one breadth-first pass of the
-    residual graph, so the cost is at most deg(x) + 1 linear passes.
+    path per direction, so parallel edges add capacity.  Each augmenting
+    path is one breadth-first pass of the residual graph, so the cost is
+    at most deg(x) + 1 linear passes.
     """
     if x == y:
         raise InvalidParams("endpoints must differ")
@@ -387,10 +383,10 @@ def independent_paths(ball: CayleyBall, x: int, y: int) -> int:
             v = s >> 1
             if s & 1:  # leave v by a free dart, or go back into v
                 moves = [(2 * w, 2 * eid + (w > v)) for eid, w in adj[v]
-                         if w != v and 2 * eid + (w > v) not in used]
+                         if 2 * eid + (w > v) not in used]
             else:  # enter v: back along its used dart, or through v
                 moves = [(2 * u + 1, 2 * eid + (v > u)) for eid, u in adj[v]
-                         if u != v and 2 * eid + (v > u) in used]
+                         if 2 * eid + (v > u) in used]
             if (~v in used) == s & 1:
                 moves.append((s ^ 1, ~v))
             for t, arc in moves:
@@ -544,18 +540,20 @@ def nos_properties_check(ball: CayleyBall) -> dict:
         ei = ball.edges[i]
         later = [j for j in deep_eids[k + 1:]
                  if ei.colour != "d" or ball.edges[j].colour != "d"]
-        violations += [("edges", ei, ball.edges[j]) for j in
-                       _separating_partners(ball, deep, later,
-                                            removed_edges=(i,), edges=True)]
-    # the one cut pass over G - v gives the bridges here and the
-    # separating pairs {v, y} of connectivity_diagnostics for nosiii
-    sep_pairs = []
+        cut_pass = _cut_vertices(ball.adjacency, deep, (), (i,))
+        violations += [("edges", ei, ball.edges[j])
+                       for j in _partners(cut_pass, later, edges=True)]
+    # the one cut pass over G - v gives the bridges here, the separating
+    # pairs {v, y} of connectivity_diagnostics for nosiii, and for nosiv
+    # the hinges from v, its edges to its partners y > v
+    sep_pairs, hinges = [], []
     for v, cut_pass, partners in _vertex_partners(ball, sorted(deep)):
         free = [i for i in deep_eids if ball.edges[i].colour != "d"
                 and v not in (ball.edges[i].u, ball.edges[i].v)]
         violations += [("vertex+edge", v, ball.edges[i]) for i in
                        _partners(cut_pass, free, edges=True)]
         sep_pairs += [(v, y) for y in partners if y != v]
+        hinges += [eid for eid, y in ball.adjacency[v] if y in partners]
     report["nosii"] = {"ok": not violations, "violations": violations}
 
     cycles = _relator_cycles(ball, rel)
@@ -573,8 +571,8 @@ def nos_properties_check(ball: CayleyBall) -> dict:
                 violations.append((s, t, verts))
     report["nosiii"] = {"ok": not violations, "violations": violations}
 
-    # (nosiv): no hinge
-    hinges = find_hinges(ball, margin)
+    # (nosiv): no hinge, in edge-id order as ``find_hinges`` lists them
+    hinges = [ball.edges[i] for i in sorted(hinges)]
     report["nosiv"] = {"ok": not hinges, "violations": hinges}
 
     # (nosvi): b edges of a relator cycle have a detour avoiding the cycle;

@@ -69,7 +69,8 @@ class CayleyBall:
 
     def _index_slots(self):
         """One pass over the edges fills the letter columns and the
-        per-vertex edge lists, and rejects a second edge in a slot."""
+        per-vertex edge lists, and rejects a loop (the edge of a trivial
+        generator) and a second edge in a slot."""
         n = len(self.distances)
         letters = list(self.presentation.letters) if self.presentation else []
         col = {letter: i for i, letter in enumerate(letters)}
@@ -89,6 +90,9 @@ class CayleyBall:
         # per directedness, colour -> the columns filled at u and at v
         ends = ({}, {})
         for i, (u, v, colour, directed) in enumerate(self.edges):
+            if u == v:
+                raise CubicCayleyError(
+                    f"loop edge of colour {colour!r} at vertex {u}")
             at = ends[directed].get(colour)
             if at is None:
                 a = column((colour, 1))
@@ -132,7 +136,7 @@ class CayleyBall:
     @property
     def adjacency(self) -> List[List[Tuple[int, int]]]:
         """Per vertex, its ``(edge id, neighbour)`` pairs in edge-id
-        order; a loop appears once per end.  Shared: do not mutate."""
+        order.  Shared: do not mutate."""
         return self._adj
 
     def degree(self, v: int) -> int:
@@ -270,8 +274,8 @@ class CayleyBall:
     def from_dict(cls, data: dict) -> "CayleyBall":
         """The ball ``to_dict`` wrote.  One linear pass checks the schema
         (dense vertex ids, edge endpoints and interior among them, each
-        colour directed on every edge or on none, a valid center, one edge
-        per slot, every vertex reachable from the center) and raises
+        colour directed on every edge or on none, a valid center, no loop,
+        one edge per slot, every vertex reachable from the center) and raises
         ParseError on any other input."""
         from .presentation import parse_presentation
         if not isinstance(data, dict):
@@ -328,8 +332,9 @@ class CayleyBall:
                     dist[v] = dist[u] + 1
         except ParseError:
             raise
-        # CubicCayleyError: two edges in one slot (the presentation's
-        # own errors, overlong exponents among them, are ParseErrors)
+        # CubicCayleyError: a loop or two edges in one slot (the
+        # presentation's own errors, overlong exponents among them, are
+        # ParseErrors)
         except (KeyError, TypeError, CubicCayleyError) as exc:
             raise ParseError(f"malformed ball: {exc!r}")
         return ball

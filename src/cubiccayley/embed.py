@@ -21,8 +21,11 @@ conflicts or whose spin rotation does not close Euler.  Its verdict is
 never taken on faith: a planar one is certified by the same sphere count
 over the rotation networkx returns, a non-planar one by an explicit
 K5/K33 subdivision that is checked degree-by-degree; that route alone
-yields Kuratowski witnesses.  ``to_dict`` looks its closed faces up
-among the relator walks the ball keeps.
+yields Kuratowski witnesses.  networkx is imported by the functions that
+call it (that route, ``as_multigraph``, ``suppress_degree_two`` and
+``case2_scaffold``), so a process that takes none of them never loads
+it.  ``to_dict`` looks its closed faces up among the relator walks the
+ball keeps.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
 
 from .ball import CayleyBall
 from .classify import classify_presentation
@@ -274,7 +275,8 @@ def trace_faces(emb: RotationEmbedding,
     boundary too and left open, never closed artificially.  A walk longer
     than ``bound`` darts is cut and flagged.  No orbit exceeds 2E darts,
     so a bound of 2E or more copies ``emb.faces`` unless one of them hit
-    2E, which only a loop can cause: its two darts share a successor.
+    2E, which only a rotation that lists an edge twice at a vertex can
+    cause: two darts then share a successor.
     """
     if bound is not None and (bound < len(emb.successor) or
                               any(f.hit_bound for f in emb.faces)):
@@ -429,6 +431,7 @@ class KuratowskiWitness:
 
 
 def as_multigraph(g) -> nx.MultiGraph:
+    import networkx as nx
     if isinstance(g, nx.MultiGraph):
         return g
     if isinstance(g, CayleyBall):
@@ -472,6 +475,7 @@ def _spin_planarity(ball: CayleyBall) -> Optional[Planar]:
 
 
 def _networkx_planarity(g):
+    import networkx as nx
     mg = as_multigraph(g)
     simple = nx.Graph(mg)
     ok, cert = nx.check_planarity(simple, counterexample=True)
@@ -547,6 +551,7 @@ def suppress_degree_two(g) -> nx.MultiGraph:
     """Replace every degree-2 vertex and its two edges by a single edge.
 
     Colour information is dropped; this is a purely topological move."""
+    import networkx as nx
     mg = nx.MultiGraph()
     mg.add_nodes_from(as_multigraph(g).nodes)
     for u, v in as_multigraph(g).edges(keys=False):
@@ -584,6 +589,7 @@ def case2_scaffold(k: int = 3) -> nx.MultiGraph:
     midpoints leaves K33."""
     if k < 3 or k % 2 == 0:
         raise InvalidParams("the scaffold needs odd k >= 3")
+    import networkx as nx
     mg = nx.MultiGraph()
     ring = 2 * k
     for i in range(ring):

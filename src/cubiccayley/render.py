@@ -147,13 +147,13 @@ def to_svg(ball: CayleyBall, spec: Optional[RenderSpec] = None,
         key = frozenset((e.u, e.v))
         k = pair_count.get(key, 0)
         pair_count[key] = k + 1
-        if k == 0 and e.u != e.v:
+        if k == 0:
             parts.append(
                 f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}"'
                 f' y2="{_fmt(y2)}" stroke="{colour}" stroke-width="1.6"'
                 f'{marker}/>')
         else:
-            # parallel edges (and loops) bow out so both stay visible
+            # parallel edges bow out so both stay visible
             mx, my = (x1 + x2) / 2, (y1 + y2) / 2
             dx, dy = x2 - x1, y2 - y1
             norm = math.hypot(dx, dy) or 1.0

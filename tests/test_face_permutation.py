@@ -103,28 +103,29 @@ def test_bounded_walks_reuse_the_embedding_faces(monkeypatch, type_id, n, m):
         assert walks[before:] == [darts]
 
 
-def _loop_ball():
-    """Two vertices joined by b, with a directed a-loop at each."""
+def _path_ball():
+    """The path 1 -b- 0 -a- 2, every vertex interior."""
     return CayleyBall.from_dict({
-        "presentation": "<a,b|b^2,a>", "center": 0, "radius": 1,
-        "vertices": [{"id": 0, "word": ""}, {"id": 1, "word": "b"}],
+        "presentation": "<a,b|b^2,a^3>", "center": 0, "radius": 1,
+        "vertices": [{"id": 0, "word": ""}, {"id": 1, "word": "b"},
+                     {"id": 2, "word": "a"}],
         "edges": [{"u": 0, "v": 1, "colour": "b", "directed": False},
-                  {"u": 0, "v": 0, "colour": "a", "directed": True},
-                  {"u": 1, "v": 1, "colour": "a", "directed": True}],
-        "interior": [0, 1]})
+                  {"u": 0, "v": 2, "colour": "a", "directed": True}],
+        "interior": [0, 1, 2]})
 
 
 def test_walks_that_hit_2e_are_walked_again(monkeypatch):
-    """A loop listed twice in a rotation gives two darts one successor,
+    """An edge listed twice in a rotation gives two darts one successor,
     so a walk can run on without closing: it hits the 2E cut of
     ``emb.faces``, and every bound is walked afresh.  The oracle reads a
-    loop's darts otherwise, so the walks are compared with a walk of the
-    permutation of a fresh embedding, whose faces were never read."""
-    ball = _loop_ball()
-    rotation = [[1, 0, 1], [2, 0, 2]]
+    repeated rotation entry otherwise, so the walks are compared with a
+    walk of the permutation of a fresh embedding, whose faces were never
+    read."""
+    ball = _path_ball()
+    rotation = [[0, 1, 0], [0], [1]]
 
     def fresh():
-        return E.RotationEmbedding(ball, None, [0, 0], rotation,
+        return E.RotationEmbedding(ball, None, [0, 0, 0], rotation,
                                    {"a": E.PRESERVING, "b": E.PRESERVING})
 
     darts = 2 * len(ball.edges)

@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 import oracles as O
 from test_embed_linear import _MIN_PARAMS
 from cubiccayley import cli
-from cubiccayley.ball import CayleyBall, rooted_isomorphic
+from cubiccayley.ball import CayleyBall, Edge, rooted_isomorphic
 from cubiccayley.construct import (TYPE_IDS, TypeParams, construct,
                                    construct_presentation_ball)
-from cubiccayley.errors import ParseError
+from cubiccayley.errors import CubicCayleyError, ParseError
 from cubiccayley.presentation import parse_presentation
 
 # generator names that overlap (``bc`` is a name and also b then c), and
@@ -97,6 +97,38 @@ def test_from_dict_rejects_mixed_colour(tmp_path, capsys):
         CayleyBall.from_dict(data)
     assert cli.main(["classify", str(path)]) == cli.EXIT_PARSE
     assert "'b' is directed on one edge" in capsys.readouterr().err
+
+
+# the two-vertex ball of <a,b|b^2,a>: a is trivial, so each vertex
+# carries a directed a-loop
+LOOP_BALL = {
+    "presentation": "<a,b|b^2,a>", "center": 0, "radius": 1,
+    "vertices": [{"id": 0, "word": ""}, {"id": 1, "word": "b"}],
+    "edges": [{"u": 0, "v": 1, "colour": "b", "directed": False},
+              {"u": 0, "v": 0, "colour": "a", "directed": True},
+              {"u": 1, "v": 1, "colour": "a", "directed": True}],
+    "interior": [0, 1]}
+
+
+def test_from_dict_rejects_loop(tmp_path, capsys):
+    message = "loop edge of colour 'a' at vertex 0"
+    with pytest.raises(ParseError, match=message):
+        CayleyBall.from_dict(LOOP_BALL)
+    path = tmp_path / "ball.json"
+    path.write_text(json.dumps(LOOP_BALL))
+    assert cli.main(["classify", str(path)]) == cli.EXIT_PARSE
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("colour,directed", [("a", True), ("b", False)])
+def test_no_ball_holds_a_loop(colour, directed):
+    # a loop is the edge of a trivial generator; an involution loop used
+    # to be reported as a second edge in its slot
+    edges = [Edge(0, 1, "b", False), Edge(1, 1, colour, directed)]
+    with pytest.raises(CubicCayleyError,
+                       match=f"loop edge of colour '{colour}' at vertex 1"):
+        CayleyBall(parse_presentation("<a,b|b^2,a^3>"), 0, 1, edges,
+                   ["", "b"], frozenset((0, 1)), [0, 1])
 
 
 @pytest.mark.parametrize("text,generator", [

@@ -203,20 +203,28 @@ def test_pair_searches_sweep_linearly(monkeypatch, type_id, n, m, radius,
 def test_nos_makes_one_cut_pass_per_deep_vertex_and_edge(monkeypatch):
     # its vertex+edge loop and connectivity_diagnostics each made a pass
     # over G - v, 84 + 77 + 77 = 238 here; one pass gives both the
-    # bridges and the cut vertices
+    # bridges and the cut vertices.  The hinges come off the same pass:
+    # find_hinges made 84 component sweeps here, one per deep edge
     ball = construct(TypeParams("V", n=2, m=2), 9)
     deep = set(A._deep_vertices(ball, A.sound_margin(ball.presentation)))
     deep_eids = sum(e.u in deep and e.v in deep for e in ball.edges)
-    calls = []
-    real = A._cut_vertices
+    calls = {"_cut_vertices": [], "_separates": []}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(name):
+        real = getattr(A, name)
 
-    monkeypatch.setattr(A, "_cut_vertices", counting)
+        def wrapper(*args, **kwargs):
+            calls[name].append(1)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(A, name, counting(name))
     assert A.nos_properties_check(ball)["ok"]
-    assert len(calls) == len(deep) + deep_eids == 161
+    assert len(calls["_cut_vertices"]) == len(deep) + deep_eids == 161
+    assert calls["_separates"] == []
+    # no hinge found, and find_hinges finds none either
+    assert A.find_hinges(ball, A.sound_margin(ball.presentation)) == []
 
 
 @pytest.mark.parametrize("type_id,n,m,radius", [

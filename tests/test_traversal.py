@@ -79,11 +79,19 @@ def test_random_cells_match_oracle(type_id, dn, dm, radius):
     _assert_traversals_agree(construct(tp, radius))
 
 
+def _assert_nos_hinges_are_find_hinges(ball, report):
+    # nosiv reads its hinges off the cut passes over G - v; find_hinges
+    # searches once per deep edge
+    margin = A.sound_margin(ball.presentation)
+    assert report["nosiv"]["violations"] == A.find_hinges(ball, margin)
+
+
 def test_nos_properties_match_oracle():
     ball = construct(TypeParams("V", n=2, m=2), 7)
     report = A.nos_properties_check(ball)
     assert report["ok"]
     assert report == O.nos_properties_check(ball)
+    _assert_nos_hinges_are_find_hinges(ball, report)
 
 
 @pytest.mark.parametrize("type_id,n,m,radius,failing", [
@@ -99,6 +107,8 @@ def test_nos_violations_match_oracle(type_id, n, m, radius, failing):
     assert {k for k, v in report.items()
             if k != "ok" and not v["ok"]} == failing
     assert report == O.nos_properties_check(ball)
+    _assert_nos_hinges_are_find_hinges(ball, report)
+    assert len(report["nosiv"]["violations"]) == 15 * ("nosiv" in failing)
 
 
 def test_ix_spin_conflicts_match_oracle():
