@@ -14,8 +14,13 @@ column per letter (the presentation's letters first, in their order):
 that edge's id, -1 for an empty slot.  Beside them each vertex keeps
 its ``(edge id, neighbour)`` pairs in edge-id order, which is the order
 every traversal scans.  ``step_edge(v, letter)`` reads one slot and
-``column(letter)`` a letter's two columns.  A ``RawGraph`` keeps its
-slots row by row, the neighbour through letter i at ``nbr[v * L + i]``.
+``column(letter)`` a letter's two columns.  With no loop and no second
+edge in a slot (both rejected), an involution column is its own inverse
+and a directed colour's two columns are each other's inverse, so a
+two-letter relator that steps back along its first edge (a ``g^2``
+marker) closes by construction; ``certify_ball`` does not walk it.
+A ``RawGraph`` keeps its slots row by row, the neighbour through
+letter i at ``nbr[v * L + i]``.
 
 Vertex ids are assigned canonically: breadth-first from the center, letters
 explored in the order of ``Presentation.letters``, which makes vertex
@@ -486,7 +491,18 @@ def certify_ball(ball: CayleyBall, p: Presentation) -> List[tuple]:
     trace identifies two distinct vertices mid-relator.
 
     Each relator is compiled once to the neighbour columns of its letters,
-    so a trace is one list read per letter.
+    so a trace is one list read per letter.  A two-letter relator whose
+    second letter steps back along the first letter's edge is not walked:
+    the ``g^2`` marker of a colour stored undirected, or ``g g^-1`` of a
+    colour stored directed.  The ball's columns decide this, not the
+    presentation: the second letter's neighbour column is the very column
+    of the first letter's inverse.  ``_index_slots`` writes an undirected
+    edge into one column at both ends (an involution column is its own
+    inverse) and a directed edge into two mutually inverse columns, and
+    it raises on a loop or a second edge in a slot, so each such trace is
+    ``[v, x, v]`` with ``x != v``: it closes and revisits nothing.  A
+    ball that stores an involution colour directed still has its marker
+    walked.
     """
     violations = []
     empty = [-1] * ball.n_vertices
@@ -497,8 +513,16 @@ def certify_ball(ball: CayleyBall, p: Presentation) -> List[tuple]:
             if col[v] < 0:
                 violations.append((v, letter, "missing-slot"))
 
-    relators = [(rel, [ball._walk.get(letter, (empty,))[0] for letter in rel])
-                for rel in p.relators]
+    steps = ball._walk
+    relators = []
+    for rel in p.relators:
+        cols = [steps.get(letter, (empty,))[0] for letter in rel]
+        if len(cols) == 2:
+            g, s = rel.letters[0]
+            back = steps.get((g, -s))
+            if back is not None and back[0] is cols[1]:
+                continue  # closes by the slot index's construction
+        relators.append((rel, cols))
     for v in ball.vertices():
         for rel, cols in relators:
             x, walk = v, [v]

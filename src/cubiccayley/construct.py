@@ -21,7 +21,12 @@ vertex 0 is the identity: each builder grows one, and
 ``RawGraph.walk`` is the one breadth-first walk of such a graph, both
 for ``make_ball`` and for each gluing round of the glue tree.
 
-Every ball returned by ``construct`` has passed ``certify_ball``.
+Every ball returned by ``construct`` has passed ``certify_ball``.  That
+check does not walk the ``g^2`` markers of the colours a ball stores
+undirected: the ball's slot index writes each such edge into one column
+at both ends and rejects a loop or a second edge in a slot, so every
+marker trace closes without revisiting, and the certificate still covers
+every relator.
 """
 
 from __future__ import annotations

@@ -11,14 +11,24 @@ makes, and every violation list equals the one of the dict-slot
   the center, swap the ends of its steps |s| and k|s|, so the first
   period closes early and the relator walks it k times
   (``trace-revisit``).
+
+Hypothesis draws corrupt the grid balls the same ways and one more, every
+edge of an undirected colour stored directed, and compare the violation
+lists with the oracle's, order included.  ``certify_ball`` skips a
+two-letter relator that steps back along its first edge by the ball's
+columns; a hand-built ball whose involution colour forms a directed
+triangle checks that the ``g^2`` marker of a colour stored directed is
+still walked.
 """
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles as O
 from cubiccayley import cli
 from cubiccayley.ball import CayleyBall, Edge, certify_ball
 from cubiccayley.construct import TypeParams, construct
+from cubiccayley.presentation import parse_presentation
 
 
 def _radius(p):
@@ -31,7 +41,12 @@ def _with_edges(ball, edges):
                       ball.words, ball.interior, ball.distances)
 
 
-def _kinds(ball, p):
+def _kinds(ball, p, edges=None):
+    """The violation kinds of ``ball``, or of ``ball`` with ``edges`` in
+    place of its own, once its violation list, order included, is
+    checked against the oracle's."""
+    if edges is not None:
+        ball = _with_edges(ball, edges)
     found = certify_ball(ball, p)
     assert found == O.certify_ball(ball, p)
     return {kind for _, _, kind in found}
@@ -58,8 +73,8 @@ def test_dropped_interior_edge_is_a_missing_slot(type_id, n, m):
     assert _kinds(ball, p) == set()
     drop = next(i for i, e in enumerate(ball.edges)
                 if e.u in ball.interior and e.v in ball.interior)
-    bad = _with_edges(ball, ball.edges[:drop] + ball.edges[drop + 1:])
-    assert "missing-slot" in _kinds(bad, p)
+    assert "missing-slot" in _kinds(
+        ball, p, ball.edges[:drop] + ball.edges[drop + 1:])
 
 
 # IX(1) has two vertices, so no two edges of a colour are disjoint
@@ -79,7 +94,7 @@ def test_rewired_edge_opens_a_trace(type_id, n, m):
     edges = list(ball.edges)
     edges[i] = Edge(first.u, second.v, first.colour, first.directed)
     edges[j] = Edge(second.u, first.v, second.colour, second.directed)
-    assert "open-trace" in _kinds(_with_edges(ball, edges), p)
+    assert "open-trace" in _kinds(ball, p, edges)
 
 
 _POWER_CELLS = [c for c in cli.SMOKE_GRID
@@ -119,3 +134,50 @@ def test_shortcut_makes_a_relator_revisit(type_id, n, m):
     bad = _with_edges(ball, edges)
     assert bad.trace_walk(ball.center, rel)[0][q] == ball.center
     assert "trace-revisit" in _kinds(bad, p)
+
+
+def _corrupt(ball, how, data):
+    """``ball``'s edges with one edge dropped, the heads of two disjoint
+    edges of one colour swapped, or every edge of one undirected colour
+    stored directed, as ``how`` says and ``data`` draws."""
+    edges = list(ball.edges)
+    if how == "drop":
+        i = data.draw(st.integers(0, len(edges) - 1))
+        return edges[:i] + edges[i + 1:]
+    if how == "direct":
+        colour = data.draw(st.sampled_from(
+            sorted({e.colour for e in edges if not e.directed})))
+        return [Edge(u, v, c, directed or c == colour)
+                for u, v, c, directed in edges]
+    colour = data.draw(st.sampled_from(sorted({e.colour for e in edges})))
+    same = [i for i, e in enumerate(edges) if e.colour == colour]
+    i = data.draw(st.sampled_from(same))
+    first = edges[i]
+    apart = [j for j in same
+             if not {first.u, first.v} & {edges[j].u, edges[j].v}]
+    assume(apart)  # IX(1) has two vertices
+    j = data.draw(st.sampled_from(apart))
+    second = edges[j]
+    edges[i] = Edge(first.u, second.v, first.colour, first.directed)
+    edges[j] = Edge(second.u, first.v, second.colour, second.directed)
+    return edges
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(cli.SMOKE_GRID),
+       st.sampled_from(("drop", "rewire", "direct")), st.data())
+def test_random_corruptions_match_oracle(cell, how, data):
+    ball, p = _cell(*cell)
+    _kinds(ball, p, _corrupt(ball, how, data))
+
+
+def test_marker_of_a_directed_colour_is_walked():
+    # b is an involution of the presentation, but the ball stores its
+    # edges directed, 0 -> 1 -> 2 -> 0, so bb never closes
+    p = parse_presentation("<b|b^2>")
+    ball = CayleyBall(p, 0, 1, [Edge(0, 1, "b", True), Edge(1, 2, "b", True),
+                                Edge(2, 0, "b", True)],
+                      ["1", "b", "bb"], frozenset({0}), [0, 1, 1])
+    marker = p.relators[0].pretty()
+    assert certify_ball(ball, p) == O.certify_ball(ball, p) == [
+        (v, marker, "open-trace") for v in range(3)]
