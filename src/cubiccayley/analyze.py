@@ -22,7 +22,8 @@ The loops that stay do something else:
 * ``render`` orders each vertex's children by the embedding's rotation,
   which shapes the drawn tree;
 * ``ball.RawGraph.walk`` walks the graph a builder grows, for
-  ``make_ball`` and for each gluing round of the glue tree, and
+  ``make_ball`` and for each gluing round of the glue tree (``grow``,
+  the amalgam builder's search, records it as it goes), and
   ``coset._ball_distances`` walks a coset table, not a ``CayleyBall``.
 
 Every separating-pair question fixes a first removal and reads the
@@ -123,22 +124,24 @@ def _cut_vertices(adj, witnesses, removed, removed_edges=()):
         while stack:
             v, parent_eid, edges = stack[-1]
             for eid, w in edges:
-                if eid == parent_eid or eid in removed_edges:
+                if eid == parent_eid or removed_edges and eid in removed_edges:
                     continue
-                if not disc[w]:
+                dw = disc[w]
+                if not dw:
                     t += 1
                     disc[w] = low[w] = t
                     below[w] = w in witnesses
                     stack.append((w, eid, iter(adj[w])))
                     break
-                if 0 < disc[w] < low[v]:
-                    low[v] = disc[w]
+                if 0 < dw < low[v]:
+                    low[v] = dw
             else:
                 stack.pop()
                 if not stack:
                     continue
                 u = stack[-1][0]
-                low[u] = min(low[u], low[v])
+                if low[v] < low[u]:
+                    low[u] = low[v]
                 below[u] += below[v]
                 if below[v] and low[v] >= disc[u]:
                     if below[v] < total - (u in witnesses):

@@ -383,13 +383,79 @@ class RawGraph:
                 self._ends[(g, s)] = (column[(g, s)], column[(g, -s)], True)
         self.nbr: List[int] = []
         self.edges: List[Tuple[int, int, str, bool]] = []
+        self._grown = None  # grow's (radius, parent, letter, dist)
+
+    @classmethod
+    def grow(cls, p: Presentation, identity, moves, apply,
+             radius: int) -> "RawGraph":
+        """The ball of radius ``radius`` around ``identity`` in the group
+        where ``apply(x, moves[k])`` is x times the k-th letter of
+        ``p.letters``: one breadth-first search over its elements, each
+        taking the next id when it is discovered (vertex 0 is
+        ``identity``).  A letter's image is computed only while its slot
+        is free, so each edge is computed once, from the end that reaches
+        it first, and written as ``add_edge`` writes it, a used slot
+        raising ConstructionIncomplete.  The ids are the shortlex order of
+        ``walk(radius)``, and the search keeps its parent, letter and
+        distance lists for the first such walk.
+
+        When every relator has even length, sending every generator to 1
+        in Z_2 is a homomorphism, so the Cayley graph is bipartite: no
+        edge joins two vertices at the same distance from the identity.
+        A vertex at distance ``radius`` then has all its ball edges
+        already, to the layer inside it, and the search, which meets the
+        elements in distance order, stops at the first such vertex
+        without computing images that cannot land in the ball.
+        Otherwise (III(n) for odd n, IV(m) for odd m) those vertices
+        still look for edges among themselves."""
+        graph = cls(p)
+        L, letters, nbr, edges = graph.L, graph.letters, graph.nbr, graph.edges
+        # per column: its move, the column it fills at the far end, the
+        # colour, how it is stored (tail last: a directed letter of sign -1)
+        plan = []
+        for k, (g, s) in enumerate(letters):
+            _, far, directed = graph._ends[(g, s)]
+            plan.append((k, moves[k], far, g, directed, directed and s < 0))
+        bipartite = all(len(rel) % 2 == 0 for rel in p.relators)
+        blank = [-1] * L
+        nbr += blank
+        ids, elements = {identity: 0}, [identity]
+        parent, letter, dist = [-1], [-1], [0]
+        for i, u in enumerate(elements):
+            inner = dist[i] < radius
+            if not inner and bipartite:
+                break
+            row, d = i * L, dist[i] + 1
+            for k, move, far, g, directed, flip in plan:
+                if nbr[row + k] >= 0:
+                    continue
+                v = apply(u, move)
+                j = ids.get(v)
+                if j is None:
+                    if not inner:
+                        continue
+                    j = ids[v] = len(elements)
+                    elements.append(v)
+                    nbr += blank
+                    parent.append(i)
+                    letter.append(k)
+                    dist.append(d)
+                elif nbr[j * L + far] >= 0:
+                    raise ConstructionIncomplete(
+                        f"slot {letters[far]} already used at vertex {j}")
+                nbr[row + k] = j
+                nbr[j * L + far] = i
+                edges.append((j, i, g, True) if flip else (i, j, g, directed))
+        graph._grown = (radius, parent, letter, dist)
+        return graph
 
     @property
     def n_vertices(self) -> int:
         return len(self.nbr) // self.L
 
     def new_vertex(self) -> int:
-        self.nbr += [-1] * self.L
+        self.nbr.extend([-1] * self.L)
+        self._grown = None
         return len(self.nbr) // self.L - 1
 
     def step(self, v: int, letter: Letter) -> Optional[int]:
@@ -404,8 +470,14 @@ class RawGraph:
         parent, letter, dist)``: the raw ids in walk order, each raw id's
         place in it (-1 beyond the radius), and per place its parent's
         place, the letter column that reached it (-1 at the root) and its
-        distance."""
+        distance.  The first walk at the radius of ``grow`` hands over the
+        search's record instead, and the graph lets go of it."""
         nbr, L = self.nbr, self.L
+        if self._grown is not None and self._grown[0] == radius:
+            _, parent, letter, dist = self._grown
+            self._grown = None  # every vertex of a grown graph is in it
+            order = list(range(len(dist)))
+            return order, order[:], parent, letter, dist
         index = [-1] * self.n_vertices
         index[0] = 0
         order = [0]
@@ -428,13 +500,13 @@ class RawGraph:
         ConstructionIncomplete if either end already has that slot."""
         cu, cv, directed = self._ends[(g, s)]
         nbr, ku, kv = self.nbr, u * self.L + cu, v * self.L + cv
-        for end, k in ((u, ku), (v, kv)):
-            if nbr[k] >= 0:
-                raise ConstructionIncomplete(
-                    f"slot {self.letters[k % self.L]} already used at "
-                    f"vertex {end}")
+        if nbr[ku] >= 0 or nbr[kv] >= 0:
+            end, k = (u, cu) if nbr[ku] >= 0 else (v, cv)
+            raise ConstructionIncomplete(
+                f"slot {self.letters[k]} already used at vertex {end}")
         nbr[ku] = v
         nbr[kv] = u
+        self._grown = None
         self.edges.append((v, u, g, True) if directed and s < 0
                           else (u, v, g, directed))
 

@@ -18,8 +18,9 @@ Two independent routes exist for every family:
 Both routes hand ``make_ball`` a ``ball.RawGraph`` on dense int ids whose
 vertex 0 is the identity: each builder grows one, and
 ``coset.ball_from_table`` numbers the cosets of a table into one.
-``RawGraph.walk`` is the one breadth-first walk of such a graph, both
-for ``make_ball`` and for each gluing round of the glue tree.
+``RawGraph.walk`` is the one breadth-first walk of such a graph, for
+``make_ball`` and each gluing round of the glue tree; the amalgam
+builder's search, ``RawGraph.grow``, records it for ``make_ball``.
 
 Every ball returned by ``construct`` has passed ``certify_ball``.  That
 check does not walk the ``g^2`` markers of the colours a ball stores
@@ -243,49 +244,13 @@ def _amalgam_for(p: Presentation):
 
 
 def _build_amalgam(tp: TypeParams, radius: int) -> RawGraph:
-    """One BFS over normal forms: each element gets a dense int id when it
-    is discovered, and the image of a letter is computed only while its
-    slot is free, so each edge is computed and added once, from the end
-    that reaches it first.  An element is the amalgam's int, and each
-    letter's image is one O(1) trie step.
-
-    When every relator has even length, sending every generator to 1 in
-    Z_2 is a homomorphism, so the Cayley graph is bipartite: no edge
-    joins two vertices at the same distance from the identity.  A
-    vertex at distance ``radius`` then has all its ball edges already,
-    to the layer inside it, and the BFS, which meets the elements in
-    distance order, stops at the first such vertex without computing
-    images that cannot land in the ball.  Otherwise (III(n) for odd n,
-    IV(m) for odd m) those vertices still look for edges among
-    themselves."""
+    """``RawGraph.grow`` over the amalgam's normal forms: an element is
+    the amalgam's int, and each letter's image is one O(1) trie step."""
     p = tp.presentation()
     am, steps = _amalgam_for(p)
-    moves = [(col, letter, am.move(*steps[letter]))
-             for col, letter in enumerate(p.letters)]
-    bipartite = all(len(rel) % 2 == 0 for rel in p.relators)
-
-    graph = RawGraph(p)
-    nbr, L, apply = graph.nbr, graph.L, am.apply
-    ids = {am.identity: graph.new_vertex()}
-    elements = [am.identity]
-    dist = [0]
-    for i, u in enumerate(elements):
-        inner = dist[i] < radius
-        if not inner and bipartite:
-            break
-        for col, letter, move in moves:
-            if nbr[i * L + col] >= 0:
-                continue
-            v = apply(u, move)
-            j = ids.get(v)
-            if j is None:
-                if not inner:
-                    continue
-                j = ids[v] = graph.new_vertex()
-                elements.append(v)
-                dist.append(dist[i] + 1)
-            graph.add_edge(i, j, *letter)
-    return graph
+    return RawGraph.grow(p, am.identity,
+                         [am.move(*steps[letter]) for letter in p.letters],
+                         am.apply, radius)
 
 
 # ---------------------------------------------------------------------------

@@ -1146,7 +1146,7 @@ def step_edge(slots: List[dict], v: int, letter):
 
 def ball_slots(ball: CayleyBall) -> List[Dict[Letter, Tuple[int, int]]]:
     """Per vertex, ``{letter: (edge id, neighbour)}`` filled in edge-id
-    order, as ``CayleyBall._build_slots`` built it: a directed edge u -> v
+    order, as ``CayleyBall._index_slots`` does: a directed edge u -> v
     fills ``(g, 1)`` at u and ``(g, -1)`` at v, an involution edge
     ``(g, 1)`` at both ends; a second edge in a slot is an error."""
     slots: List[Dict[Letter, Tuple[int, int]]] = [

@@ -3,9 +3,11 @@
 ``CayleyBall`` keeps its letter columns, per-vertex edge lists and step
 table under leading-underscore names; other code reads them through
 ``column``, ``step_edge``, ``trace_walk``, ``bfs`` and ``adjacency``, so
-the layout can change in one file.  ``private_reads`` reads the source
-with ``ast`` and reports every read of such a name outside ``ball.py``,
-in the package and in the tests.
+the layout can change in one file.  ``RawGraph`` keeps its letter ends
+and the walk that ``grow`` records the same way; other code reads them
+through ``step``, ``add_edge`` and ``walk``.  ``private_reads`` reads the
+source with ``ast`` and reports every read of such a name outside
+``ball.py``, in the package and in the tests.
 """
 
 import ast
@@ -17,12 +19,12 @@ SRC = Path(cubiccayley.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 
 
-def private_names(ball_py: Path):
-    """The leading-underscore attributes and methods of ``CayleyBall``
-    (dunder names excluded)."""
+def private_names(ball_py: Path, name="CayleyBall"):
+    """The leading-underscore attributes and methods of the class
+    ``name`` (dunder names excluded)."""
     tree = ast.parse(ball_py.read_text(), str(ball_py))
     cls = next(node for node in tree.body
-               if isinstance(node, ast.ClassDef) and node.name == "CayleyBall")
+               if isinstance(node, ast.ClassDef) and node.name == name)
     names = set()
     for node in ast.walk(cls):
         if isinstance(node, ast.FunctionDef):
@@ -74,3 +76,31 @@ def test_guard_catches_private_reads(tmp_path):
     assert names == {"_adj", "_index"}
     assert private_reads(names, tmp_path) == [("analyze.py", 2, "_adj"),
                                               ("analyze.py", 3, "_index")]
+
+
+def test_raw_graph_privates_are_read_only_in_ball_py():
+    names = private_names(SRC / "ball.py", "RawGraph")
+    assert {"_ends", "_grown"} <= names
+    assert private_reads(names, SRC, TESTS) == []
+
+
+def test_guard_catches_raw_graph_private_reads(tmp_path):
+    (tmp_path / "ball.py").write_text(
+        "class CayleyBall:\n"
+        "    def __init__(self):\n"
+        "        self._adj = []\n"
+        "\n"
+        "class RawGraph:\n"
+        "    def __init__(self):\n"
+        "        self._ends, self._grown, self.nbr = {}, None, []\n"
+        "    def walk(self, radius):\n"
+        "        return self._grown\n")
+    (tmp_path / "construct.py").write_text(
+        "def build(graph, ball):\n"
+        "    cu, cv, directed = graph._ends[('b', 1)]\n"
+        "    record = graph._grown\n"
+        "    return graph.nbr, graph.walk(3), ball._adj, record\n")
+    names = private_names(tmp_path / "ball.py", "RawGraph")
+    assert names == {"_ends", "_grown"}
+    assert private_reads(names, tmp_path) == [("construct.py", 2, "_ends"),
+                                              ("construct.py", 3, "_grown")]
