@@ -8,10 +8,10 @@ near their truncation boundary.
 
 Every reachability question on a ball is answered by one traversal,
 ``CayleyBall.bfs``, over the ball's per-vertex edge lists in edge-id
-order (``CayleyBall.adjacency``): here the component sweeps,
-separation tests, shortest paths (a walk up its parent map), the type V
-(nos) detour and linkage tests and the cycle space forest; elsewhere the
-distances of a loaded ball and the spin propagation of an embedding.
+order (``CayleyBall.adjacency``): here the component sweeps, shortest
+paths (a walk up its parent map), the type V (nos) detour and linkage
+tests and the cycle space forest; elsewhere the distances of a loaded
+ball and the spin propagation of an embedding.
 The loops that stay do something else:
 
 * ``_cut_vertices`` is a low-link depth-first pass, another algorithm;
@@ -31,11 +31,11 @@ second off one cut pass over the ball minus it (``_cut_vertices``),
 which names the vertices and edges whose further removal changes
 whether the witnesses are separated: one pass at the center, one per
 deep vertex or edge for the all-pairs and nos searches, so their cost
-is the ball's size times its deep part.  The nos check reads its
-vertex+edge cuts, its separating pairs and its hinges (the edges from v
-to its partners) off the same pass over G - v, and the certificates of
-every pair {x, y} come off one breadth-first tree from x.
-``find_hinges``, which holds no pass, makes one search per deep edge.
+is the ball's size times its deep part.  The hinges at v are the edges
+from v to its partners, read off the pass over G - v by ``find_hinges``
+and by the nos check, which takes its vertex+edge cuts and separating
+pairs off the same pass; the certificates of every pair {x, y} come off
+one breadth-first tree from x.
 The GF(2) and nos checks filter the closed relator walks the ball keeps
 (``CayleyBall.relator_walks``): ``two_basis_check`` is linear in them;
 ``cycle_space_span_check`` builds one breadth-first forest of the
@@ -80,17 +80,6 @@ class ColourPairOrder:
 # ---------------------------------------------------------------------------
 # reachability helpers
 # ---------------------------------------------------------------------------
-
-def _separates(ball, witnesses, removed_vertices=frozenset(),
-               removed_edges=frozenset()) -> bool:
-    """True iff two witnesses (outside the removed set) end up in
-    different components: one search from the first live witness."""
-    live = [w for w in witnesses if w not in removed_vertices]
-    if len(live) < 2:
-        return False
-    reach = ball.bfs(live[:1], removed_vertices, removed_edges)
-    return any(w not in reach for w in live)
-
 
 def _cut_vertices(adj, witnesses, removed, removed_edges=()):
     """``(separated, cuts, bridges)``: whether G minus the ``removed``
@@ -266,21 +255,28 @@ def connectivity_diagnostics(ball: CayleyBall, margin: int = 1) -> dict:
 
 def find_hinges(ball: CayleyBall, margin: int = 1,
                 center_only: bool = False) -> List[Edge]:
-    """Deep edges whose endpoint pair separates deep vertices.
+    """Deep edges whose endpoint pair separates deep vertices, in edge-id
+    order: the edges from each deep x to its partners.
 
     ``center_only`` restricts to the edges at the center vertex: by
     vertex-transitivity of Cayley graphs every edge is a translate of a
     center edge, and the center enjoys the best truncation margin.
+    Cost: one cut pass over G - center with ``center_only``, otherwise
+    one over G - x per deep x (``_vertex_partners``), each edge read
+    from its lower end.
     """
-    deep = set(_deep_vertices(ball, margin))
+    deep = sorted(_deep_vertices(ball, margin))
+    adj = ball.adjacency
+    if center_only:
+        c = ball.center
+        at = [(c, _partners(_cut_vertices(adj, set(deep), (c,)), deep))]
+    else:
+        at = ((x, partners) for x, _, partners in _vertex_partners(ball, deep))
     hinges = []
-    for e in ball.edges:
-        if center_only and ball.center not in (e.u, e.v):
-            continue
-        if e.u in deep and e.v in deep and \
-                _separates(ball, deep, frozenset((e.u, e.v))):
-            hinges.append(e)
-    return hinges
+    for x, partners in at:
+        partners = set(partners)
+        hinges += [eid for eid, y in adj[x] if y in partners]
+    return [ball.edges[i] for i in sorted(hinges)]
 
 
 def shortest_separating_path(ball: CayleyBall, margin: int = 1,

@@ -280,8 +280,10 @@ class CayleyBall:
         """The ball ``to_dict`` wrote.  One linear pass checks the schema
         (dense vertex ids, edge endpoints and interior among them, each
         colour directed on every edge or on none, a valid center, no loop,
-        one edge per slot, every vertex reachable from the center) and raises
-        ParseError on any other input."""
+        one edge per slot, every vertex reachable from the center, the
+        radius the largest distance, the interior the vertices below it or,
+        with no free slot left, every vertex) and raises ParseError on any
+        other input."""
         from .presentation import parse_presentation
         if not isinstance(data, dict):
             raise ParseError(
@@ -335,6 +337,16 @@ class CayleyBall:
             for v, (u, _) in tree.items():
                 if u is not None:
                     dist[v] = dist[u] + 1
+            if radius != max(dist):
+                raise ParseError(
+                    f"ball radius {radius} is not the largest distance "
+                    f"from the center, {max(dist)}")
+            if interior != frozenset(v for v in range(n) if dist[v] < radius) \
+                    and not (len(interior) == n and all(
+                        min(col) >= 0 for col in ball._nbr.values())):
+                raise ParseError(
+                    "ball interior must be the vertices below the radius, or "
+                    "every vertex of a ball with no free slot")
         except ParseError:
             raise
         # CubicCayleyError: a loop or two edges in one slot (the

@@ -241,6 +241,9 @@ def cmd_verify(args) -> int:
         if args.source is None:
             raise InvalidParams("separator-involution needs a ball file")
         report = _verify_separator_involution(_load_ball(args.source))
+    elif args.check is None:
+        raise InvalidParams("verify needs --grid smoke or "
+                            "--check k33-scaffold|separator-involution")
     else:
         raise InvalidParams(f"unknown check {args.check!r}")
     _dump(report, args.output)

@@ -299,6 +299,54 @@ def test_verify_unknown_check(capsys):
     assert code == 2
 
 
+def test_verify_without_grid_or_check(capsys):
+    code, out, err = run(capsys, "verify")
+    assert code == 2 and out == ""
+    assert "--grid smoke" in err and \
+        "--check k33-scaffold|separator-involution" in err
+    assert "None" not in err
+
+
+def _overstated_radius(data):
+    data["radius"] = 35
+
+
+def _everything_interior(data):
+    data["interior"] = [item["id"] for item in data["vertices"]]
+
+
+def _both_overstated(data):
+    _overstated_radius(data)
+    _everything_interior(data)
+
+
+@pytest.mark.parametrize("edit", [None, _overstated_radius,
+                                  _everything_interior, _both_overstated])
+@pytest.mark.parametrize("type_id,n,m,radius,classify_code", [
+    ("VII", 2, 2, 5, 4), ("V", 2, 2, 4, 0), ("IV", None, 2, 3, 0),
+    ("VII", 3, 2, 6, 4)])
+def test_overstated_ball_is_parse_error(tmp_path, capsys, type_id, n, m,
+                                        radius, classify_code, edit):
+    # a radius or interior larger than the distances let boundary vertices
+    # pass for deep ones: verify certified the separator b of VII(2,2),
+    # whose z has 5 letters, where the ball as built is too small (exit 4)
+    data = construct_mod.construct(construct_mod.TypeParams(type_id, n=n, m=m),
+                                   radius).to_dict()
+    if edit is not None:
+        edit(data)
+    path = tmp_path / "ball.json"
+    path.write_text(json.dumps(data))
+    verify = run(capsys, "verify", str(path), "--check",
+                 "separator-involution")
+    classify = run(capsys, "classify", str(path))
+    if edit is None:
+        assert (verify[0], classify[0]) == (4, classify_code)
+        return
+    for code, out, err in (verify, classify):
+        assert code == 1 and out == ""
+        assert err.startswith("error: ball ")
+
+
 def test_verify_grid_smoke(tmp_path, capsys):
     out = tmp_path / "grid"
     code, _, _ = run(capsys, "verify", "--grid", "smoke", "--radius", "4",

@@ -17,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 import oracles as O
 from cubiccayley import cli
 from cubiccayley import embed as E
-from cubiccayley.ball import CayleyBall
+from cubiccayley.ball import CayleyBall, Edge
 from cubiccayley.construct import TypeParams, construct
+from cubiccayley.presentation import parse_presentation
 
 # the four balls of the structural report benchmark
 REPORT_BALLS = [("I", 3, None, 14), ("VI", 2, 3, 16), ("V", 2, 2, 11),
@@ -104,14 +105,12 @@ def test_bounded_walks_reuse_the_embedding_faces(monkeypatch, type_id, n, m):
 
 
 def _path_ball():
-    """The path 1 -b- 0 -a- 2, every vertex interior."""
-    return CayleyBall.from_dict({
-        "presentation": "<a,b|b^2,a^3>", "center": 0, "radius": 1,
-        "vertices": [{"id": 0, "word": ""}, {"id": 1, "word": "b"},
-                     {"id": 2, "word": "a"}],
-        "edges": [{"u": 0, "v": 1, "colour": "b", "directed": False},
-                  {"u": 0, "v": 2, "colour": "a", "directed": True}],
-        "interior": [0, 1, 2]})
+    """The path 1 -b- 0 -a- 2, every vertex interior.  No file could hold
+    this toy ball, whose boundary vertices have free slots, so it is
+    built directly."""
+    return CayleyBall(parse_presentation("<a,b|b^2,a^3>"), 0, 1,
+                      [Edge(0, 1, "b", False), Edge(0, 2, "a", True)],
+                      ["", "b", "a"], frozenset((0, 1, 2)), [0, 1, 1])
 
 
 def test_walks_that_hit_2e_are_walked_again(monkeypatch):

@@ -4,7 +4,8 @@ brute-force oracle in ``oracles.py``; the pass itself, cut vertices and
 bridges, agrees with removal counting; the center search confirms at
 most two candidates and the all-pairs searches make a number of passes
 and sweeps linear in the deep part and the pairs found, so per-pair
-sweeps cannot come back unnoticed."""
+sweeps cannot come back unnoticed.  Sweeps are counted as calls of
+``CayleyBall.bfs``, the one traversal every component sweep makes."""
 
 import random
 
@@ -140,18 +141,21 @@ def test_cut_pass_matches_removal(n, seed, every_vertex):
         (base, cuts, bridges)
 
 
-@pytest.mark.parametrize("type_id,n,m", _GRID_UP_TO_VII_2_2)
-def test_center_search_confirms_at_most_two(monkeypatch, type_id, n, m):
-    # the oracle made up to 46 component sweeps here (VII(2,2))
-    ball, margin = _criterion_2_ball(type_id, n, m)
-    calls = []
-    real = A._separates
-
-    def counting(*args, **kwargs):
+def _counting(calls, real):
+    """``real``, appending 1 to ``calls`` on every call."""
+    def wrapper(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
+    return wrapper
 
-    monkeypatch.setattr(A, "_separates", counting)
+
+@pytest.mark.parametrize("type_id,n,m", _GRID_UP_TO_VII_2_2)
+def test_center_search_confirms_at_most_two(monkeypatch, type_id, n, m):
+    # the oracle made up to 46 component sweeps here (VII(2,2)); every
+    # component sweep is one CayleyBall.bfs call
+    ball, margin = _criterion_2_ball(type_id, n, m)
+    calls = []
+    monkeypatch.setattr(CayleyBall, "bfs", _counting(calls, CayleyBall.bfs))
     try:
         A.shortest_separating_path(ball, margin, center_only=True)
     except NoSeparatorFound:
@@ -173,15 +177,8 @@ def test_pair_searches_sweep_linearly(monkeypatch, type_id, n, m, radius,
     deep = set(A._deep_vertices(ball, margin))
     deep_eids = sum(e.u in deep and e.v in deep for e in ball.edges)
     calls = []
-
-    def counting(real):
-        def wrapper(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-        return wrapper
-
-    for name in ("_separates", "_cut_vertices"):
-        monkeypatch.setattr(A, name, counting(getattr(A, name)))
+    monkeypatch.setattr(CayleyBall, "bfs", _counting(calls, CayleyBall.bfs))
+    monkeypatch.setattr(A, "_cut_vertices", _counting(calls, A._cut_vertices))
 
     def count(fn, *args):
         calls.clear()
@@ -203,28 +200,27 @@ def test_pair_searches_sweep_linearly(monkeypatch, type_id, n, m, radius,
 def test_nos_makes_one_cut_pass_per_deep_vertex_and_edge(monkeypatch):
     # its vertex+edge loop and connectivity_diagnostics each made a pass
     # over G - v, 84 + 77 + 77 = 238 here; one pass gives both the
-    # bridges and the cut vertices.  The hinges come off the same pass:
-    # find_hinges made 84 component sweeps here, one per deep edge
+    # bridges and the cut vertices.  The hinges come off the same pass,
+    # and find_hinges reads them off its own passes over G - v: it made
+    # 84 component sweeps here, one per deep edge
     ball = construct(TypeParams("V", n=2, m=2), 9)
-    deep = set(A._deep_vertices(ball, A.sound_margin(ball.presentation)))
+    margin = A.sound_margin(ball.presentation)
+    deep = set(A._deep_vertices(ball, margin))
     deep_eids = sum(e.u in deep and e.v in deep for e in ball.edges)
-    calls = {"_cut_vertices": [], "_separates": []}
-
-    def counting(name):
-        real = getattr(A, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name].append(1)
-            return real(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(A, name, counting(name))
+    passes, sweeps = [], []
+    monkeypatch.setattr(A, "_cut_vertices",
+                        _counting(passes, A._cut_vertices))
+    monkeypatch.setattr(CayleyBall, "bfs", _counting(sweeps, CayleyBall.bfs))
     assert A.nos_properties_check(ball)["ok"]
-    assert len(calls["_cut_vertices"]) == len(deep) + deep_eids == 161
-    assert calls["_separates"] == []
-    # no hinge found, and find_hinges finds none either
-    assert A.find_hinges(ball, A.sound_margin(ball.presentation)) == []
+    assert len(passes) == len(deep) + deep_eids == 161
+    # no hinge found, and find_hinges finds none either, with one pass
+    # per deep vertex, or one at the center, and no sweep
+    for center_only, made in ((False, len(deep)), (True, 1)):
+        passes.clear()
+        sweeps.clear()
+        assert A.find_hinges(ball, margin, center_only) == []
+        assert len(passes) == made
+        assert sweeps == []
 
 
 @pytest.mark.parametrize("type_id,n,m,radius", [

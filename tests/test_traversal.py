@@ -6,6 +6,7 @@ cycle space check runs one search per interior component, so a search
 per fundamental cycle cannot come back unnoticed."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from test_embed_linear import _MIN_PARAMS
 from cubiccayley import analyze as A
 from cubiccayley import cli
 from cubiccayley import embed as E
-from cubiccayley.ball import CayleyBall
+from cubiccayley.ball import CayleyBall, Edge
 from cubiccayley.construct import TypeParams, construct
 from cubiccayley.errors import BallTooSmall, NoSeparatorFound, SpinConflict
 from cubiccayley.presentation import parse_presentation
@@ -57,7 +58,6 @@ def _assert_traversals_agree(ball):
     if ball.n_vertices <= _ALL_PAIRS_MAX_VERTICES:
         _assert_agree(A.connectivity_diagnostics, O.connectivity_diagnostics,
                       ball)
-        _assert_agree(A.find_hinges, O.find_hinges, ball)
         _assert_agree(A.shortest_separating_path, O.shortest_separating_path,
                       ball)
 
@@ -76,12 +76,63 @@ def test_random_cells_match_oracle(type_id, dn, dm, radius):
     tp = TypeParams(type_id,
                     n=None if min_n is None else min_n + dn,
                     m=None if min_m is None else min_m + dm)
-    _assert_traversals_agree(construct(tp, radius))
+    ball = construct(tp, radius)
+    _assert_traversals_agree(ball)
+    _assert_hinges_agree(ball)
+
+
+def _hinge_margins(ball):
+    return sorted({0, 1, 2, 3, A.sound_margin(ball.presentation)})
+
+
+def _assert_hinges_agree(ball):
+    # the hinges read off the cut passes over G - x against one sweep per
+    # deep edge, in both modes; all-pairs only on small balls
+    for margin in _hinge_margins(ball):
+        _assert_agree(A.find_hinges, O.find_hinges, ball, margin, True)
+        if ball.n_vertices <= _ALL_PAIRS_MAX_VERTICES:
+            _assert_agree(A.find_hinges, O.find_hinges, ball, margin)
+
+
+@pytest.mark.parametrize("radius", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("type_id,n,m", cli.SMOKE_GRID)
+def test_grid_hinges_match_oracle(type_id, n, m, radius):
+    _assert_hinges_agree(construct(TypeParams(type_id, n=n, m=m), radius))
+
+
+@pytest.mark.parametrize("type_id,n,m,radius", [("I", 2, None, 5),
+                                                ("VI", 2, 3, 6)])
+def test_relabelled_hinges_match_oracle(type_id, n, m, radius):
+    # a loaded ball need not number its vertices breadth-first from a
+    # center at 0: here the center is numbered last, so every hinge at it
+    # ends below it.  The edges keep their order, so their ids, and the
+    # hinges are the original ones mapped through the relabelling
+    ball = construct(TypeParams(type_id, n=n, m=m), radius)
+    rest = list(range(ball.n_vertices - 1))
+    random.Random(radius).shuffle(rest)
+    new = [len(rest)] + rest  # vertex 0 is the center
+    data = ball.to_dict()
+    data["center"] = new[ball.center]
+    data["interior"] = [new[v] for v in data["interior"]]
+    for item in data["vertices"]:
+        item["id"] = new[item["id"]]
+    for e in data["edges"]:
+        e["u"], e["v"] = new[e["u"]], new[e["v"]]
+    moved = CayleyBall.from_dict(data)
+    assert moved.center != 0
+    _assert_hinges_agree(moved)
+    for margin in _hinge_margins(ball):
+        for center_only in (True, False):
+            hinges = A.find_hinges(ball, margin, center_only)
+            assert hinges  # these families have hinges
+            assert A.find_hinges(moved, margin, center_only) == [
+                Edge(new[e.u], new[e.v], e.colour, e.directed)
+                for e in hinges]
 
 
 def _assert_nos_hinges_are_find_hinges(ball, report):
-    # nosiv reads its hinges off the cut passes over G - v; find_hinges
-    # searches once per deep edge
+    # nosiv reads its hinges off the cut passes over G - v it makes for
+    # its other properties; find_hinges makes passes of its own
     margin = A.sound_margin(ball.presentation)
     assert report["nosiv"]["violations"] == A.find_hinges(ball, margin)
 
