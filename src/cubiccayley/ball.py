@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import gc
 import json
+from bisect import bisect_left
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import ConstructionIncomplete, CubicCayleyError, ParseError
@@ -527,8 +529,10 @@ def make_ball(presentation: Presentation, graph: RawGraph,
               radius: int) -> CayleyBall:
     """Truncate ``graph`` to the radius-``radius`` ball around its vertex
     0, vertices numbered by ``graph.walk`` and edges in (low end,
-    high end, colour, undirected first, tail) order.  The graph's letters
-    are the presentation's; ``words`` is built on its first read.
+    high end, colour, tail) order: a ``RawGraph`` fixes each colour's
+    directedness, so the sort key's directed field never decides it.  The
+    graph's letters are the presentation's; ``words`` is built on its
+    first read.
 
     Everything built here is acyclic (sort keys, edges, int lists and
     pairs), so the cyclic garbage collector is paused for the build: its
@@ -544,11 +548,11 @@ def make_ball(presentation: Presentation, graph: RawGraph,
             u, v = index[u], index[v]
             if u >= 0 and v >= 0:
                 low, high = (u, v) if u < v else (v, u)
-                keys.append((low, high, colour, not directed, u, v))
+                keys.append((low, high, colour, directed, u, v))
         keys.sort()
-        edges = [Edge(u, v, colour, not undirected)
-                 for _, _, colour, undirected, u, v in keys]
-        interior = frozenset(i for i, d in enumerate(dist) if d < radius)
+        edges = list(map(Edge._make, map(itemgetter(4, 5, 2, 3), keys)))
+        # the walk's distances never decrease
+        interior = frozenset(range(bisect_left(dist, radius)))
         return CayleyBall(presentation, 0, radius, edges,
                           lambda: _word_labels(presentation, parent, letter),
                           interior, dist)

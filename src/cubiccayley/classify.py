@@ -131,6 +131,13 @@ def _letter_counts(p: Presentation) -> Counter:
 
 
 @functools.lru_cache(maxsize=256)
+def _catalogue_counts(tp: TypeParams) -> Counter:
+    """Letter counts of a catalogue presentation, computed once per
+    candidate like its normal form; callers only compare them."""
+    return _letter_counts(tp.presentation())
+
+
+@functools.lru_cache(maxsize=256)
 def _catalogue_normal_form(tp: TypeParams) -> str:
     """Relator normal form of a catalogue presentation; the candidates of
     every call repeat, so each normal form is computed once."""
@@ -150,7 +157,7 @@ def classify_presentation(p: Presentation) -> ClassificationReport:
         for type_id, family in FAMILIES.items():
             try:
                 tp = TypeParams(type_id, **family.params(counts))
-                if _letter_counts(tp.presentation()) != counts:
+                if _catalogue_counts(tp) != counts:
                     continue  # cannot match: skip the normal form
             except (InvalidParams, ParseError):
                 # ParseError: the guess spells a relator too long to parse

@@ -1,12 +1,16 @@
 """Todd-Coxeter coset enumeration with a coset cap.
 
-A deliberately plain HLT-style enumerator: scan-and-fill over all relators,
-a deduction-free fixpoint loop, and textbook coincidence merging via
-union-find.  Every table entry is a consequence of a relator trace or
-involution symmetry, so a truncated (overflowed) table is still sound and
-can be cut into a ball around the identity coset: ``ball_from_table``
-numbers the cosets within the radius densely in distance order, the
-identity coset as 0, into a ``ball.RawGraph`` that ``make_ball`` cuts.
+The strategy stays plain HLT: scan-and-fill over all relators, a
+deduction-free fixpoint loop, and textbook coincidence merging via
+union-find.  Only the storage is tuned.  A column is its index in
+``CosetTable.columns``, each row a dict from column index to coset kept
+in insertion order, and every read takes the entry as it stands, calling
+the union-find only when the entry's coset has been merged away.  Every
+table entry is a consequence of a relator trace or involution symmetry,
+so a truncated (overflowed) table is still sound and can be cut into a
+ball around the identity coset: ``ball_from_table`` numbers the cosets
+within the radius densely in distance order, the identity coset as 0,
+into a ``ball.RawGraph`` that ``make_ball`` cuts.
 
 ``max_cosets`` bounds the number of cosets one table ever creates (live or
 dead).  Hitting it is reported as ``complete = False`` on the returned
@@ -46,28 +50,38 @@ from .presentation import Letter, Presentation
 
 
 class CosetTable:
-    """Partial map (coset, letter) -> coset, closed under inverse symmetry,
+    """Partial map (coset, column) -> coset, closed under inverse symmetry,
     plus union-find bookkeeping for coincidences.  The columns are the
-    letters of ``Presentation.letters``: an involution has ``(g, 1)`` only."""
+    letters of ``Presentation.letters``: an involution has ``(g, 1)`` only.
+    Inside the table a column is its index in ``columns``; ``get`` takes
+    the letter.
+
+    ``rows[a]`` maps column index -> coset for every coset ever defined,
+    dead ones included, and keeps its entries in the order they were set,
+    as a dict does.  Coincidence processing re-homes a dead coset's entries
+    in that order, and the order decides which entries merge and which are
+    set anew, so it fixes ``ops`` and the table that comes out.  An entry
+    may name a coset merged away since; a read takes ``rep`` of it only
+    then (``parent[x] != x``)."""
 
     def __init__(self, presentation: Presentation, max_cosets: int):
         self.presentation = presentation
         self.max_cosets = max_cosets
         self.columns: List[Letter] = list(presentation.letters)
-        self._inv_col = {(g, s): (g, -s) if (g, -s) in self.columns
-                         else (g, s) for g, s in self.columns}
-        self.rows: List[Dict[Letter, int]] = [dict()]
+        self._index = {letter: k for k, letter in enumerate(self.columns)}
+        # column k's inverse column: k itself for an involution
+        self._inv = [self._index.get((g, -s), k)
+                     for k, (g, s) in enumerate(self.columns)]
+        self.rows: List[Dict[int, int]] = [dict()]
         self.parent: List[int] = [0]
         self.ops = 0
         self.complete = False
         self.overflowed = False
         # (g, -1) reads the inverse of column (g, 1): itself for an involution
         self._relator_cols = [
-            [(g, 1) if s > 0 else self._inv_col[(g, 1)] for g, s in rel]
+            [self._index[(g, 1)] if s > 0 else self._inv[self._index[(g, 1)]]
+             for g, s in rel]
             for rel in presentation.relators]
-
-    def inv_column(self, col: Letter) -> Letter:
-        return self._inv_col[col]
 
     # -- union-find --------------------------------------------------------
 
@@ -79,31 +93,28 @@ class CosetTable:
             self.parent[a], a = root, self.parent[a]
         return root
 
-    def is_live(self, a: int) -> bool:
-        return self.parent[a] == a
-
     def live_cosets(self) -> List[int]:
         return [i for i in range(len(self.rows)) if self.parent[i] == i]
 
     # -- elementary operations --------------------------------------------
 
-    def get(self, a: int, col: Letter) -> Optional[int]:
-        hit = self.rows[a].get(col)
+    def get(self, a: int, letter: Letter) -> Optional[int]:
+        hit = self.rows[a].get(self._index.get(letter))
         return self.rep(hit) if hit is not None else None
 
-    def _set(self, a: int, col: Letter, b: int):
+    def _set(self, a: int, k: int, b: int):
         self.ops += 1
-        self.rows[a][col] = b
-        self.rows[b][self.inv_column(col)] = a
+        self.rows[a][k] = b
+        self.rows[b][self._inv[k]] = a
 
-    def define(self, a: int, col: Letter) -> Optional[int]:
+    def define(self, a: int, k: int) -> Optional[int]:
         if len(self.rows) >= self.max_cosets:
             self.overflowed = True
             return None
         b = len(self.rows)
         self.rows.append(dict())
         self.parent.append(b)
-        self._set(a, col, b)
+        self._set(a, k, b)
         return b
 
     # -- coincidence handling ---------------------------------------------
@@ -119,47 +130,54 @@ class CosetTable:
         queue.append(b)
 
     def coincidence(self, a: int, b: int):
+        rows, inv, rep = self.rows, self._inv, self.rep
         queue: deque = deque()
         self._merge(a, b, queue)
         while queue:
             dead = queue.popleft()
-            row, self.rows[dead] = self.rows[dead], dict()
-            for col, delta in row.items():
+            row, rows[dead] = rows[dead], dict()
+            for k, delta in row.items():
                 # drop the back-reference before re-homing the entry
-                back = self.inv_column(col)
-                if self.rows[delta].get(back) == dead:
-                    del self.rows[delta][back]
-                mu, nu = self.rep(dead), self.rep(delta)
-                existing = self.get(mu, col)
+                back = inv[k]
+                if rows[delta].get(back) == dead:
+                    del rows[delta][back]
+                mu, nu = rep(dead), rep(delta)
+                existing = rows[mu].get(k)
                 if existing is not None:
                     self._merge(nu, existing, queue)
                     continue
-                existing_back = self.get(nu, back)
+                existing_back = rows[nu].get(back)
                 if existing_back is not None:
                     self._merge(mu, existing_back, queue)
                     continue
-                self._set(mu, col, nu)
+                self._set(mu, k, nu)
 
     # -- scanning ----------------------------------------------------------
 
-    def scan(self, alpha: int, cols: List[Letter]):
+    def scan(self, alpha: int, cols: List[int]):
+        """Trace the relator ``cols`` (column indices) from the live coset
+        ``alpha`` forwards and backwards, closing it when one gap is left,
+        defining a coset at the forward gap otherwise."""
+        rows, parent, inv = self.rows, self.parent, self._inv
         f, i = alpha, 0
         b, j = alpha, len(cols) - 1
         while True:
             while i <= j:
-                nxt = self.get(f, cols[i])
+                nxt = rows[f].get(cols[i])
                 if nxt is None:
                     break
-                f, i = nxt, i + 1
+                f = nxt if parent[nxt] == nxt else self.rep(nxt)
+                i += 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
             while j >= i:
-                prv = self.get(b, self.inv_column(cols[j]))
+                prv = rows[b].get(inv[cols[j]])
                 if prv is None:
                     break
-                b, j = prv, j - 1
+                b = prv if parent[prv] == prv else self.rep(prv)
+                j -= 1
             if j < i:
                 self.coincidence(f, b)
                 return
@@ -175,10 +193,11 @@ def _rescan(table: CosetTable, cosets) -> bool:
     """Scan every relator, filling gaps, from each of ``cosets`` still
     live; True if the table changed."""
     before = table.ops
+    parent = table.parent
     for a in cosets:
-        if table.is_live(a):
+        if parent[a] == a:
             for cols in table._relator_cols:
-                table.scan(table.rep(a), cols)
+                table.scan(a if parent[a] == a else table.rep(a), cols)
     return table.ops != before
 
 
@@ -188,21 +207,25 @@ def enumerate_cosets(p: Presentation, max_cosets: int) -> CosetTable:
     An overflowed table is sound but partial (``complete`` False).
     """
     table = CosetTable(p, max_cosets)
+    rows, parent = table.rows, table.parent
+    width = len(table.columns)
     idx = 0
-    while idx < len(table.rows):
+    while idx < len(rows):
         alpha = idx
         idx += 1
-        if not table.is_live(alpha):
+        if parent[alpha] != alpha:
             continue
         for cols in table._relator_cols:
-            if not table.is_live(alpha):
+            if parent[alpha] != alpha:
                 break
-            table.scan(table.rep(alpha), cols)
-        if not table.is_live(alpha):
+            table.scan(alpha, cols)
+        if parent[alpha] != alpha:
             continue
-        for col in table.columns:
-            if table.get(table.rep(alpha), col) is None:
-                table.define(table.rep(alpha), col)
+        # definitions merge nothing, so alpha stays live and keeps its row
+        row = rows[alpha]
+        for k in range(width):
+            if k not in row:
+                table.define(alpha, k)
 
     if not table.overflowed:
         # fixpoint pass: coincidences may have opened rescans
@@ -210,24 +233,32 @@ def enumerate_cosets(p: Presentation, max_cosets: int) -> CosetTable:
             if table.overflowed:
                 break
         if not table.overflowed:
-            table.complete = all(
-                table.get(a, col) is not None
-                for a in table.live_cosets() for col in table.columns)
+            table.complete = all(len(rows[a]) == width
+                                 for a in table.live_cosets())
     return table
 
 
 def _ball_distances(table: CosetTable, radius: int) -> Dict[int, int]:
+    """Breadth-first distances from the identity coset out to ``radius``,
+    live cosets in the order the walk meets them, columns in order."""
+    rows, parent = table.rows, table.parent
+    width = range(len(table.columns))
     root = table.rep(0)
     dist = {root: 0}
     queue = [root]
     for v in queue:
-        if dist[v] >= radius:
-            continue
-        for col in table.columns:
-            w = table.get(v, col)
-            if w is not None and w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
+        d = dist[v]
+        if d >= radius:
+            break  # the queue is in distance order
+        row = rows[v]
+        for k in width:
+            w = row.get(k)
+            if w is not None:
+                if parent[w] != w:
+                    w = table.rep(w)
+                if w not in dist:
+                    dist[w] = d + 1
+                    queue.append(w)
     return dist
 
 
@@ -241,20 +272,19 @@ def complete_ball_region(table: CosetTable, radius: int, hard_cap: int):
     to the ball.  Raises OracleInconclusive if ``hard_cap`` is reached.
     """
     table.max_cosets = max(table.max_cosets, hard_cap)
+    rows, width = table.rows, len(table.columns)
     while True:
         dist = _ball_distances(table, radius)
-        todo = [a for a in dist
-                if any(table.get(table.rep(a), col) is None
-                       for col in table.columns)]
+        todo = [a for a in dist if len(rows[a]) < width]
         if not todo:
             return
+        # definitions merge nothing: every coset of the walk stays live
         for a in todo:
-            for col in table.columns:
-                alpha = table.rep(a)
-                if table.get(alpha, col) is None:
-                    if table.define(alpha, col) is None:
-                        raise OracleInconclusive(
-                            "coset cap exhausted while completing the ball")
+            row = rows[a]
+            for k in range(width):
+                if k not in row and table.define(a, k) is None:
+                    raise OracleInconclusive(
+                        "coset cap exhausted while completing the ball")
         while _rescan(table, dist):
             pass
 
@@ -272,13 +302,13 @@ def ball_from_table(table: CosetTable, radius: int) -> CayleyBall:
     group) has no boundary: all its vertices are interior.
     """
     p = table.presentation
+    rows, parent, columns = table.rows, table.parent, table.columns
     dist = _ball_distances(table, radius)
     for v, d in dist.items():
-        if d < radius:
-            for col in table.columns:
-                if table.get(v, col) is None:
-                    raise UndefinedInterior(
-                        f"coset at distance {d} lacks image under {col}")
+        if d < radius and len(rows[v]) < len(columns):
+            col = next(c for k, c in enumerate(columns) if k not in rows[v])
+            raise UndefinedInterior(
+                f"coset at distance {d} lacks image under {col}")
 
     if table.complete:
         radius = min(radius, max(dist.values(), default=0))
@@ -286,15 +316,21 @@ def ball_from_table(table: CosetTable, radius: int) -> CayleyBall:
     # dense ids in distance order: the identity coset is vertex 0
     graph = RawGraph(p)
     ids = {v: graph.new_vertex() for v in dist}
+    plan = [(table._index[(gen.name, 1)], gen.name, gen.involution)
+            for gen in p.generators]
     for v in dist:
-        for gen in p.generators:
-            g = gen.name
-            w = table.get(v, (g, 1))
+        row = rows[v]
+        for k, g, involution in plan:
+            w = row.get(k)
+            if w is None:
+                continue
+            if parent[w] != w:
+                w = table.rep(w)
             if w == v:
                 raise NotCubic(
                     f"generator {g} fixes coset {v}: it is trivial in the "
                     "group, so its Cayley graph edges are loops")
-            if w in ids and (not gen.involution or v < w):
+            if w in ids and (not involution or v < w):
                 graph.add_edge(ids[v], ids[w], g, 1)
     ball = make_ball(p, graph, radius)
     if table.complete and len(dist) == len(table.live_cosets()):

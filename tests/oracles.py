@@ -69,7 +69,11 @@ VII by hand (``amalgam_for``): the library reads them off the family's
 presentation.  So are ``classify``'s ``_smallest_closure``, which traced
 ``(letters)^k`` afresh for every k, and ``colour_pair_orders``, which
 hand-walked its alternating word: the library walks each periodic word
-once (``analyze.periodic_closure``).  The oracles keep their own copies of
+once (``analyze.periodic_closure``).  So is the coset enumerator
+(``CosetTable``, ``enumerate_cosets``, ``complete_ball_region``) with
+rows keyed by letter tuples and every entry read through ``rep``: the
+library keys its rows by column index and calls the union-find only on
+a merged coset.  The oracles keep their own copies of
 every traversal, so they cannot follow a change in the library.  Do not
 import this module from ``src``.
 """
@@ -79,6 +83,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -91,8 +96,6 @@ from cubiccayley.ball import (CayleyBall, Edge, RawGraph,
                               rooted_isomorphic)
 from cubiccayley.classify import _catalogue_hint, _rename, _renamings
 from cubiccayley.construct import TypeParams
-from cubiccayley.coset import (CosetTable, complete_ball_region,
-                               enumerate_cosets)
 from cubiccayley.embed import (PRESERVING, REVERSING, FaceWalk, Planar,
                                RotationEmbedding, _ball_spin_table,
                                _kuratowski_witness, as_multigraph,
@@ -1065,6 +1068,224 @@ def build_amalgam(tp, radius: int):
 
 
 # ---------------------------------------------------------------------------
+# coset: the enumerator on letter-keyed rows, reading every entry through rep
+# ---------------------------------------------------------------------------
+
+class CosetTable:
+    """Partial map (coset, letter) -> coset, closed under inverse symmetry,
+    plus union-find bookkeeping for coincidences.  The columns are the
+    letters of ``Presentation.letters``: an involution has ``(g, 1)`` only."""
+
+    def __init__(self, presentation: Presentation, max_cosets: int):
+        self.presentation = presentation
+        self.max_cosets = max_cosets
+        self.columns: List[Letter] = list(presentation.letters)
+        self._inv_col = {(g, s): (g, -s) if (g, -s) in self.columns
+                         else (g, s) for g, s in self.columns}
+        self.rows: List[Dict[Letter, int]] = [dict()]
+        self.parent: List[int] = [0]
+        self.ops = 0
+        self.complete = False
+        self.overflowed = False
+        # (g, -1) reads the inverse of column (g, 1): itself for an involution
+        self._relator_cols = [
+            [(g, 1) if s > 0 else self._inv_col[(g, 1)] for g, s in rel]
+            for rel in presentation.relators]
+
+    def inv_column(self, col: Letter) -> Letter:
+        return self._inv_col[col]
+
+    # -- union-find --------------------------------------------------------
+
+    def rep(self, a: int) -> int:
+        root = a
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[a] != root:
+            self.parent[a], a = root, self.parent[a]
+        return root
+
+    def is_live(self, a: int) -> bool:
+        return self.parent[a] == a
+
+    def live_cosets(self) -> List[int]:
+        return [i for i in range(len(self.rows)) if self.parent[i] == i]
+
+    # -- elementary operations --------------------------------------------
+
+    def get(self, a: int, col: Letter) -> Optional[int]:
+        hit = self.rows[a].get(col)
+        return self.rep(hit) if hit is not None else None
+
+    def _set(self, a: int, col: Letter, b: int):
+        self.ops += 1
+        self.rows[a][col] = b
+        self.rows[b][self.inv_column(col)] = a
+
+    def define(self, a: int, col: Letter) -> Optional[int]:
+        if len(self.rows) >= self.max_cosets:
+            self.overflowed = True
+            return None
+        b = len(self.rows)
+        self.rows.append(dict())
+        self.parent.append(b)
+        self._set(a, col, b)
+        return b
+
+    # -- coincidence handling ---------------------------------------------
+
+    def _merge(self, a: int, b: int, queue: deque):
+        a, b = self.rep(a), self.rep(b)
+        if a == b:
+            return
+        if b < a:
+            a, b = b, a
+        self.ops += 1
+        self.parent[b] = a
+        queue.append(b)
+
+    def coincidence(self, a: int, b: int):
+        queue: deque = deque()
+        self._merge(a, b, queue)
+        while queue:
+            dead = queue.popleft()
+            row, self.rows[dead] = self.rows[dead], dict()
+            for col, delta in row.items():
+                # drop the back-reference before re-homing the entry
+                back = self.inv_column(col)
+                if self.rows[delta].get(back) == dead:
+                    del self.rows[delta][back]
+                mu, nu = self.rep(dead), self.rep(delta)
+                existing = self.get(mu, col)
+                if existing is not None:
+                    self._merge(nu, existing, queue)
+                    continue
+                existing_back = self.get(nu, back)
+                if existing_back is not None:
+                    self._merge(mu, existing_back, queue)
+                    continue
+                self._set(mu, col, nu)
+
+    # -- scanning ----------------------------------------------------------
+
+    def scan(self, alpha: int, cols: List[Letter]):
+        f, i = alpha, 0
+        b, j = alpha, len(cols) - 1
+        while True:
+            while i <= j:
+                nxt = self.get(f, cols[i])
+                if nxt is None:
+                    break
+                f, i = nxt, i + 1
+            if i > j:
+                if f != b:
+                    self.coincidence(f, b)
+                return
+            while j >= i:
+                prv = self.get(b, self.inv_column(cols[j]))
+                if prv is None:
+                    break
+                b, j = prv, j - 1
+            if j < i:
+                self.coincidence(f, b)
+                return
+            if j == i:
+                self._set(f, cols[i], b)
+                return
+            made = self.define(f, cols[i])
+            if made is None:
+                return  # cap hit; leave the gap
+
+
+def rescan(table: CosetTable, cosets) -> bool:
+    """Scan every relator, filling gaps, from each of ``cosets`` still
+    live; True if the table changed."""
+    before = table.ops
+    for a in cosets:
+        if table.is_live(a):
+            for cols in table._relator_cols:
+                table.scan(table.rep(a), cols)
+    return table.ops != before
+
+
+def enumerate_cosets(p: Presentation, max_cosets: int) -> CosetTable:
+    """Run the enumeration; ``table.complete`` tells whether it closed.
+
+    An overflowed table is sound but partial (``complete`` False).
+    """
+    table = CosetTable(p, max_cosets)
+    idx = 0
+    while idx < len(table.rows):
+        alpha = idx
+        idx += 1
+        if not table.is_live(alpha):
+            continue
+        for cols in table._relator_cols:
+            if not table.is_live(alpha):
+                break
+            table.scan(table.rep(alpha), cols)
+        if not table.is_live(alpha):
+            continue
+        for col in table.columns:
+            if table.get(table.rep(alpha), col) is None:
+                table.define(table.rep(alpha), col)
+
+    if not table.overflowed:
+        # fixpoint pass: coincidences may have opened rescans
+        while rescan(table, table.live_cosets()):
+            if table.overflowed:
+                break
+        if not table.overflowed:
+            table.complete = all(
+                table.get(a, col) is not None
+                for a in table.live_cosets() for col in table.columns)
+    return table
+
+
+def ball_distances(table: CosetTable, radius: int) -> Dict[int, int]:
+    root = table.rep(0)
+    dist = {root: 0}
+    queue = [root]
+    for v in queue:
+        if dist[v] >= radius:
+            continue
+        for col in table.columns:
+            w = table.get(v, col)
+            if w is not None and w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def complete_ball_region(table: CosetTable, radius: int, hard_cap: int):
+    """Extend a truncated table until every coset within ``radius`` of the
+    identity coset has a full row and all relator scans there are closed.
+
+    The plain HLT loop fills rows in definition order, which wanders far from
+    the identity; a capped run can leave gaps right next to it.  This pass
+    is the same sound machinery (definitions plus relator scans) restricted
+    to the ball.  Raises OracleInconclusive if ``hard_cap`` is reached.
+    """
+    table.max_cosets = max(table.max_cosets, hard_cap)
+    while True:
+        dist = ball_distances(table, radius)
+        todo = [a for a in dist
+                if any(table.get(table.rep(a), col) is None
+                       for col in table.columns)]
+        if not todo:
+            return
+        for a in todo:
+            for col in table.columns:
+                alpha = table.rep(a)
+                if table.get(alpha, col) is None:
+                    if table.define(alpha, col) is None:
+                        raise OracleInconclusive(
+                            "coset cap exhausted while completing the ball")
+        while rescan(table, dist):
+            pass
+
+
+# ---------------------------------------------------------------------------
 # construct: the enumeration oracle at a fixed cap and twice that cap
 # ---------------------------------------------------------------------------
 
@@ -1281,21 +1502,6 @@ def make_ball(presentation: Presentation, root,
                          if dist_list[i] <= radius - 1)
     return CayleyBall(presentation, 0, radius, kept_edges, word_list,
                       interior, dist_list)
-
-
-def ball_distances(table: CosetTable, radius: int) -> Dict[int, int]:
-    root = table.rep(0)
-    dist = {root: 0}
-    queue = [root]
-    for v in queue:
-        if dist[v] >= radius:
-            continue
-        for col in table.columns:
-            w = table.get(v, col)
-            if w is not None and w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
 
 
 def ball_from_table(table: CosetTable, radius: int) -> CayleyBall:
