@@ -22,8 +22,8 @@ The loops that stay do something else:
 * ``render`` orders each vertex's children by the embedding's rotation,
   which shapes the drawn tree;
 * ``ball.RawGraph.walk`` walks the graph a builder grows, for
-  ``make_ball`` and for each gluing round of the glue tree (``grow``,
-  the amalgam builder's search, records it as it goes), and
+  ``make_ball`` (``grow``, the amalgam builder's search, records it as
+  it goes, and ``glue``, the glue tree's one pass, needs none), and
   ``coset._ball_distances`` walks a coset table, not a ``CayleyBall``.
 
 Every separating-pair question fixes a first removal and reads the

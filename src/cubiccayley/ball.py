@@ -463,6 +463,104 @@ class RawGraph:
         graph._grown = (radius, parent, letter, dist)
         return graph
 
+    @classmethod
+    def glue(cls, p: Presentation, seed, polygons, hinge: Letter,
+             radius: int) -> "RawGraph":
+        """A tree of relator polygons glued along the ``hinge`` letter's
+        edges, covering the vertices within ``radius`` of vertex 0.
+
+        Vertex 0 and the polygon ``seed`` (a sequence of letters) start
+        the graph.  Then one pass over the ids in creation order glues,
+        at each vertex v within ``radius`` that has a free slot, the first
+        of ``polygons`` (``(letters, arrival)`` pairs, each polygon
+        cyclically reduced) whose ``arrival`` slot is free: traced from v,
+        or else from v's ``hinge``-neighbour.  A trace follows filled
+        slots and makes a fresh vertex at each free one, its last step
+        closing at its start; slots and edges are written as ``add_edge``
+        writes them.  Raises ConstructionIncomplete when a polygon fails
+        to close, its last step meets a used slot, no polygon fits at v,
+        or v's hinge slot is empty when the neighbour is needed.
+
+        Gluing in rounds, each walking the graph for the vertices within
+        ``radius`` with a free slot and filling them in id order, makes
+        the same calls in the same order: a round's targets are the
+        vertices the round before created, whose ids follow every older
+        one.  No walk is needed for the distances either.  A trace from x
+        reuses edges up to some vertex y and then adds fresh vertices
+        f_1 .. f_t back to x; in a tree of polygons no path is shorter
+        than one around the new polygon, so f_i lies at
+        ``min(dist[y] + i, dist[x] + t + 1 - i)``.  Both are lengths of
+        paths in the graph, whatever the polygons glued, so no distance
+        is taken too short and the pass glues at finitely many vertices."""
+        graph = cls(p)
+        L, letters, nbr, edges = graph.L, graph.letters, graph.nbr, graph.edges
+        ends = graph._ends
+
+        def plan(seq):
+            # per letter: its column, the column it fills at the far end,
+            # the colour, how it is stored (tail last: a directed letter
+            # of sign -1)
+            steps = []
+            for g, s in seq:
+                near, far, directed = ends[(g, s)]
+                steps.append((near, far, g, directed, directed and s < 0))
+            return steps
+
+        fits = [(ends[arrival][0], plan(seq)) for seq, arrival in polygons]
+        hinge_col = ends[hinge][0]
+        blank = [-1] * L
+        dist = []
+
+        def trace(x, steps):
+            cur, last, y = x, len(steps) - 1, None
+            for i, (k, far, g, directed, flip) in enumerate(steps):
+                w = nbr[cur * L + k]
+                if w < 0:
+                    if i < last:
+                        if y is None:
+                            y = cur
+                        w = len(nbr) // L
+                        nbr.extend(blank)
+                    elif nbr[x * L + far] >= 0:
+                        raise ConstructionIncomplete(
+                            f"slot {letters[far]} already used at vertex {x}")
+                    else:
+                        w = x
+                    nbr[cur * L + k] = w
+                    nbr[w * L + far] = cur
+                    edges.append((w, cur, g, True) if flip
+                                 else (cur, w, g, directed))
+                cur = w
+            if cur != x:
+                raise ConstructionIncomplete("polygon failed to close")
+            if y is not None:  # the fresh vertices f_1 .. f_t
+                t = len(nbr) // L - len(dist)
+                near, back = dist[y], dist[x] + t + 1
+                dist.extend(min(near + i, back - i) for i in range(1, t + 1))
+
+        dist.append(0)
+        nbr.extend(blank)
+        trace(0, plan(seed))
+        for v, d in enumerate(dist):
+            row = v * L
+            if d > radius or -1 not in nbr[row:row + L]:
+                continue
+            x = v
+            fit = next((steps for arrival, steps in fits
+                        if nbr[row + arrival] < 0), None)
+            if fit is None:
+                x = nbr[row + hinge_col]
+                if x < 0:
+                    raise ConstructionIncomplete(
+                        f"hinge slot {letters[hinge_col]} empty at vertex {v}")
+                fit = next((steps for arrival, steps in fits
+                            if nbr[x * L + arrival] < 0), None)
+                if fit is None:
+                    raise ConstructionIncomplete(
+                        f"no relator polygon fits at vertex {v}")
+            trace(x, fit)
+        return graph
+
     @property
     def n_vertices(self) -> int:
         return len(self.nbr) // self.L

@@ -2,9 +2,10 @@
 
 ``classify_presentation`` matches the relator multiset against the nine
 catalogue families up to generator renaming, rotation and inversion.
-Each ``construct.FAMILIES`` row guesses n and m once per renaming, from
-letter counts that no reordering, rotation or inversion moves; once some
-guess's counts match, the normal form decides.  A report keeps what was
+Each ``construct.FAMILIES`` row over the renamed generators (the keys
+of its ``spin``) guesses n and m once per renaming, from letter counts
+that no reordering, rotation or inversion moves; once some guess's
+counts match, the normal form decides.  A report keeps what was
 decided (family and parameters, renaming, evidence) and reads the
 family's flags and spins off its row.
 
@@ -152,9 +153,12 @@ def classify_presentation(p: Presentation) -> ClassificationReport:
     matches = []
     for sigma in _renamings(p):
         q = _rename(p, sigma)
+        names = set(q.generator_names)
         counts = _letter_counts(q)
         nf = None
         for type_id, family in FAMILIES.items():
+            if family.spin.keys() != names:
+                continue  # another alphabet: its counts cannot match
             try:
                 tp = TypeParams(type_id, **family.params(counts))
                 if _catalogue_counts(tp) != counts:

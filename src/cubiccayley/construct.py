@@ -19,8 +19,9 @@ Both routes hand ``make_ball`` a ``ball.RawGraph`` on dense int ids whose
 vertex 0 is the identity: each builder grows one, and
 ``coset.ball_from_table`` numbers the cosets of a table into one.
 ``RawGraph.walk`` is the one breadth-first walk of such a graph, for
-``make_ball`` and each gluing round of the glue tree; the amalgam
-builder's search, ``RawGraph.grow``, records it for ``make_ball``.
+``make_ball``; the amalgam builder's search, ``RawGraph.grow``, records
+it for ``make_ball``, and the glue tree, ``RawGraph.glue``, grows in one
+pass over its ids that needs no walk.
 
 Every ball returned by ``construct`` has passed ``certify_ball``.  That
 check does not walk the ``g^2`` markers of the colours a ball stores
@@ -146,64 +147,31 @@ class TypeParams:
 
 
 # ---------------------------------------------------------------------------
-# polygon glue-tree engine (types I, II, VI, VIII)
+# polygon glue tree (types I, II, VI, VIII)
 # ---------------------------------------------------------------------------
-
-def _trace_cycle(graph: RawGraph, start: int, seq):
-    """Trace a relator polygon from ``start``, reusing edges whose slots
-    are filled and creating fresh vertices elsewhere; the last step must
-    close the cycle."""
-    cur = start
-    for i, (g, s) in enumerate(seq):
-        nxt = graph.step(cur, (g, s))
-        if nxt is None:
-            nxt = start if i == len(seq) - 1 else graph.new_vertex()
-            graph.add_edge(cur, nxt, g, s)
-        cur = nxt
-    if cur != start:
-        raise ConstructionIncomplete("polygon failed to close")
-
 
 def _build_glue_tree(tp: TypeParams, radius: int) -> RawGraph:
     """Glue the family's relator polygons along the shared involution
-    colour ``b``, reading them off its presentation.
+    colour ``b``, reading them off its presentation, with
+    ``RawGraph.glue``.
 
-    The first relator other than the markers seeds the graph.  Each round
-    walks the vertices within ``radius`` (one layer more than the ball,
-    so boundary-boundary edges are present) and, in raw id order, gives
-    each vertex with a free slot the first rotation of a relator that
-    starts with ``b`` and whose last letter, arriving, fills a free slot:
-    traced from the vertex, or else from its ``b``-neighbour.  Every
-    polygon alternates ``b`` with the other colours, so every vertex has
-    its ``b`` slot and a free slot is one of the others."""
+    The first relator other than the markers seeds the graph.  The
+    polygons are the rotations of a relator that start with ``b``, each
+    with the slot its last letter fills, arriving.  Every vertex within
+    ``radius`` (one layer more than the ball, so boundary-boundary edges
+    are present) with a free slot gets the first that fits: traced from
+    the vertex, or else from its ``b``-neighbour.  Every polygon
+    alternates ``b`` with the other colours, so every vertex has its
+    ``b`` slot and a free slot is one of the others."""
     p = tp.presentation()
-    relators = p.essentials
     polygons = {}  # letters -> the letter whose slot the last step fills
-    for rel in relators:
+    for rel in p.essentials:
         for i, (g, _) in enumerate(rel.letters):
             if g == "b":
                 seq = rel.letters[i:] + rel.letters[:i]
                 polygons.setdefault(seq, (seq[-1][0], -seq[-1][1]))
-    graph = RawGraph(p)
-    _trace_cycle(graph, graph.new_vertex(), relators[0].letters)
-    nbr, L = graph.nbr, graph.L
-    while True:
-        targets = sorted(v for v in graph.walk(radius)[0]
-                         if -1 in nbr[v * L:v * L + L])
-        if not targets:
-            return graph
-        for v in targets:
-            if -1 not in nbr[v * L:v * L + L]:
-                continue  # filled by a polygon glued earlier this round
-            for x in (v, graph.step(v, ("b", 1))):
-                seq = next((seq for seq, arrival in polygons.items()
-                            if graph.step(x, arrival) is None), None)
-                if seq is not None:
-                    _trace_cycle(graph, x, seq)
-                    break
-            else:
-                raise ConstructionIncomplete(
-                    f"no relator polygon fits at vertex {v}")
+    return RawGraph.glue(p, p.essentials[0].letters, polygons.items(),
+                         ("b", 1), radius)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import random
 import pytest
 
 import oracles as O
-from cubiccayley import embed as E
+from cubiccayley import classify as C, cli, embed as E
 from cubiccayley.classify import classify_presentation
 from cubiccayley.construct import FAMILIES, TYPE_IDS, TypeParams
 from cubiccayley.errors import InvalidParams, NotCubic, NotInCatalogue
@@ -107,6 +107,44 @@ def test_outside_the_catalogue_raises_as_before(text):
         q = _variant(p, dict(zip(p.generator_names, sigma)),
                      sorted(sigma), rng)
         assert _outcome(_library, q) == _outcome(O.catalogue_report, q)
+
+
+def test_classify_builds_params_only_for_its_alphabet(monkeypatch):
+    """A row over other generator names cannot match the renamed
+    presentation, so no parameters are built for it: per renaming, one
+    guess for each of the three 2-generator or six 3-generator rows, not
+    nine.  Verdicts and renamings stay those of the old tables on the
+    grid, its renamed variants and inputs outside the catalogue."""
+    rng = random.Random(7)
+    inputs = []
+    for t, n, m in cli.SMOKE_GRID:
+        p = TypeParams(t, n=n, m=m).presentation()
+        names = p.generator_names
+        inputs.append(p)
+        for target in NAMES[len(names)]:
+            for perm in itertools.permutations(target):
+                inputs.append(_variant(p, dict(zip(names, perm)),
+                                       list(perm), rng))
+    inputs += [parse_presentation(text) for text in OUTSIDE]
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return TypeParams(*args, **kwargs)
+
+    monkeypatch.setattr(C, "TypeParams", counted)
+    rows = {k: sum(len(f.spin) == k for f in FAMILIES.values())
+            for k in (2, 3)}
+    assert rows == {2: 3, 3: 6}
+    for p in inputs:
+        built.clear()
+        assert _outcome(_library, p) == _outcome(O.catalogue_report, p)
+        if p.cubic_eligible:
+            renamings = len(list(C._renamings(p)))
+            assert len(built) == renamings * rows[len(p.generator_names)]
+            assert len(built) < renamings * len(FAMILIES)
+        else:
+            assert built == []
 
 
 @pytest.mark.parametrize("t,n,m", CELLS)
