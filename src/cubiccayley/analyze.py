@@ -29,9 +29,11 @@ The loops that stay do something else:
 Every separating-pair question fixes a first removal and reads the
 second off one cut pass over the ball minus it (``_cut_vertices``),
 which names the vertices and edges whose further removal changes
-whether the witnesses are separated: one pass at the center, one per
-deep vertex or edge for the all-pairs and nos searches, so their cost
-is the ball's size times its deep part.  The hinges at v are the edges
+whether the witnesses are separated: one pass at the center
+(``_CenterPass``, which the ``center_only`` separator and hinge searches
+read, and off which ``classify_ball`` takes both), one per deep vertex
+or edge for the all-pairs and nos searches, so their cost is the ball's
+size times its deep part.  The hinges at v are the edges
 from v to its partners, read off the pass over G - v by ``find_hinges``
 and by the nos check, which takes its vertex+edge cuts and separating
 pairs off the same pass; the certificates of every pair {x, y} come off
@@ -265,18 +267,50 @@ def find_hinges(ball: CayleyBall, margin: int = 1,
     one over G - x per deep x (``_vertex_partners``), each edge read
     from its lower end.
     """
-    deep = sorted(_deep_vertices(ball, margin))
-    adj = ball.adjacency
     if center_only:
-        c = ball.center
-        at = [(c, _partners(_cut_vertices(adj, set(deep), (c,)), deep))]
-    else:
-        at = ((x, partners) for x, _, partners in _vertex_partners(ball, deep))
+        return _CenterPass(ball, margin).hinges()
+    deep = sorted(_deep_vertices(ball, margin))
+    return _hinge_edges(ball, ((x, partners) for x, _, partners
+                               in _vertex_partners(ball, deep)))
+
+
+def _hinge_edges(ball, at) -> List[Edge]:
+    """The edges from each x to its partners, for the ``(x, partners)``
+    pairs of ``at``, in edge-id order."""
     hinges = []
     for x, partners in at:
         partners = set(partners)
-        hinges += [eid for eid, y in adj[x] if y in partners]
+        hinges += [eid for eid, y in ball.adjacency[x] if y in partners]
     return [ball.edges[i] for i in sorted(hinges)]
+
+
+class _CenterPass:
+    """The one cut pass over G - center, the deep vertices as witnesses,
+    that both ``center_only`` searches read: ``separator`` the
+    certificate, ``hinges`` the hinge edges at the center."""
+
+    def __init__(self, ball: CayleyBall, margin: int):
+        self.ball = ball
+        self.deep = sorted(_deep_vertices(ball, margin))
+        self.cut_pass = _cut_vertices(ball.adjacency, set(self.deep),
+                                      (ball.center,))
+
+    def separator(self) -> SeparationCertificate:
+        """The certificate of the center's nearest partner, ties broken
+        by vertex id; NoSeparatorFound when the center has none."""
+        ball, c, dist = self.ball, self.ball.center, self.ball.distances
+        order = sorted((v for v in self.deep if v != c),
+                       key=lambda v: (dist[v], v))
+        for y in _partners(self.cut_pass, order):
+            return _certificate(ball, _tree_path(
+                ball.bfs((c,), until=y), c, y))
+        raise NoSeparatorFound(
+            "no separating pair at the center at this radius")
+
+    def hinges(self) -> List[Edge]:
+        """The edges from the center to its partners, in edge-id order."""
+        return _hinge_edges(self.ball, [
+            (self.ball.center, _partners(self.cut_pass, self.deep))])
 
 
 def shortest_separating_path(ball: CayleyBall, margin: int = 1,
@@ -292,18 +326,10 @@ def shortest_separating_path(ball: CayleyBall, margin: int = 1,
     breadth-first tree from each x with partners, which gives all their
     paths; at the center the tree stops at the first partner.
     """
+    if center_only:
+        return _CenterPass(ball, margin).separator()
     deep = sorted(_deep_vertices(ball, margin))
     dist = ball.distances
-    if center_only:
-        c = ball.center
-        order = sorted((v for v in deep if v != c),
-                       key=lambda v: (dist[v], v))
-        for y in _partners(_cut_vertices(ball.adjacency, set(deep), (c,)),
-                           order):
-            return _certificate(ball, _tree_path(
-                ball.bfs((c,), until=y), c, y))
-        raise NoSeparatorFound(
-            "no separating pair at the center at this radius")
     best = None  # (path length, distance sum, x, y, path)
     for x, _, partners in _vertex_partners(ball, deep):
         ys = [y for y in partners if y != x]

@@ -349,11 +349,12 @@ def _ball_evidence(ball: CayleyBall):
         return evidence, level
     margin = analyze.sound_margin(ball.presentation)
     try:
-        cert = analyze.shortest_separating_path(ball, margin, center_only=True)
-        evidence["separator"] = cert.to_dict()
+        # the center_only separator and hinges, off one cut pass
+        center = analyze._CenterPass(ball, margin)
+        evidence["separator"] = center.separator().to_dict()
         level = "ball-verified"
-        hinges = analyze.find_hinges(ball, margin, center_only=True)
-        evidence["hinge_edges"] = [[e.u, e.v, e.colour] for e in hinges]
+        evidence["hinge_edges"] = [[e.u, e.v, e.colour]
+                                   for e in center.hinges()]
     except (BallTooSmall, NoSeparatorFound) as exc:
         evidence["separator"] = f"inconclusive (truncation): {exc}"
     if len(ball.presentation.involutions) == 3:

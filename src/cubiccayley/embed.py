@@ -7,6 +7,11 @@ The rotation is built by fixing the center's cyclic order and
 propagating spins across edges by colour parity; spins, rotations and
 the translation spot check read the ball's slot columns.
 
+``embed`` and ``spin_embedding`` share one embedding per ball and family:
+while a caller holds it, a second request, ``planarity_check``'s
+included, returns the same object with the faces it has already built.
+A weak registry keeps no embedding, and no ball, alive.
+
 Every face question goes through one face-successor permutation on int
 darts, which ``face_successor`` builds once per ``RotationEmbedding``:
 ``sphere_faces`` counts its orbits, ``trace_faces`` walks it cut at the
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -71,12 +77,18 @@ class FaceWalk:
 
 
 class RotationEmbedding:
+    """A ball's rotation system and the spins that pick it.
+
+    ``spin``, ``rotation`` and ``slots`` go to every caller that shares
+    the embedding, and ``slots`` into the rotation of its planarity
+    verdicts.  Shared: do not mutate."""
+
     def __init__(self, ball: CayleyBall, tp: Optional[TypeParams],
                  spin: List[int], rotation: List[List[int]],
                  colour_spin: Dict[str, str], slots: Optional[list] = None):
         self.ball = ball
         self.tp = tp
-        self.spin = spin
+        self.spin = spin  # per vertex: 0, or 1 where the order reverses
         self.rotation = rotation  # per vertex: incident edge ids, cyclic
         self.colour_spin = colour_spin
         self.slots = slots  # the rotation as (neighbour, edge id) pairs
@@ -182,7 +194,9 @@ def _spin_slots(ball: CayleyBall,
 
 def embed(ball: CayleyBall, tp: TypeParams) -> RotationEmbedding:
     """Rotation system realising the spin table of the family, on a ball
-    whose colours are the family's canonical a,b or b,c,d."""
+    whose colours are the family's canonical a,b or b,c,d.  While the
+    result is held, a later ``embed``, ``spin_embedding`` or
+    ``planarity_check`` of the ball in that family shares it."""
     return _embed(ball, tp, spin_table(tp))
 
 
@@ -205,18 +219,37 @@ def spin_embedding(ball: CayleyBall) -> RotationEmbedding:
     ``colour_spin`` is keyed by the ball's own generators.  Raises
     InvalidParams when the ball carries no presentation, NotCubic or
     NotInCatalogue when it does not classify, SpinConflict when the table
-    does not propagate.
+    does not propagate.  An embedding of the ball in that family that a
+    caller still holds, from ``embed`` or from here, is returned as it is.
     """
     return _embed(ball, *_ball_spin_table(ball))
 
 
+# ball -> {(family, spin table, alphabet): embedding} for the embeddings
+# some caller still holds; weak both ways, since ``emb.ball`` holds the
+# ball and a strong link back would make a cycle only the collector frees
+_HELD = weakref.WeakKeyDictionary()
+
+
 def _embed(ball: CayleyBall, tp: TypeParams,
            table: Dict[str, str]) -> RotationEmbedding:
-    """Rotation system realising a spin table keyed by the ball's colours."""
-    spin = _propagate(ball, table)
-    slots = _spin_slots(ball, spin)
-    rotation = [[eid for _, eid in at] for at in slots]
-    return RotationEmbedding(ball, tp, spin, rotation, table, slots)
+    """Rotation system realising a spin table keyed by the ball's colours.
+
+    The one place an embedding is built.  While a caller holds the
+    embedding of a ball, family, table and alphabet, the same object is
+    returned, with the successor and faces it has already built."""
+    pres = ball.presentation
+    key = (tp, tuple(sorted(table.items())),
+           None if pres is None else pres.letters)
+    held = _HELD.setdefault(ball, weakref.WeakValueDictionary())
+    emb = held.get(key)
+    if emb is None:
+        spin = _propagate(ball, table)
+        slots = _spin_slots(ball, spin)
+        rotation = [[eid for _, eid in at] for at in slots]
+        emb = held[key] = RotationEmbedding(ball, tp, spin, rotation, table,
+                                            slots)
+    return emb
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +486,10 @@ def planarity_check(g):
     goes to networkx, ``source`` "networkx": a graph that is not a ball,
     a ball without a presentation or with one outside the catalogue, and
     a ball whose table conflicts or whose spin rotation does not close
-    Euler.  Only that route returns a ``KuratowskiWitness``.
+    Euler.  Only that route returns a ``KuratowskiWitness``.  A spin
+    embedding of the ball that the caller holds (``embed``,
+    ``spin_embedding``) is shared: its faces are counted on the successor
+    it has built, and the verdict's rotation lists are its ``slots``.
     """
     if isinstance(g, CayleyBall):
         verdict = _spin_planarity(g)
