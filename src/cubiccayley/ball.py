@@ -25,8 +25,13 @@ letter i at ``nbr[v * L + i]``.
 Vertex ids are assigned canonically: breadth-first from the center, letters
 explored in the order of ``Presentation.letters``, which makes vertex
 ``i``'s word label the shortlex-minimal representative.  ``make_ball``
-does this numbering on the ``RawGraph`` a builder grows, with the
-cyclic garbage collector paused, since a ball holds no reference cycle.
+does this numbering on the ``RawGraph`` a builder grows.
+
+Two functions pause the cyclic garbage collector: ``RawGraph.grow``
+for its search and ``make_ball`` for its build.  Neither makes a
+reference cycle, and an ``Edge``, a tuple subclass, stays tracked by
+the collector all its life (CPython untracks only exact tuples), so a
+collection during either would only rescan the bulk they make.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from __future__ import annotations
 import gc
 import json
 from bisect import bisect_left
-from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import ConstructionIncomplete, CubicCayleyError, ParseError
@@ -51,6 +55,29 @@ class Edge(NamedTuple):
 
     def other(self, x: int) -> int:
         return self.v if x == self.u else self.u
+
+
+def _ball_order(edge) -> tuple:
+    """The key of a ball's edge order: low end, high end, colour,
+    directed, tail."""
+    u, v, colour, directed = edge
+    return (u, v, colour, directed, u) if u < v else \
+        (v, u, colour, directed, u)
+
+
+class _CollectorPaused:
+    """``with _CollectorPaused():`` pauses the cyclic garbage collector,
+    process-wide; on return or on an exception it enables it again if it
+    was enabled before, and leaves it disabled otherwise.  A class, not a
+    generator: small balls pay its entry and exit on every build."""
+
+    def __enter__(self):
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info):
+        if self.enabled:
+            gc.enable()
 
 
 class CayleyBall:
@@ -380,7 +407,7 @@ class RawGraph:
     ``letters``, or -1: a directed edge u -> v fills ``(g, 1)`` at u and
     ``(g, -1)`` at v, an involution edge fills ``(g, 1)`` at both ends.
     ``edges`` holds each edge once as ``(u, v, colour, directed)``, a
-    directed edge tail first."""
+    directed edge tail first; ``grow`` writes them as ``Edge``s."""
 
     def __init__(self, presentation: Presentation):
         self.letters = presentation.letters
@@ -413,6 +440,19 @@ class RawGraph:
         ``walk(radius)``, and the search keeps its parent, letter and
         distance lists for the first such walk.
 
+        Each edge is written as the ball's ``Edge``, in the ball's order,
+        so that ``make_ball`` can adopt the list.  The search visits the
+        ids in order, and an edge to an older vertex was made when that
+        vertex was visited (its slot was free then, and in a group its
+        image was this vertex), so every edge is found from its lower
+        end and the edges come grouped by low end, ascending.  Within a
+        vertex the partners usually rise; a vertex whose partner does
+        not rise above the one before sorts its own at most L edges by
+        the rest of the order: high end, colour, directed, tail.  An
+        image below the vertex whose slot is still free is no group's,
+        and raises ConstructionIncomplete.  The search runs with the
+        collector paused.
+
         When every relator has even length, sending every generator to 1
         in Z_2 is a homomorphism, so the Cayley graph is bipartite: no
         edge joins two vertices at the same distance from the identity.
@@ -433,33 +473,46 @@ class RawGraph:
         bipartite = all(len(rel) % 2 == 0 for rel in p.relators)
         blank = [-1] * L
         nbr += blank
+        new = tuple.__new__  # an Edge, skipping Edge.__new__'s Python frame
         ids, elements = {identity: 0}, [identity]
         parent, letter, dist = [-1], [-1], [0]
-        for i, u in enumerate(elements):
-            inner = dist[i] < radius
-            if not inner and bipartite:
-                break
-            row, d = i * L, dist[i] + 1
-            for k, move, far, g, directed, flip in plan:
-                if nbr[row + k] >= 0:
-                    continue
-                v = apply(u, move)
-                j = ids.get(v)
-                if j is None:
-                    if not inner:
+        with _CollectorPaused():
+            for i, u in enumerate(elements):
+                inner = dist[i] < radius
+                if not inner and bipartite:
+                    break
+                row, d = i * L, dist[i] + 1
+                first, top, resort = len(edges), i - 1, False
+                for k, move, far, g, directed, flip in plan:
+                    if nbr[row + k] >= 0:
                         continue
-                    j = ids[v] = len(elements)
-                    elements.append(v)
-                    nbr += blank
-                    parent.append(i)
-                    letter.append(k)
-                    dist.append(d)
-                elif nbr[j * L + far] >= 0:
-                    raise ConstructionIncomplete(
-                        f"slot {letters[far]} already used at vertex {j}")
-                nbr[row + k] = j
-                nbr[j * L + far] = i
-                edges.append((j, i, g, True) if flip else (i, j, g, directed))
+                    v = apply(u, move)
+                    j = ids.get(v)
+                    if j is None:
+                        if not inner:
+                            continue
+                        j = ids[v] = len(elements)
+                        elements.append(v)
+                        nbr += blank
+                        parent.append(i)
+                        letter.append(k)
+                        dist.append(d)
+                    elif nbr[j * L + far] >= 0:
+                        raise ConstructionIncomplete(
+                            f"slot {letters[far]} already used at vertex {j}")
+                    if j <= top:  # not above the partner before it
+                        if j < i:  # in a group, j's own search found i
+                            raise ConstructionIncomplete(
+                                f"the {letters[far]} image of vertex {j} "
+                                f"is not vertex {i}")
+                        resort = True
+                    nbr[row + k] = j
+                    nbr[j * L + far] = i
+                    top = j
+                    edges.append(new(Edge, (j, i, g, True)) if flip
+                                 else new(Edge, (i, j, g, directed)))
+                if resort:
+                    edges[first:] = sorted(edges[first:], key=_ball_order)
         graph._grown = (radius, parent, letter, dist)
         return graph
 
@@ -575,6 +628,10 @@ class RawGraph:
         w = self.nbr[v * self.L + self._ends[letter][0]]
         return w if w >= 0 else None
 
+    def _grown_at(self, radius: int) -> bool:
+        """Whether the next ``walk(radius)`` hands over grow's record."""
+        return self._grown is not None and self._grown[0] == radius
+
     def walk(self, radius: int):
         """Vertex 0's breadth-first walk out to ``radius``, each vertex
         scanning its slots in the order of ``letters``: the vertices
@@ -585,7 +642,7 @@ class RawGraph:
         distance.  The first walk at the radius of ``grow`` hands over the
         search's record instead, and the graph lets go of it."""
         nbr, L = self.nbr, self.L
-        if self._grown is not None and self._grown[0] == radius:
+        if self._grown_at(radius):
             _, parent, letter, dist = self._grown
             self._grown = None  # every vertex of a grown graph is in it
             order = list(range(len(dist)))
@@ -627,36 +684,40 @@ def make_ball(presentation: Presentation, graph: RawGraph,
               radius: int) -> CayleyBall:
     """Truncate ``graph`` to the radius-``radius`` ball around its vertex
     0, vertices numbered by ``graph.walk`` and edges in (low end,
-    high end, colour, tail) order: a ``RawGraph`` fixes each colour's
-    directedness, so the sort key's directed field never decides it.  The
+    high end, colour, directed, tail) order: a ``RawGraph`` fixes each
+    colour's directedness, so the directed field never decides it.  The
     graph's letters are the presentation's; ``words`` is built on its
     first read.
+
+    When the walk is the record of ``grow`` at this radius, the raw ids
+    are the ball's and ``grow`` wrote its edges as ``Edge``s in this
+    order, so the ball takes a copy of ``graph.edges`` holding the same
+    objects.  Otherwise each edge within the radius is renumbered and
+    the list sorted by the order's key; the keys are freed before the
+    slot index is built.
 
     Everything built here is acyclic (sort keys, edges, int lists and
     pairs), so the cyclic garbage collector is paused for the build: its
     collections would only rescan that bulk.  The pause is process-wide;
     on return or on an exception the collector is enabled again if it
     was enabled before, and left disabled otherwise."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _CollectorPaused():
+        grown = graph._grown_at(radius)
         _, index, parent, letter, dist = graph.walk(radius)
-        keys = []
-        for u, v, colour, directed in graph.edges:
-            u, v = index[u], index[v]
-            if u >= 0 and v >= 0:
-                low, high = (u, v) if u < v else (v, u)
-                keys.append((low, high, colour, directed, u, v))
-        keys.sort()
-        edges = list(map(Edge._make, map(itemgetter(4, 5, 2, 3), keys)))
+        if grown:
+            edges = graph.edges[:]
+        else:
+            edges, new = [], tuple.__new__  # as in grow
+            for u, v, colour, directed in graph.edges:
+                u, v = index[u], index[v]
+                if u >= 0 and v >= 0:
+                    edges.append(new(Edge, (u, v, colour, directed)))
+            edges.sort(key=_ball_order)
         # the walk's distances never decrease
         interior = frozenset(range(bisect_left(dist, radius)))
         return CayleyBall(presentation, 0, radius, edges,
                           lambda: _word_labels(presentation, parent, letter),
                           interior, dist)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _word_labels(p: Presentation, parent: List[int], letter: List[int]):

@@ -1,8 +1,9 @@
 """Command-line surface: build, classify, embed, render, verify.
 
-Exit codes: 0 ok, 1 parse error, 2 invalid parameters, 3 not in
-catalogue, 4 inconclusive, 5 render error, 6 verification failure,
-7 oracle inconclusive.  All commands are deterministic for fixed flags.
+Exit codes: 0 ok, 1 parse error, 2 invalid parameters (an ``-o`` path
+that cannot be written among them), 3 not in catalogue, 4 inconclusive,
+5 render error, 6 verification failure, 7 oracle inconclusive.  All
+commands are deterministic for fixed flags.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import analyze, classify, embed as embed_mod, render as render_mod
 from .ball import CayleyBall
@@ -55,9 +57,19 @@ def _dump(payload, output):
     _write_text(text, output)
 
 
+@contextmanager
+def _writing(path):
+    """An OSError inside is an ``-o`` path that cannot be written."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidParams(
+            f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_text(text, output):
     if output:
-        with open(output, "w") as fh:
+        with _writing(output), open(output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -186,7 +198,8 @@ def _verify_grid(args) -> dict:
     svg_dir = None
     if args.output:
         svg_dir = args.output
-        os.makedirs(svg_dir, exist_ok=True)
+        with _writing(svg_dir):
+            os.makedirs(svg_dir, exist_ok=True)
     for type_id, n, m in SMOKE_GRID:
         tp, checks, svg = _smoke_cell(type_id, n, m, args.radius, args.cap)
         ok = all(checks.values())
@@ -194,8 +207,7 @@ def _verify_grid(args) -> dict:
                       "checks": checks, "pass": ok})
         if svg_dir:
             name = f"{type_id}_{n or 0}_{m or 0}.svg"
-            with open(os.path.join(svg_dir, name), "w") as fh:
-                fh.write(svg)
+            _write_text(svg, os.path.join(svg_dir, name))
     return {"grid": cells, "pass": all(c["pass"] for c in cells)}
 
 

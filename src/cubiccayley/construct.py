@@ -21,7 +21,9 @@ vertex 0 is the identity: each builder grows one, and
 ``RawGraph.walk`` is the one breadth-first walk of such a graph, for
 ``make_ball``; the amalgam builder's search, ``RawGraph.grow``, records
 it for ``make_ball``, and the glue tree, ``RawGraph.glue``, grows in one
-pass over its ids that needs no walk.
+pass over its ids that needs no walk.  ``grow`` also writes its edges as
+the ball's ``Edge``s in the ball's order, and ``make_ball`` adopts them
+without sorting.
 
 Every ball returned by ``construct`` has passed ``certify_ball``.  That
 check does not walk the ``g^2`` markers of the colours a ball stores

@@ -425,3 +425,47 @@ def test_embed_ball_without_presentation(tmp_path, capsys, flags):
     code, out, err = run(capsys, "embed", str(path), *flags)
     assert code == 2 and out == ""
     assert err == "error: ball carries no presentation\n"
+
+
+# -o paths that cannot be written: (path under tmp_path, the path the
+# message names, its reason); "file" is an existing file
+_UNWRITABLE_FILES = [
+    ("missing/x.json", "missing/x.json", "No such file or directory"),
+    (".", ".", "Is a directory"),
+    ("file/x.json", "file/x.json", "Not a directory"),
+]
+_UNWRITABLE_GRIDS = [
+    ("file", "file", "File exists"),
+    ("file/grid", "file/grid", "Not a directory"),
+    # the first cell's SVG name is taken by a directory
+    ("grid", "grid/I_2_0.svg", "Is a directory"),
+]
+
+
+def _unwritable(tmp_path, output, named):
+    (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "grid" / "I_2_0.svg").mkdir(parents=True)
+    return str(tmp_path / output), str(tmp_path / named)
+
+
+@pytest.mark.parametrize("output,named,reason", _UNWRITABLE_FILES)
+@pytest.mark.parametrize("command", ["build", "embed", "render"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, output, named,
+                                   reason):
+    output, named = _unwritable(tmp_path, output, named)
+    code, out, err = run(capsys, command, "--type", "I", "--n", "2",
+                         "--radius", "3", "-o", output)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {named}: {reason}\n"
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("output,named,reason", _UNWRITABLE_GRIDS)
+def test_unwritable_grid_output_exits_2(tmp_path, capsys, output, named,
+                                        reason):
+    output, named = _unwritable(tmp_path, output, named)
+    code, out, err = run(capsys, "verify", "--grid", "smoke", "--radius", "2",
+                         "-o", output)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {named}: {reason}\n"
+    assert (tmp_path / "file").read_text() == "kept\n"

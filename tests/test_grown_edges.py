@@ -1,0 +1,172 @@
+"""A grown graph's edges are the ball's edges.
+
+``RawGraph.grow`` writes each edge once, as the ball's ``Edge`` and in
+the ball's order (low end, high end, colour, directed, tail), and
+``make_ball`` adopts that list for the walk ``grow`` recorded.  A second
+``make_ball`` of the same graph has no record left and takes the keyed
+path, which re-keys and sorts the edges, so the two paths are compared
+on every amalgam cell of the smoke grid.  The search finds every edge
+from its lower end; only a vertex whose partners do not rise sorts its
+own run, and that happens on III(2), IV(2) and V(2,3), never on VII.
+``grow`` runs with the cyclic collector paused and puts it back as it
+found it."""
+
+import gc
+import importlib
+
+import pytest
+
+from test_amalgam_int import _GRID
+from cubiccayley.ball import Edge, RawGraph, make_ball
+from cubiccayley.construct import TypeParams, _build_amalgam
+from cubiccayley.errors import ConstructionIncomplete
+from cubiccayley.presentation import (GeneratorSymbol, Presentation,
+                                      parse_presentation)
+
+# the package exports a function named make_ball, which hides the module
+ball_mod = importlib.import_module("cubiccayley.ball")
+
+_CELLS = [(t, n, m, r) for t, n, m in _GRID for r in range(13)] + \
+    [("VII", 3, 2, 15)]
+
+
+def ball_order(e):
+    """The ball's edge order, written out here on its own."""
+    return (min(e.u, e.v), max(e.u, e.v), e.colour, e.directed, e.u)
+
+
+def _both_paths(p, graph, radius):
+    grown = make_ball(p, graph, radius)
+    keyed = make_ball(p, graph, radius)  # the record is gone: keyed path
+    return grown, keyed
+
+
+@pytest.mark.parametrize("type_id,n,m,radius", _CELLS)
+def test_grown_ball_equals_keyed_ball(type_id, n, m, radius):
+    tp = TypeParams(type_id, n=n, m=m)
+    p = tp.presentation()
+    graph = _build_amalgam(tp, radius)
+    grown, keyed = _both_paths(p, graph, radius)
+    assert grown.edges == keyed.edges
+    assert grown.edges == sorted(grown.edges, key=ball_order)
+    assert all(type(e) is Edge for e in grown.edges)
+    assert grown.to_json() == keyed.to_json()
+    assert grown.adjacency == keyed.adjacency
+    for letter in p.letters:
+        assert grown.column(letter) == keyed.column(letter)
+    # one copy: the ball holds the very Edges grow wrote
+    assert len(grown.edges) == len(graph.edges)
+    assert all(a is b for a, b in zip(grown.edges, graph.edges))
+    assert grown.edges is not graph.edges
+
+
+def _count_sorts(monkeypatch):
+    calls = []
+
+    def counted(edge):
+        calls.append(edge)
+        return ball_order(edge)
+
+    monkeypatch.setattr(ball_mod, "_ball_order", counted)
+    return calls
+
+
+@pytest.mark.parametrize("type_id,n,m,radius,sorts", [
+    ("III", 2, None, 12, True), ("IV", None, 2, 12, True),
+    ("V", 2, 3, 12, True), ("VII", 2, 2, 12, False),
+    ("VII", 3, 2, 15, False),
+])
+def test_the_in_vertex_sort_fires_where_partners_fall(
+        monkeypatch, type_id, n, m, radius, sorts):
+    calls = _count_sorts(monkeypatch)
+    graph = _build_amalgam(TypeParams(type_id, n=n, m=m), radius)
+    assert bool(calls) == sorts
+    # a vertex sorts at most its own L edges, each found from its low end
+    assert len(calls) < len(graph.edges)
+    assert graph.edges == sorted(graph.edges, key=ball_order)
+
+
+def _z2(p, radius=1):
+    """Z_2 grown with every letter of p moving 0 to 1."""
+    return RawGraph.grow(p, 0, [1] * len(p.letters),
+                         lambda x, move: (x + move) % 2, radius)
+
+
+def test_parallel_edges_of_two_colours_sort_by_colour():
+    # y comes first among the letters, x first in the ball's order
+    p = parse_presentation("<y,x|y^2,x^2,yx>")
+    graph = _z2(p)
+    want = [Edge(0, 1, "x", False), Edge(0, 1, "y", False)]
+    assert graph.edges == want
+    grown, keyed = _both_paths(p, graph, 1)
+    assert grown.edges == keyed.edges == want
+
+
+class _InverseFirst(Presentation):
+    """A presentation whose alphabet lists each (g, -1) before (g, 1)."""
+
+    @property
+    def letters(self):
+        return tuple(reversed(super().letters))
+
+
+@pytest.mark.parametrize("cls", [Presentation, _InverseFirst])
+def test_a_letter_and_its_inverse_to_one_neighbour_sort_by_tail(cls):
+    # x directed with x = x^-1: the x edge 0 -> 1 and the x edge 1 -> 0
+    p = cls((GeneratorSymbol("x"),), ())
+    graph = _z2(p)
+    want = [Edge(0, 1, "x", True), Edge(1, 0, "x", True)]
+    assert graph.edges == want
+    grown, keyed = _both_paths(p, graph, 1)
+    assert grown.edges == keyed.edges == want
+    assert grown.step(0, ("x", 1)) == grown.step(0, ("x", -1)) == 1
+
+
+def test_an_image_below_the_vertex_raises():
+    # 2 d = 1, but vertex 1's own d image left the ball: no group does this
+    p = parse_presentation("<b,c,d|b^2,c^2,d^2,bcd>")
+    table = {(0, "b"): 1, (0, "c"): 2, (0, "d"): 3,
+             (1, "c"): 9, (1, "d"): 9, (2, "b"): 9, (2, "d"): 1}
+    with pytest.raises(ConstructionIncomplete) as grown:
+        RawGraph.grow(p, 0, ["b", "c", "d"], lambda x, k: table[x, k], 1)
+    assert str(grown.value) == \
+        "the ('d', 1) image of vertex 1 is not vertex 2"
+
+
+@pytest.fixture
+def collector():
+    """Runs the test, then puts the collector back as it was."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_grow_pauses_the_collector_and_restores_it(collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    seen = []
+    p = parse_presentation("<y,x|y^2,x^2,yx>")
+
+    def apply(x, move):
+        seen.append(gc.isenabled())
+        return (x + move) % 2
+
+    # the search itself runs paused
+    graph = RawGraph.grow(p, 0, [1, 1], apply, 1)
+    assert seen and not any(seen)
+    assert gc.isenabled() == enabled
+    make_ball(p, graph, 1)
+    assert gc.isenabled() == enabled
+    make_ball(p, graph, 1)  # the keyed path
+    assert gc.isenabled() == enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_grow_restores_the_collector_when_it_raises(collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    # the used-slot case: 1 c = 2, whose c slot holds the edge from 0
+    p = parse_presentation("<b,c|b^2,c^2>")
+    table = {(0, "b"): 1, (0, "c"): 2, (1, "c"): 2}
+    with pytest.raises(ConstructionIncomplete):
+        RawGraph.grow(p, 0, ["b", "c"], lambda x, k: table[x, k], 2)
+    assert gc.isenabled() == enabled
