@@ -22,8 +22,9 @@ The loops that stay do something else:
 * ``render`` orders each vertex's children by the embedding's rotation,
   which shapes the drawn tree;
 * ``ball.RawGraph.walk`` walks the graph a builder grows, for
-  ``make_ball`` (``grow``, the amalgam builder's search, records it as
-  it goes, and ``glue``, the glue tree's one pass, needs none), and
+  ``make_ball`` (``grow``, the amalgam builder's search, meets the
+  elements in the walk's order and builds its ball itself, and
+  ``glue``, the glue tree's one pass, needs no walk), and
   ``coset._ball_distances`` walks a coset table, not a ``CayleyBall``.
 
 Every separating-pair question fixes a first removal and reads the

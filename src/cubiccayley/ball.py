@@ -25,13 +25,16 @@ letter i at ``nbr[v * L + i]``.
 Vertex ids are assigned canonically: breadth-first from the center, letters
 explored in the order of ``Presentation.letters``, which makes vertex
 ``i``'s word label the shortlex-minimal representative.  ``make_ball``
-does this numbering on the ``RawGraph`` a builder grows.
+does this numbering on the ``RawGraph`` a builder grows;
+``RawGraph.grow``, whose search numbers the elements this way as it
+finds them, builds its ball itself.
 
 Two functions pause the cyclic garbage collector: ``RawGraph.grow``
-for its search and ``make_ball`` for its build.  Neither makes a
-reference cycle, and an ``Edge``, a tuple subclass, stays tracked by
-the collector all its life (CPython untracks only exact tuples), so a
-collection during either would only rescan the bulk they make.
+for its search and its ball's build, and ``make_ball`` for its build.
+Neither makes a reference cycle, and an ``Edge``, a tuple subclass,
+stays tracked by the collector all its life (CPython untracks only
+exact tuples), so a collection during either would only rescan the
+bulk they make.
 """
 
 from __future__ import annotations
@@ -407,7 +410,8 @@ class RawGraph:
     ``letters``, or -1: a directed edge u -> v fills ``(g, 1)`` at u and
     ``(g, -1)`` at v, an involution edge fills ``(g, 1)`` at both ends.
     ``edges`` holds each edge once as ``(u, v, colour, directed)``, a
-    directed edge tail first; ``grow`` writes them as ``Edge``s."""
+    directed edge tail first.  ``grow`` searches on this slot layout and
+    returns the ball it finds, not a graph."""
 
     def __init__(self, presentation: Presentation):
         self.letters = presentation.letters
@@ -424,11 +428,10 @@ class RawGraph:
                 self._ends[(g, s)] = (column[(g, s)], column[(g, -s)], True)
         self.nbr: List[int] = []
         self.edges: List[Tuple[int, int, str, bool]] = []
-        self._grown = None  # grow's (radius, parent, letter, dist)
 
     @classmethod
     def grow(cls, p: Presentation, identity, moves, apply,
-             radius: int) -> "RawGraph":
+             radius: int) -> CayleyBall:
         """The ball of radius ``radius`` around ``identity`` in the group
         where ``apply(x, moves[k])`` is x times the k-th letter of
         ``p.letters``: one breadth-first search over its elements, each
@@ -436,12 +439,12 @@ class RawGraph:
         ``identity``).  A letter's image is computed only while its slot
         is free, so each edge is computed once, from the end that reaches
         it first, and written as ``add_edge`` writes it, a used slot
-        raising ConstructionIncomplete.  The ids are the shortlex order of
-        ``walk(radius)``, and the search keeps its parent, letter and
-        distance lists for the first such walk.
+        raising ConstructionIncomplete.  The ids are the shortlex order
+        ``make_ball`` would number, and the search's parent, letter and
+        distance lists are the ball's.
 
         Each edge is written as the ball's ``Edge``, in the ball's order,
-        so that ``make_ball`` can adopt the list.  The search visits the
+        and the ball takes the list as it stands.  The search visits the
         ids in order, and an edge to an older vertex was made when that
         vertex was visited (its slot was free then, and in a group its
         image was this vertex), so every edge is found from its lower
@@ -450,8 +453,10 @@ class RawGraph:
         not rise above the one before sorts its own at most L edges by
         the rest of the order: high end, colour, directed, tail.  An
         image below the vertex whose slot is still free is no group's,
-        and raises ConstructionIncomplete.  The search runs with the
-        collector paused.
+        and raises ConstructionIncomplete.  The search and the ball's
+        build run with the collector paused, and the search lets go of
+        its elements, their ids and its slot rows before the ball's slot
+        index is built.
 
         When every relator has even length, sending every generator to 1
         in Z_2 is a homomorphism, so the Cayley graph is bipartite: no
@@ -462,13 +467,13 @@ class RawGraph:
         without computing images that cannot land in the ball.
         Otherwise (III(n) for odd n, IV(m) for odd m) those vertices
         still look for edges among themselves."""
-        graph = cls(p)
-        L, letters, nbr, edges = graph.L, graph.letters, graph.nbr, graph.edges
+        ends, letters = cls(p)._ends, p.letters
+        L, nbr, edges = len(letters), [], []
         # per column: its move, the column it fills at the far end, the
         # colour, how it is stored (tail last: a directed letter of sign -1)
         plan = []
         for k, (g, s) in enumerate(letters):
-            _, far, directed = graph._ends[(g, s)]
+            _, far, directed = ends[(g, s)]
             plan.append((k, moves[k], far, g, directed, directed and s < 0))
         bipartite = all(len(rel) % 2 == 0 for rel in p.relators)
         blank = [-1] * L
@@ -513,8 +518,8 @@ class RawGraph:
                                  else new(Edge, (i, j, g, directed)))
                 if resort:
                     edges[first:] = sorted(edges[first:], key=_ball_order)
-        graph._grown = (radius, parent, letter, dist)
-        return graph
+            del ids, elements, nbr
+            return _walked_ball(p, radius, edges, parent, letter, dist)
 
     @classmethod
     def glue(cls, p: Presentation, seed, polygons, hinge: Letter,
@@ -620,17 +625,7 @@ class RawGraph:
 
     def new_vertex(self) -> int:
         self.nbr.extend([-1] * self.L)
-        self._grown = None
         return len(self.nbr) // self.L - 1
-
-    def step(self, v: int, letter: Letter) -> Optional[int]:
-        """The neighbour of v through the letter, or None."""
-        w = self.nbr[v * self.L + self._ends[letter][0]]
-        return w if w >= 0 else None
-
-    def _grown_at(self, radius: int) -> bool:
-        """Whether the next ``walk(radius)`` hands over grow's record."""
-        return self._grown is not None and self._grown[0] == radius
 
     def walk(self, radius: int):
         """Vertex 0's breadth-first walk out to ``radius``, each vertex
@@ -639,14 +634,8 @@ class RawGraph:
         parent, letter, dist)``: the raw ids in walk order, each raw id's
         place in it (-1 beyond the radius), and per place its parent's
         place, the letter column that reached it (-1 at the root) and its
-        distance.  The first walk at the radius of ``grow`` hands over the
-        search's record instead, and the graph lets go of it."""
+        distance."""
         nbr, L = self.nbr, self.L
-        if self._grown_at(radius):
-            _, parent, letter, dist = self._grown
-            self._grown = None  # every vertex of a grown graph is in it
-            order = list(range(len(dist)))
-            return order, order[:], parent, letter, dist
         index = [-1] * self.n_vertices
         index[0] = 0
         order = [0]
@@ -675,7 +664,6 @@ class RawGraph:
                 f"slot {self.letters[k]} already used at vertex {end}")
         nbr[ku] = v
         nbr[kv] = u
-        self._grown = None
         self.edges.append((v, u, g, True) if directed and s < 0
                           else (u, v, g, directed))
 
@@ -687,14 +675,9 @@ def make_ball(presentation: Presentation, graph: RawGraph,
     high end, colour, directed, tail) order: a ``RawGraph`` fixes each
     colour's directedness, so the directed field never decides it.  The
     graph's letters are the presentation's; ``words`` is built on its
-    first read.
-
-    When the walk is the record of ``grow`` at this radius, the raw ids
-    are the ball's and ``grow`` wrote its edges as ``Edge``s in this
-    order, so the ball takes a copy of ``graph.edges`` holding the same
-    objects.  Otherwise each edge within the radius is renumbered and
-    the list sorted by the order's key; the keys are freed before the
-    slot index is built.
+    first read.  Each edge within the radius is renumbered and the list
+    sorted by the order's key; the keys are freed before the slot index
+    is built.
 
     Everything built here is acyclic (sort keys, edges, int lists and
     pairs), so the cyclic garbage collector is paused for the build: its
@@ -702,22 +685,26 @@ def make_ball(presentation: Presentation, graph: RawGraph,
     on return or on an exception the collector is enabled again if it
     was enabled before, and left disabled otherwise."""
     with _CollectorPaused():
-        grown = graph._grown_at(radius)
         _, index, parent, letter, dist = graph.walk(radius)
-        if grown:
-            edges = graph.edges[:]
-        else:
-            edges, new = [], tuple.__new__  # as in grow
-            for u, v, colour, directed in graph.edges:
-                u, v = index[u], index[v]
-                if u >= 0 and v >= 0:
-                    edges.append(new(Edge, (u, v, colour, directed)))
-            edges.sort(key=_ball_order)
-        # the walk's distances never decrease
-        interior = frozenset(range(bisect_left(dist, radius)))
-        return CayleyBall(presentation, 0, radius, edges,
-                          lambda: _word_labels(presentation, parent, letter),
-                          interior, dist)
+        edges, new = [], tuple.__new__  # as in grow
+        for u, v, colour, directed in graph.edges:
+            u, v = index[u], index[v]
+            if u >= 0 and v >= 0:
+                edges.append(new(Edge, (u, v, colour, directed)))
+        edges.sort(key=_ball_order)
+        return _walked_ball(presentation, radius, edges, parent, letter, dist)
+
+
+def _walked_ball(p: Presentation, radius: int, edges: List[Edge],
+                 parent: List[int], letter: List[int],
+                 dist: List[int]) -> CayleyBall:
+    """The ball on ids in walk order, out to ``radius`` from vertex 0,
+    from its edges in ball order and each vertex's walk parent, letter
+    column and distance; ``words`` is built on its first read."""
+    # the walk's distances never decrease
+    interior = frozenset(range(bisect_left(dist, radius)))
+    return CayleyBall(p, 0, radius, edges,
+                      lambda: _word_labels(p, parent, letter), interior, dist)
 
 
 def _word_labels(p: Presentation, parent: List[int], letter: List[int]):

@@ -15,15 +15,14 @@ Two independent routes exist for every family:
 * truncated Todd-Coxeter coset enumeration, used as the oracle by
   ``cross_check``.
 
-Both routes hand ``make_ball`` a ``ball.RawGraph`` on dense int ids whose
-vertex 0 is the identity: each builder grows one, and
-``coset.ball_from_table`` numbers the cosets of a table into one.
-``RawGraph.walk`` is the one breadth-first walk of such a graph, for
-``make_ball``; the amalgam builder's search, ``RawGraph.grow``, records
-it for ``make_ball``, and the glue tree, ``RawGraph.glue``, grows in one
-pass over its ids that needs no walk.  ``grow`` also writes its edges as
-the ball's ``Edge``s in the ball's order, and ``make_ball`` adopts them
-without sorting.
+The glue tree, the IX builder and ``coset.ball_from_table`` hand
+``make_ball`` a ``ball.RawGraph`` on dense int ids whose vertex 0 is
+the identity, and ``RawGraph.walk``, the one breadth-first walk of such
+a graph, numbers it for ``make_ball``; the glue tree, ``RawGraph.glue``,
+grows in one pass over its ids that needs no walk.  The amalgam
+builder's search, ``RawGraph.grow``, meets the elements in the walk's
+order and returns the ball itself, its edges written as the ball's
+``Edge``s in the ball's order.
 
 Every ball returned by ``construct`` has passed ``certify_ball``.  That
 check does not walk the ``g^2`` markers of the colours a ball stores
@@ -213,9 +212,10 @@ def _amalgam_for(p: Presentation):
     return Amalgam(A, groups["B"], w_a=w_a, w_b=(0, 1)), steps
 
 
-def _build_amalgam(tp: TypeParams, radius: int) -> RawGraph:
-    """``RawGraph.grow`` over the amalgam's normal forms: an element is
-    the amalgam's int, and each letter's image is one O(1) trie step."""
+def _build_amalgam(tp: TypeParams, radius: int) -> CayleyBall:
+    """``RawGraph.grow``'s ball over the amalgam's normal forms: an
+    element is the amalgam's int, and each letter's image is one O(1)
+    trie step."""
     p = tp.presentation()
     am, steps = _amalgam_for(p)
     return RawGraph.grow(p, am.identity,
@@ -253,15 +253,12 @@ def construct(tp: TypeParams, radius: int) -> CayleyBall:
     if tp.type_id == "IX":
         # the whole graph, whatever radius is asked: the 2n-cycle has
         # diameter n, and a truncated copy would leave interior slots empty
-        graph = _build_type_ix(tp.n)
-        radius = tp.n
-    elif tp.family.hinge:
-        graph = _build_glue_tree(tp, radius)
-    else:
-        graph = _build_amalgam(tp, radius)
-    ball = make_ball(pres, graph, radius)
-    if tp.type_id == "IX":
+        ball = make_ball(pres, _build_type_ix(tp.n), tp.n)
         ball.interior = frozenset(ball.vertices())
+    elif tp.family.hinge:
+        ball = make_ball(pres, _build_glue_tree(tp, radius), radius)
+    else:
+        ball = _build_amalgam(tp, radius)
     violations = certify_ball(ball, pres)
     if violations:
         raise ConstructionIncomplete(

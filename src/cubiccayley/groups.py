@@ -101,10 +101,6 @@ class Amalgam:
             self._steps.append({})
         return i
 
-    def mul_factor(self, g: int, tag: str, x) -> int:
-        """g * x with x an element of the tagged factor."""
-        return self.apply(g, self.move(tag, x))
-
     def apply(self, g: int, move: int) -> int:
         """g times the factor element of ``move``."""
         node = g >> 1

@@ -1784,6 +1784,14 @@ class _PolygonGraph(RawGraph):
                     queue.append(w)
         return dist
 
+    def step(self, v: int, letter) -> Optional[int]:
+        """The neighbour of v through the letter, or None; an
+        involution's ``(g, -1)`` reads its ``(g, 1)`` slot."""
+        if letter not in self.letters:
+            letter = (letter[0], 1)
+        w = self.nbr[v * self.L + self.letters.index(letter)]
+        return w if w >= 0 else None
+
     def free_slot(self, v: int, candidates) -> Optional[tuple]:
         for slot in candidates:
             if self.step(v, slot) is None:

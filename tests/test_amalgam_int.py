@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as O
 from cubiccayley import cli
-from cubiccayley.ball import make_ball
 from cubiccayley.construct import (TypeParams, _amalgam_for, _build_amalgam,
                                    _oracle_ball)
 from cubiccayley.groups import Amalgam, Cyclic
@@ -26,7 +25,7 @@ _ODD = [("III", 3, None), ("IV", None, 3)]
 
 def _assert_same_ball(tp, radius):
     p = tp.presentation()
-    new = make_ball(p, _build_amalgam(tp, radius), radius)
+    new = _build_amalgam(tp, radius)
     old = O.make_ball(p, *O.build_amalgam(tp, radius), radius)
     assert new.canonical_form() == old.canonical_form()
     assert new.words == old.words
@@ -84,9 +83,10 @@ def test_random_cells_match_oracle(tp, radius):
 
 
 def test_raw_edges_use_dense_int_ids():
-    # a RawGraph's root is vertex 0 by construction
-    root, raw = 0, _build_amalgam(TypeParams("VII", n=2, m=2), 4).edges
-    assert root == 0
+    # the grown ball's root is vertex 0 by construction
+    ball = _build_amalgam(TypeParams("VII", n=2, m=2), 4)
+    raw = ball.edges
+    assert ball.center == 0
     ends = {x for u, v, _, _ in raw for x in (u, v)}
     assert ends == set(range(len(ends)))
     for u, v, _, directed in raw:
@@ -118,7 +118,7 @@ _DECOMPOSITIONS = st.sampled_from([
 def _evaluate(am, word, g=None):
     g = am.identity if g is None else g
     for tag, x in word:
-        g = am.mul_factor(g, tag, x)
+        g = am.apply(g, am.move(tag, x))
     return g
 
 
@@ -130,7 +130,7 @@ def _times(am, g, word):
     for tag, x in word:
         h = old_am.mul_factor(h, tag, x)
     if h.c:
-        g = am.mul_factor(g, "A", am.w["A"])
+        g = am.apply(g, am.move("A", am.w["A"]))
     return _evaluate(am, h.seq, g)
 
 
@@ -166,7 +166,7 @@ def test_group_axioms(tp, raw_u, raw_v, tag):
     u, v = _word(am, raw_u), _word(am, raw_v)
     gu = _evaluate(am, u)
     # right identity
-    assert am.mul_factor(gu, tag, am.groups[tag].identity) == gu
+    assert am.apply(gu, am.move(tag, am.groups[tag].identity)) == gu
     # a word followed by its inverse
     inverse = [(t, am.groups[t].inv(x)) for t, x in reversed(u)]
     assert _evaluate(am, u + inverse) == am.identity
@@ -201,5 +201,5 @@ def test_builder_applies_one_move_per_edge(monkeypatch):
         return real(self, g, move)
 
     monkeypatch.setattr(Amalgam, "apply", counting)
-    graph = _build_amalgam(TypeParams("VII", n=3, m=2), 11)
-    assert len(calls) == len(graph.edges) == 5997
+    ball = _build_amalgam(TypeParams("VII", n=3, m=2), 11)
+    assert len(calls) == len(ball.edges) == 5997

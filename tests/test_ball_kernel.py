@@ -1,9 +1,12 @@
 """The integer ball kernel against the routines it replaced.
 
-* The amalgam builder's neighbour-per-slot table and edge list equal
-  those of the dataclass builder ``oracles.build_amalgam``.
-* ``make_ball`` on every builder's ``RawGraph`` gives the words (built
-  on first read), edges, interior and distances of ``oracles.make_ball``;
+* The amalgam builder's ball, its letter columns read as a
+  neighbour-per-slot table, and its edge list equal those of the
+  dataclass builder ``oracles.build_amalgam``.
+* Every builder's ball (``make_ball`` of the glue tree's and IX's
+  ``RawGraph``, ``RawGraph.grow``'s own for the amalgams) gives the
+  words (built on first read), edges, interior and distances of
+  ``oracles.make_ball`` on the same raw edges;
   ``oracles.slots(ball, v)``, the edge-list reading that
   ``CayleyBall.slots`` was, and the flat ball's ``adjacency`` read back
   the slot dicts that ``oracles.ball_slots`` builds from the same edges,
@@ -20,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as O
+from test_grow import slot_rows
 from cubiccayley import cli
 from cubiccayley.ball import certify_ball, make_ball
 from cubiccayley.construct import (TypeParams, _build_amalgam,
@@ -65,15 +69,16 @@ def _oracle_table(tp, radius, letters):
 
 
 def _assert_builder_matches_oracle(tp, radius):
-    graph = _build_amalgam(tp, radius)
-    table, edges = _oracle_table(tp, radius, graph.letters)
-    assert graph.nbr == table
-    assert sorted(_edge_key(*e) for e in graph.edges) == edges
+    ball = _build_amalgam(tp, radius)
+    letters = tp.presentation().letters
+    table, edges = _oracle_table(tp, radius, letters)
+    assert slot_rows(ball, letters) == table
+    assert sorted(_edge_key(*e) for e in ball.edges) == edges
 
 
-def _assert_ball_matches_oracle(p, graph, radius):
-    new = make_ball(p, graph, radius)
-    old = O.make_ball(p, 0, graph.edges, radius)
+def _assert_ball_matches_oracle(p, built, radius):
+    new, raw_edges = built
+    old = O.make_ball(p, 0, raw_edges, radius)
     assert new.words == old.words
     assert new.edges == old.edges
     assert new.interior == old.interior
@@ -88,12 +93,14 @@ def _assert_ball_matches_oracle(p, graph, radius):
     assert certify_ball(new, p) == O.certify_ball(new, p) == []
 
 
-def _graph(tp, radius):
-    if tp.type_id == "IX":
-        return _build_type_ix(tp.n)
+def _built(tp, radius):
+    """The builder's ball and the raw edges it was cut from."""
     if tp.type_id in AMALGAM_TYPES:
-        return _build_amalgam(tp, radius)
-    return _build_glue_tree(tp, radius)
+        ball = _build_amalgam(tp, radius)
+        return ball, ball.edges  # the grown ids are the ball's
+    graph = _build_type_ix(tp.n) if tp.type_id == "IX" else \
+        _build_glue_tree(tp, radius)
+    return make_ball(tp.presentation(), graph, radius), graph.edges
 
 
 @pytest.mark.parametrize("type_id,n,m", cli.SMOKE_GRID)
@@ -102,7 +109,7 @@ def test_grid_kernel_matches_oracles(type_id, n, m):
     radius = SEPARATOR_RADII[type_id, n, m]
     if type_id in AMALGAM_TYPES:
         _assert_builder_matches_oracle(tp, radius)
-    _assert_ball_matches_oracle(tp.presentation(), _graph(tp, radius),
+    _assert_ball_matches_oracle(tp.presentation(), _built(tp, radius),
                                 radius)
 
 
@@ -117,5 +124,5 @@ def _amalgam_cell(type_id, n, m):
        st.integers(0, 8))
 def test_random_amalgam_kernel_matches_oracles(tp, radius):
     _assert_builder_matches_oracle(tp, radius)
-    _assert_ball_matches_oracle(tp.presentation(), _graph(tp, radius),
+    _assert_ball_matches_oracle(tp.presentation(), _built(tp, radius),
                                 radius)

@@ -1,7 +1,7 @@
 """Only ``ball.py`` switches the cyclic garbage collector.
 
-``make_ball`` pauses the collector while it builds a ball and puts it
-back as it found it.  The pause is process-wide, so a second module
+``make_ball`` and ``RawGraph.grow`` pause the collector while they
+build a ball and put it back as they found it.  The pause is process-wide, so a second module
 that switched the collector could leave it off, or switch it back on
 under a caller that had turned it off.  ``collector_calls`` reads the
 source with ``ast`` and reports every use of ``gc.disable``,
@@ -39,7 +39,7 @@ def collector_calls(src: Path, allowed=("ball.py",)):
 
 def test_only_ball_py_switches_the_collector():
     assert collector_calls(SRC) == []
-    # ball.py is exempt because make_ball does switch it
+    # ball.py is exempt because make_ball and grow do switch it
     assert {name for _, _, name in collector_calls(SRC, allowed=())} == \
         {"disable", "enable"}
 

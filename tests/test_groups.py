@@ -39,8 +39,8 @@ def amalgam_z4_d3():
 
 def test_amalgam_shared_involution_coincides():
     am = amalgam_z4_d3()
-    via_a = am.mul_factor(am.identity, "A", 2)
-    via_b = am.mul_factor(am.identity, "B", (0, 1))
+    via_a = am.apply(am.identity, am.move("A", 2))
+    via_b = am.apply(am.identity, am.move("B", (0, 1)))
     assert via_a == via_b
 
 
@@ -49,10 +49,10 @@ def test_amalgam_factor_inverses_cancel():
     g = am.identity
     word = [("A", 1), ("B", (1, 0)), ("A", 3), ("B", (2, 1))]
     for tag, x in word:
-        g = am.mul_factor(g, tag, x)
+        g = am.apply(g, am.move(tag, x))
     grp = {"A": Cyclic(4), "B": Dihedral(3)}
     for tag, x in reversed(word):
-        g = am.mul_factor(g, tag, grp[tag].inv(x))
+        g = am.apply(g, am.move(tag, grp[tag].inv(x)))
     assert g == am.identity
 
 
@@ -61,14 +61,14 @@ def test_amalgam_infinite_order_element():
     acc = am.identity
     seen = set()
     for _ in range(12):
-        acc = am.mul_factor(acc, "A", 1)
-        acc = am.mul_factor(acc, "B", (1, 0))
+        acc = am.apply(acc, am.move("A", 1))
+        acc = am.apply(acc, am.move("B", (1, 0)))
         assert acc not in seen  # no period within the horizon
         seen.add(acc)
 
 
 def test_amalgam_involution_within_factor():
     am = amalgam_z4_d3()
-    g = am.mul_factor(am.identity, "B", (2, 1))
-    g = am.mul_factor(g, "B", (2, 1))
+    g = am.apply(am.identity, am.move("B", (2, 1)))
+    g = am.apply(g, am.move("B", (2, 1)))
     assert g == am.identity

@@ -1,9 +1,11 @@
-"""``RawGraph.grow``, the amalgam builder's breadth-first search, records
-the walk of the graph it grows: the first ``walk`` at its radius hands
-that record over, and it equals the walk computed afresh.  The search
-writes each edge as ``add_edge`` would, and an edit after it drops the
-record.  III(3) and IV(3), with a relator of odd length, are the cells
-whose last layer the search still scans for edges among itself."""
+"""``RawGraph.grow``, the amalgam builder's breadth-first search, returns
+its ball.  Replayed edge by edge through ``add_edge``, the ball is a
+``RawGraph`` whose walk, computed afresh, is the search's own record:
+the ids are already in walk (shortlex) order, and the distances are the
+walk's.  The search writes each edge and slot as ``add_edge`` would, and
+an image in a used slot raises as ``add_edge`` does.  III(3) and IV(3),
+with a relator of odd length, are the cells whose last layer the search
+still scans for edges among itself."""
 
 import pytest
 
@@ -17,73 +19,48 @@ _CELLS = [(t, n, m, r) for t, n, m in _GRID for r in range(11)] + \
     [("VII", 3, 2, 15)]
 
 
+def replay(p, ball):
+    """A ``RawGraph`` on the ball's ids with the ball's edges, each added
+    as the letter (g, 1) at its first end."""
+    graph = RawGraph(p)
+    for _ in ball.vertices():
+        graph.new_vertex()
+    for u, v, g, _ in ball.edges:
+        graph.add_edge(u, v, g, 1)
+    return graph
+
+
+def slot_rows(ball, letters):
+    """The ball's letter columns laid out as a ``RawGraph``'s ``nbr``: the
+    neighbour of v through ``letters[k]`` at ``v * len(letters) + k``."""
+    empty = [-1] * ball.n_vertices
+    cols = [(ball.column(letter) or (empty,))[0] for letter in letters]
+    return [col[v] for v in ball.vertices() for col in cols]
+
+
 @pytest.mark.parametrize("type_id,n,m,radius", _CELLS)
 def test_record_is_the_walk(type_id, n, m, radius):
-    graph = _build_amalgam(TypeParams(type_id, n=n, m=m), radius)
-    record = graph.walk(radius)
-    assert record == graph.walk(radius)  # the second walks afresh
-    order, index, parent, letter, dist = record
-    assert order == index == list(range(graph.n_vertices))
+    tp = TypeParams(type_id, n=n, m=m)
+    ball = _build_amalgam(tp, radius)
+    order, index, _, _, dist = replay(tp.presentation(), ball).walk(radius)
+    assert order == index == list(ball.vertices())
+    assert dist == ball.distances
     # a 9-letter relator closes an odd cycle through the last layer from
     # radius 4 on; with only even relators no edge lies in it
-    last = [(u, v) for u, v, _, _ in graph.edges
+    last = [(u, v) for u, v, _, _ in ball.edges
             if dist[u] == dist[v] == radius]
     assert bool(last) == ((type_id, n, m) in _ODD and radius >= 4)
 
 
-def test_a_second_walk_recomputes_the_record():
-    graph = _build_amalgam(TypeParams("V", n=2, m=2), 6)
-    first, second = graph.walk(6), graph.walk(6)
-    assert first == second
-    assert all(a is not b for a, b in zip(first, second))
-    # another radius walks afresh and leaves the record alone
-    graph = _build_amalgam(TypeParams("V", n=2, m=2), 6)
-    inner = sum(d <= 4 for d in first[4])
-    assert graph.walk(4)[0] == list(range(inner))
-    assert graph.walk(6) == first
-
-
-def _free_pair(graph):
-    """Two vertices whose slots of one involution colour are free."""
-    for g in "bcd":
-        free = [v for v in range(graph.n_vertices)
-                if graph.step(v, (g, 1)) is None]
-        if len(free) >= 2:
-            return free[0], free[1], g
-    raise AssertionError("no free pair")
-
-
-@pytest.mark.parametrize("edit", [None, "new_vertex", "add_edge"])
-def test_an_edit_drops_the_record(edit):
-    graph = _build_amalgam(TypeParams("VII", n=2, m=2), 3)
-    n = graph.n_vertices
-    u, v, g = _free_pair(graph)
-    # a vertex written past the API: only a walk afresh sees it
-    graph.nbr.extend([-1] * graph.L)
-    if edit == "new_vertex":
-        graph.new_vertex()
-    elif edit == "add_edge":
-        graph.add_edge(u, v, g, 1)
-    index = graph.walk(3)[1]
-    if edit is None:
-        assert len(index) == n  # the record, handed over
-    else:
-        assert len(index) == graph.n_vertices > n
-        assert index[n:] == [-1] * (graph.n_vertices - n)
-
-
 @pytest.mark.parametrize("type_id,n,m", _GRID)
 def test_grow_writes_what_add_edge_writes(type_id, n, m):
-    # every raw edge (u, v, g, directed) is the letter (g, 1) at u
+    # every grown edge (u, v, g, directed) is the letter (g, 1) at u
     tp = TypeParams(type_id, n=n, m=m)
-    graph = _build_amalgam(tp, 5)
-    replay = RawGraph(tp.presentation())
-    for _ in range(graph.n_vertices):
-        replay.new_vertex()
-    for u, v, g, _ in graph.edges:
-        replay.add_edge(u, v, g, 1)
-    assert replay.nbr == graph.nbr
-    assert replay.edges == graph.edges
+    p = tp.presentation()
+    ball = _build_amalgam(tp, 5)
+    graph = replay(p, ball)
+    assert graph.nbr == slot_rows(ball, p.letters)
+    assert graph.edges == ball.edges
 
 
 def test_an_image_in_a_used_slot_raises():

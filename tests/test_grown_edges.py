@@ -1,15 +1,14 @@
-"""A grown graph's edges are the ball's edges.
+"""A grown ball's edges come out of the search in the ball's order.
 
 ``RawGraph.grow`` writes each edge once, as the ball's ``Edge`` and in
-the ball's order (low end, high end, colour, directed, tail), and
-``make_ball`` adopts that list for the walk ``grow`` recorded.  A second
-``make_ball`` of the same graph has no record left and takes the keyed
-path, which re-keys and sorts the edges, so the two paths are compared
-on every amalgam cell of the smoke grid.  The search finds every edge
-from its lower end; only a vertex whose partners do not rise sorts its
-own run, and that happens on III(2), IV(2) and V(2,3), never on VII.
-``grow`` runs with the cyclic collector paused and puts it back as it
-found it."""
+the ball's order (low end, high end, colour, directed, tail), and builds
+its ball on that list.  ``make_ball`` of a ``RawGraph`` replayed from
+the grown ball's edges through ``add_edge`` re-keys and sorts them, so
+the two are compared on every amalgam cell of the smoke grid.  The
+search finds every edge from its lower end; only a vertex whose partners
+do not rise sorts its own run, and that happens on III(2), IV(2) and
+V(2,3), never on VII.  ``grow`` runs its search and its ball's build
+with the cyclic collector paused and puts it back as it found it."""
 
 import gc
 import importlib
@@ -17,6 +16,7 @@ import importlib
 import pytest
 
 from test_amalgam_int import _GRID
+from test_grow import replay
 from cubiccayley.ball import Edge, RawGraph, make_ball
 from cubiccayley.construct import TypeParams, _build_amalgam
 from cubiccayley.errors import ConstructionIncomplete
@@ -35,29 +35,25 @@ def ball_order(e):
     return (min(e.u, e.v), max(e.u, e.v), e.colour, e.directed, e.u)
 
 
-def _both_paths(p, graph, radius):
-    grown = make_ball(p, graph, radius)
-    keyed = make_ball(p, graph, radius)  # the record is gone: keyed path
-    return grown, keyed
+def _keyed(p, grown, radius):
+    """``make_ball`` of the grown ball's edges, replayed into a graph."""
+    return make_ball(p, replay(p, grown), radius)
 
 
 @pytest.mark.parametrize("type_id,n,m,radius", _CELLS)
 def test_grown_ball_equals_keyed_ball(type_id, n, m, radius):
     tp = TypeParams(type_id, n=n, m=m)
     p = tp.presentation()
-    graph = _build_amalgam(tp, radius)
-    grown, keyed = _both_paths(p, graph, radius)
+    grown = _build_amalgam(tp, radius)
+    keyed = _keyed(p, grown, radius)
     assert grown.edges == keyed.edges
     assert grown.edges == sorted(grown.edges, key=ball_order)
     assert all(type(e) is Edge for e in grown.edges)
     assert grown.to_json() == keyed.to_json()
+    assert grown.distances == keyed.distances
     assert grown.adjacency == keyed.adjacency
     for letter in p.letters:
         assert grown.column(letter) == keyed.column(letter)
-    # one copy: the ball holds the very Edges grow wrote
-    assert len(grown.edges) == len(graph.edges)
-    assert all(a is b for a, b in zip(grown.edges, graph.edges))
-    assert grown.edges is not graph.edges
 
 
 def _count_sorts(monkeypatch):
@@ -79,11 +75,11 @@ def _count_sorts(monkeypatch):
 def test_the_in_vertex_sort_fires_where_partners_fall(
         monkeypatch, type_id, n, m, radius, sorts):
     calls = _count_sorts(monkeypatch)
-    graph = _build_amalgam(TypeParams(type_id, n=n, m=m), radius)
+    ball = _build_amalgam(TypeParams(type_id, n=n, m=m), radius)
     assert bool(calls) == sorts
     # a vertex sorts at most its own L edges, each found from its low end
-    assert len(calls) < len(graph.edges)
-    assert graph.edges == sorted(graph.edges, key=ball_order)
+    assert len(calls) < len(ball.edges)
+    assert ball.edges == sorted(ball.edges, key=ball_order)
 
 
 def _z2(p, radius=1):
@@ -95,11 +91,9 @@ def _z2(p, radius=1):
 def test_parallel_edges_of_two_colours_sort_by_colour():
     # y comes first among the letters, x first in the ball's order
     p = parse_presentation("<y,x|y^2,x^2,yx>")
-    graph = _z2(p)
+    grown = _z2(p)
     want = [Edge(0, 1, "x", False), Edge(0, 1, "y", False)]
-    assert graph.edges == want
-    grown, keyed = _both_paths(p, graph, 1)
-    assert grown.edges == keyed.edges == want
+    assert grown.edges == _keyed(p, grown, 1).edges == want
 
 
 class _InverseFirst(Presentation):
@@ -114,11 +108,9 @@ class _InverseFirst(Presentation):
 def test_a_letter_and_its_inverse_to_one_neighbour_sort_by_tail(cls):
     # x directed with x = x^-1: the x edge 0 -> 1 and the x edge 1 -> 0
     p = cls((GeneratorSymbol("x"),), ())
-    graph = _z2(p)
+    grown = _z2(p)
     want = [Edge(0, 1, "x", True), Edge(1, 0, "x", True)]
-    assert graph.edges == want
-    grown, keyed = _both_paths(p, graph, 1)
-    assert grown.edges == keyed.edges == want
+    assert grown.edges == _keyed(p, grown, 1).edges == want
     assert grown.step(0, ("x", 1)) == grown.step(0, ("x", -1)) == 1
 
 
@@ -142,22 +134,31 @@ def collector():
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_grow_pauses_the_collector_and_restores_it(collector, enabled):
+def test_grow_pauses_the_collector_and_restores_it(
+        monkeypatch, collector, enabled):
     (gc.enable if enabled else gc.disable)()
     seen = []
     p = parse_presentation("<y,x|y^2,x^2,yx>")
+    real = ball_mod.CayleyBall
+
+    def building(*args):  # the ball's slot index is built in here
+        seen.append(("build", gc.isenabled()))
+        ball = real(*args)
+        seen.append(("built", gc.isenabled()))
+        return ball
 
     def apply(x, move):
-        seen.append(gc.isenabled())
+        seen.append(("apply", gc.isenabled()))
         return (x + move) % 2
 
-    # the search itself runs paused
-    graph = RawGraph.grow(p, 0, [1, 1], apply, 1)
-    assert seen and not any(seen)
+    monkeypatch.setattr(ball_mod, "CayleyBall", building)
+    # the search and the ball's build run paused
+    grown = RawGraph.grow(p, 0, [1, 1], apply, 1)
+    assert [what for what, _ in seen] == ["apply", "apply", "build", "built"]
+    assert not any(on for _, on in seen)
     assert gc.isenabled() == enabled
-    make_ball(p, graph, 1)
-    assert gc.isenabled() == enabled
-    make_ball(p, graph, 1)  # the keyed path
+    assert grown.edges == [Edge(0, 1, "x", False), Edge(0, 1, "y", False)]
+    make_ball(p, replay(p, grown), 1)
     assert gc.isenabled() == enabled
 
 

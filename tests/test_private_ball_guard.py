@@ -4,8 +4,8 @@
 table under leading-underscore names; other code reads them through
 ``column``, ``step_edge``, ``trace_walk``, ``bfs`` and ``adjacency``, so
 the layout can change in one file.  ``RawGraph`` keeps its letter ends
-and the walk that ``grow`` records the same way; other code reads them
-through ``step``, ``add_edge`` and ``walk``.  ``private_reads`` reads the
+the same way; other code reads its slots through ``letters``, ``L`` and
+``nbr`` and writes them through ``add_edge``.  ``private_reads`` reads the
 source with ``ast`` and reports every read of such a name outside
 ``ball.py``, in the package and in the tests.
 """
@@ -80,7 +80,7 @@ def test_guard_catches_private_reads(tmp_path):
 
 def test_raw_graph_privates_are_read_only_in_ball_py():
     names = private_names(SRC / "ball.py", "RawGraph")
-    assert {"_ends", "_grown"} <= names
+    assert "_ends" in names
     assert private_reads(names, SRC, TESTS) == []
 
 
@@ -92,15 +92,17 @@ def test_guard_catches_raw_graph_private_reads(tmp_path):
         "\n"
         "class RawGraph:\n"
         "    def __init__(self):\n"
-        "        self._ends, self._grown, self.nbr = {}, None, []\n"
+        "        self._ends, self.nbr = {}, []\n"
+        "    def _row(self, v):\n"
+        "        return self.nbr[v]\n"
         "    def walk(self, radius):\n"
-        "        return self._grown\n")
+        "        return self._row(0)\n")
     (tmp_path / "construct.py").write_text(
         "def build(graph, ball):\n"
         "    cu, cv, directed = graph._ends[('b', 1)]\n"
-        "    record = graph._grown\n"
-        "    return graph.nbr, graph.walk(3), ball._adj, record\n")
+        "    row = graph._row(0)\n"
+        "    return graph.nbr, graph.walk(3), ball._adj, row\n")
     names = private_names(tmp_path / "ball.py", "RawGraph")
-    assert names == {"_ends", "_grown"}
+    assert names == {"_ends", "_row"}
     assert private_reads(names, tmp_path) == [("construct.py", 2, "_ends"),
-                                              ("construct.py", 3, "_grown")]
+                                              ("construct.py", 3, "_row")]
