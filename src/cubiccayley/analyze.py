@@ -217,7 +217,7 @@ def sound_margin(p: Presentation) -> int:
 
 
 def _deep_vertices(ball: CayleyBall, margin: int) -> List[int]:
-    """Vertices eligible as separating objects and witnesses.
+    """Vertices eligible as separating objects and witnesses, ascending.
 
     For a finite graph held in full there is no truncation, so every
     vertex qualifies.  Otherwise the margin pushes the eligible region
@@ -245,8 +245,7 @@ def connectivity_diagnostics(ball: CayleyBall, margin: int = 1) -> dict:
     paths come off one breadth-first tree from each x with partners.
     """
     cut, separators = False, []
-    for x, _, partners in _vertex_partners(
-            ball, sorted(_deep_vertices(ball, margin))):
+    for x, _, partners in _vertex_partners(ball, _deep_vertices(ball, margin)):
         cut |= x in partners
         ys = [y for y in partners if y != x]
         if ys:
@@ -270,7 +269,7 @@ def find_hinges(ball: CayleyBall, margin: int = 1,
     """
     if center_only:
         return _CenterPass(ball, margin).hinges()
-    deep = sorted(_deep_vertices(ball, margin))
+    deep = _deep_vertices(ball, margin)
     return _hinge_edges(ball, ((x, partners) for x, _, partners
                                in _vertex_partners(ball, deep)))
 
@@ -292,7 +291,7 @@ class _CenterPass:
 
     def __init__(self, ball: CayleyBall, margin: int):
         self.ball = ball
-        self.deep = sorted(_deep_vertices(ball, margin))
+        self.deep = _deep_vertices(ball, margin)
         self.cut_pass = _cut_vertices(ball.adjacency, set(self.deep),
                                       (ball.center,))
 
@@ -329,7 +328,7 @@ def shortest_separating_path(ball: CayleyBall, margin: int = 1,
     """
     if center_only:
         return _CenterPass(ball, margin).separator()
-    deep = sorted(_deep_vertices(ball, margin))
+    deep = _deep_vertices(ball, margin)
     dist = ball.distances
     best = None  # (path length, distance sum, x, y, path)
     for x, _, partners in _vertex_partners(ball, deep):

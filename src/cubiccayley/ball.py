@@ -455,8 +455,9 @@ class RawGraph:
         image below the vertex whose slot is still free is no group's,
         and raises ConstructionIncomplete.  The search and the ball's
         build run with the collector paused, and the search lets go of
-        its elements, their ids and its slot rows before the ball's slot
-        index is built.
+        its elements, their ids, its slot rows and ``apply`` before the
+        ball's slot index is built: a caller that passes the only
+        reference to its group arithmetic has it freed there.
 
         When every relator has even length, sending every generator to 1
         in Z_2 is a homomorphism, so the Cayley graph is bipartite: no
@@ -518,7 +519,7 @@ class RawGraph:
                                  else new(Edge, (i, j, g, directed)))
                 if resort:
                     edges[first:] = sorted(edges[first:], key=_ball_order)
-            del ids, elements, nbr
+            del ids, elements, nbr, apply
             return _walked_ball(p, radius, edges, parent, letter, dist)
 
     @classmethod

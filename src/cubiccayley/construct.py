@@ -215,12 +215,22 @@ def _amalgam_for(p: Presentation):
 def _build_amalgam(tp: TypeParams, radius: int) -> CayleyBall:
     """``RawGraph.grow``'s ball over the amalgam's normal forms: an
     element is the amalgam's int, and each letter's image is one O(1)
-    trie step."""
+    trie step.  The bound ``apply`` that ``grow`` receives is the only
+    reference to the amalgam, so its trie is freed when the search ends,
+    before the ball is indexed."""
     p = tp.presentation()
+    moves = []  # filled before grow is called: arguments run left to right
+    return RawGraph.grow(p, Amalgam.identity, moves, _amalgam_apply(p, moves),
+                         radius)
+
+
+def _amalgam_apply(p: Presentation, moves: List[int]):
+    """The bound ``apply`` of ``p``'s amalgam, after appending to ``moves``
+    the move of each letter of ``p.letters``; this frame drops the
+    amalgam when it returns."""
     am, steps = _amalgam_for(p)
-    return RawGraph.grow(p, am.identity,
-                         [am.move(*steps[letter]) for letter in p.letters],
-                         am.apply, radius)
+    moves += [am.move(*steps[letter]) for letter in p.letters]
+    return am.apply
 
 
 # ---------------------------------------------------------------------------

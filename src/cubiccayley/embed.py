@@ -29,8 +29,8 @@ K5/K33 subdivision that is checked degree-by-degree; that route alone
 yields Kuratowski witnesses.  networkx is imported by the functions that
 call it (that route, ``as_multigraph``, ``suppress_degree_two`` and
 ``case2_scaffold``), so a process that takes none of them never loads
-it.  ``to_dict`` looks its closed faces up among the relator walks the
-ball keeps.
+it.  ``to_dict`` asks ``face_relator_match`` of every face, as the
+acceptance tests of criterion 5 do.
 """
 
 from __future__ import annotations
@@ -79,35 +79,30 @@ class FaceWalk:
 class RotationEmbedding:
     """A ball's rotation system and the spins that pick it.
 
-    ``spin``, ``rotation`` and ``slots`` go to every caller that shares
-    the embedding, and ``slots`` into the rotation of its planarity
-    verdicts.  Shared: do not mutate."""
+    ``spin`` and ``rotation`` go to every caller that shares the
+    embedding, and ``rotation`` into the rotation of its planarity
+    verdicts.  Dart ``2·eid`` runs along ``ball.edges[eid]`` from its
+    first end to its second.  Shared: do not mutate."""
 
     def __init__(self, ball: CayleyBall, tp: Optional[TypeParams],
                  spin: List[int], rotation: List[List[int]],
-                 colour_spin: Dict[str, str], slots: Optional[list] = None):
+                 colour_spin: Dict[str, str]):
         self.ball = ball
         self.tp = tp
         self.spin = spin  # per vertex: 0, or 1 where the order reverses
         self.rotation = rotation  # per vertex: incident edge ids, cyclic
         self.colour_spin = colour_spin
-        self.slots = slots  # the rotation as (neighbour, edge id) pairs
-
-    @functools.cached_property
-    def ends(self) -> List[Tuple[int, int]]:
-        """Per edge id its ``(u, v)``: dart ``2·eid`` runs from u to v."""
-        return [(u, v) for u, v, _, _ in self.ball.edges]
 
     @functools.cached_property
     def successor(self) -> List[int]:
         """The uncut face-successor permutation, built once.  Shared."""
-        return face_successor(self.ends, enumerate(self.rotation))
+        return face_successor(self.ball.edges, enumerate(self.rotation))
 
     @functools.cached_property
     def cut_successor(self) -> Tuple[List[int], List[int]]:
         """``successor`` with -1 for each dart whose head is not interior,
         and the inverse of that.  Shared."""
-        heads = [h for u, v in self.ends for h in (v, u)]  # per dart
+        heads = [h for u, v, _, _ in self.ball.edges for h in (v, u)]
         inner = self.ball.interior
         succ = [s if h in inner else -1 for s, h in zip(self.successor, heads)]
         pred = [-1] * len(succ)
@@ -118,7 +113,7 @@ class RotationEmbedding:
 
     def sphere_faces(self) -> Tuple[int, bool]:
         """``sphere_faces`` of the uncut rotation; a ball is connected."""
-        return sphere_faces(self.ball.n_vertices, 1, self.ends, None,
+        return sphere_faces(self.ball.n_vertices, 1, self.ball.edges, None,
                             self.successor)
 
     @functools.cached_property
@@ -127,7 +122,6 @@ class RotationEmbedding:
         return _walk_faces(self, len(self.successor))
 
     def to_dict(self) -> dict:
-        matched = _relator_faces(self)
         return {
             "colour_spin": dict(self.colour_spin),
             "vertices": {
@@ -136,8 +130,8 @@ class RotationEmbedding:
             "faces": [{
                 "edges": [eid for eid, _ in f.darts],
                 "closed": f.closed,
-                "relator_match": i in matched,
-            } for i, f in enumerate(self.faces)],
+                "relator_match": face_relator_match(self.ball, f),
+            } for f in self.faces],
         }
 
 
@@ -245,10 +239,8 @@ def _embed(ball: CayleyBall, tp: TypeParams,
     emb = held.get(key)
     if emb is None:
         spin = _propagate(ball, table)
-        slots = _spin_slots(ball, spin)
-        rotation = [[eid for _, eid in at] for at in slots]
-        emb = held[key] = RotationEmbedding(ball, tp, spin, rotation, table,
-                                            slots)
+        rotation = [[eid for _, eid in at] for at in _spin_slots(ball, spin)]
+        emb = held[key] = RotationEmbedding(ball, tp, spin, rotation, table)
     return emb
 
 
@@ -260,7 +252,8 @@ def face_successor(ends, rotation) -> List[int]:
     """The face-successor permutation of a rotation system, in O(E).
 
     Dart ``2·eid + direction`` runs along edge ``eid`` from ``ends[eid][0]``
-    to ``ends[eid][1]`` when direction is 0, back when it is 1.  For each
+    to ``ends[eid][1]`` when direction is 0, back when it is 1 (a ball's
+    ``edges`` list will do: an ``Edge`` starts with its ends).  For each
     ``(vertex h, cyclic edge ids)`` pair of ``rotation``, the dart that
     arrives at h along one edge is followed by the dart that leaves h along
     the next.  A dart that arrives where no rotation continues it has
@@ -279,14 +272,15 @@ def sphere_faces(n_vertices: int, components: int, ends, rotation,
     V - E + F = 2·components, i.e. every component has genus 0.
 
     F counts the orbits of the face permutation, one step per dart, plus
-    one face per isolated vertex.  A rotation that leaves a dart without a
+    one face per isolated vertex, an end being one of the first two fields
+    of an ``ends`` entry.  A rotation that leaves a dart without a
     successor is no rotation system and never closes the count.  ``succ``
     is the rotation's successor permutation when it is already built.
     """
     if succ is None:
         succ = face_successor(ends, rotation)
     seen = bytearray(len(succ))
-    faces = n_vertices - len({x for end in ends for x in end})
+    faces = n_vertices - len({e[0] for e in ends} | {e[1] for e in ends})
     for start in range(len(succ)):
         if not seen[start]:
             faces += 1
@@ -352,29 +346,13 @@ def _walk_faces(emb: RotationEmbedding, limit: int) -> List[FaceWalk]:
     return faces
 
 
-def _relator_faces(emb: RotationEmbedding) -> set:
-    """Indices of the closed faces whose edge set is a relator circuit; a
-    walk builds its edge set only on a closed face with its least edge id;
-    a ``g^2`` marker, one edge walked twice, is never a circuit."""
-    filed, sizes = {}, set()  # least edge id -> {edge set: face indices}
-    for i, f in enumerate(emb.faces):
-        if f.closed and len(key := frozenset(f.edge_ids())) > 1:
-            filed.setdefault(min(key), {}).setdefault(key, []).append(i)
-            sizes.add(len(key))
-    relators, matched = emb.ball.presentation.essentials, set()
-    wanted = [len(rel) in sizes for rel in relators]
-    for r, _, eids in emb.ball.relator_walks(relators):
-        if wanted[r] and (keys := filed.get(min(eids))) and \
-                (key := frozenset(eids)) in keys and len(key) == len(eids):
-            matched.update(keys[key])
-    return matched
-
-
 def face_relator_match(ball: CayleyBall, face: FaceWalk) -> bool:
     """True iff the closed face's edge set is a relator-induced circuit.
     Cost: |relators| walks per face-edge endpoint, where any match starts."""
+    if not face.closed:
+        return False
     key = frozenset(face.edge_ids())
-    if not face.closed or len(key) < 2:
+    if len(key) < 2:
         return False
     bases = sorted({x for eid in key
                     for x in (ball.edges[eid].u, ball.edges[eid].v)})
@@ -489,7 +467,8 @@ def planarity_check(g):
     Euler.  Only that route returns a ``KuratowskiWitness``.  A spin
     embedding of the ball that the caller holds (``embed``,
     ``spin_embedding``) is shared: its faces are counted on the successor
-    it has built, and the verdict's rotation lists are its ``slots``.
+    it has built, and the verdict's rotation lists its ``rotation`` as
+    ``(neighbour, edge id)`` slot entries.
     """
     if isinstance(g, CayleyBall):
         verdict = _spin_planarity(g)
@@ -506,8 +485,9 @@ def _spin_planarity(ball: CayleyBall) -> Optional[Planar]:
     except (InvalidParams, NotCubic, NotInCatalogue, SpinConflict):
         return None
     face_count, euler_ok = emb.sphere_faces()
-    return Planar(dict(enumerate(emb.slots)), face_count, euler_ok,
-                  "spin") if euler_ok else None
+    # the rotation's slot entries, read again off the columns it came from
+    return Planar(dict(enumerate(_spin_slots(ball, emb.spin))), face_count,
+                  euler_ok, "spin") if euler_ok else None
 
 
 def _networkx_planarity(g):

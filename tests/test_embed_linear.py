@@ -44,10 +44,12 @@ def _synthetic_faces(ball, rng):
 
 
 def _assert_relator_flags(emb):
-    # to_dict's relator_match flag per face, against every relator circuit
-    keys = O._relator_circuit_keys(emb.ball)
-    assert [f["relator_match"] for f in emb.to_dict()["faces"]] == [
-        f.closed and frozenset(f.edge_ids()) in keys for f in emb.faces]
+    # to_dict's relator_match flag per face, against the oracle's match
+    flags = [f["relator_match"] for f in emb.to_dict()["faces"]]
+    assert len(flags) == len(emb.faces)
+    for flag, f in zip(flags, emb.faces):
+        assert flag is O.face_relator_match(emb.ball, f), f
+    return flags
 
 
 def _assert_agree(tp, radius, seed=0):
@@ -87,6 +89,17 @@ def test_random_cells_match_oracles(type_id, dn, dm, radius, seed):
                     n=None if min_n is None else min_n + dn,
                     m=None if min_m is None else min_m + dm)
     _assert_agree(tp, radius, seed)
+
+
+@pytest.mark.parametrize("radius", [4, 8])
+@pytest.mark.parametrize("type_id,n,m", cli.SMOKE_GRID)
+def test_to_dict_flags_are_the_oracle_matches(type_id, n, m, radius):
+    # IX is built whole at any radius; IX n=1's bd face is the False flag
+    _, emb = _embedding(TypeParams(type_id, n=n, m=m), radius)
+    flags = _assert_relator_flags(emb)
+    if (type_id, n) == ("IX", 1):
+        assert [f.closed for f in emb.faces] == [True] * 3
+        assert sorted(flags) == [False, True, True]
 
 
 def test_ix_sphere_faces():

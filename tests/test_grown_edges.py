@@ -8,10 +8,14 @@ the two are compared on every amalgam cell of the smoke grid.  The
 search finds every edge from its lower end; only a vertex whose partners
 do not rise sorts its own run, and that happens on III(2), IV(2) and
 V(2,3), never on VII.  ``grow`` runs its search and its ball's build
-with the cyclic collector paused and puts it back as it found it."""
+with the cyclic collector paused and puts it back as it found it.  The
+amalgam builder hands ``grow`` the only reference to its arithmetic, so
+the amalgam's trie is freed, by its reference count alone, before the
+ball is indexed."""
 
 import gc
 import importlib
+import weakref
 
 import pytest
 
@@ -23,8 +27,10 @@ from cubiccayley.errors import ConstructionIncomplete
 from cubiccayley.presentation import (GeneratorSymbol, Presentation,
                                       parse_presentation)
 
-# the package exports a function named make_ball, which hides the module
+# the package exports functions named make_ball and construct, which hide
+# the modules
 ball_mod = importlib.import_module("cubiccayley.ball")
+construct_mod = importlib.import_module("cubiccayley.construct")
 
 _CELLS = [(t, n, m, r) for t, n, m in _GRID for r in range(13)] + \
     [("VII", 3, 2, 15)]
@@ -171,3 +177,26 @@ def test_grow_restores_the_collector_when_it_raises(collector, enabled):
     with pytest.raises(ConstructionIncomplete):
         RawGraph.grow(p, 0, ["b", "c"], lambda x, k: table[x, k], 2)
     assert gc.isenabled() == enabled
+
+
+@pytest.mark.parametrize("type_id,n,m", [("III", 3, None), ("IV", None, 3),
+                                         ("V", 2, 3), ("VII", 3, 2)])
+def test_the_amalgam_is_freed_before_the_ball_is_built(monkeypatch, type_id,
+                                                       n, m):
+    amalgams, freed = [], []
+    real_for, real_ball = construct_mod._amalgam_for, ball_mod._walked_ball
+
+    def amalgam_for(p):
+        am, steps = real_for(p)
+        amalgams.append(weakref.ref(am))
+        return am, steps
+
+    def walked_ball(*args):  # the ball's slot index is built in here
+        freed.append(amalgams[-1]() is None)
+        return real_ball(*args)
+
+    monkeypatch.setattr(construct_mod, "_amalgam_for", amalgam_for)
+    monkeypatch.setattr(ball_mod, "_walked_ball", walked_ball)
+    ball = construct_mod.construct(TypeParams(type_id, n=n, m=m), 6)
+    assert len(amalgams) == 1 and freed == [True]
+    assert ball.n_vertices > 1

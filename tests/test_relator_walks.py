@@ -1,15 +1,20 @@
 """One closed-relator-walk pass per ball and relator tuple.
 
 ``CayleyBall.relator_walks`` walks every relator from every vertex on
-its first read and keeps the closed walks; the face keys of
-``RotationEmbedding.to_dict`` and the GF(2) checks read that list.
+its first read and keeps the closed walks; the GF(2) checks read that
+list.  ``RotationEmbedding.to_dict`` does not: it asks
+``face_relator_match`` of each face, which walks from that face's
+vertices only.
 
 * The memo equals a plain loop of ``trace_walk`` over every vertex and
   relator, and holds int tuples only.
-* ``to_dict``, ``cycle_space_span_check`` and ``two_basis_check``
-  together call ``trace_walk`` exactly n_vertices x |essentials| times,
-  as none of them walks the ``g^2`` markers; a presentation with other
-  relators costs one pass of its own.
+* ``cycle_space_span_check`` and ``two_basis_check`` together call
+  ``trace_walk`` exactly n_vertices x |essentials| times, as neither
+  walks the ``g^2`` markers; a presentation with other relators costs
+  one pass of its own.  ``to_dict`` adds at most |relators| walks per
+  vertex of each closed face.
+* ``relator_walks_calls`` reads ``embed.py`` with ``ast`` and reports
+  every call of ``relator_walks`` in it.
 * ``whole_ball_walks`` reads the package with ``ast`` and reports every
   module other than ``ball.py`` that hands ``closed_relator_walks`` the
   whole ball (``ball.vertices()``) or the whole interior
@@ -74,9 +79,13 @@ def test_report_readers_share_one_pass(monkeypatch, type_id, n, m, radius):
     calls = []
     _count_walks(monkeypatch, calls)
     emb.to_dict()
+    closed = [f for f in emb.faces if f.closed]
+    assert len(calls) <= len(p.relators) * sum(
+        len(set(f.vertices(ball))) for f in closed)
+    before = len(calls)
     A.cycle_space_span_check(ball, p)
     A.two_basis_check(ball, p)
-    assert len(calls) == ball.n_vertices * len(p.essentials)
+    assert len(calls) - before == ball.n_vertices * len(p.essentials)
 
     # other relators are walked once more, under their own key
     other = parse_presentation("<a,b|b^2,a^4>") if type_id != "IX" else \
@@ -116,6 +125,27 @@ def whole_ball_walks(*dirs: Path):
                     if any(whole(b) for b in bases):
                         found.append((path.name, node.lineno))
     return sorted(found)
+
+
+def relator_walks_calls(path: Path):
+    """Lines of every ``relator_walks`` call in the module at ``path``."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and
+            isinstance(node.func, ast.Attribute) and
+            node.func.attr == "relator_walks"]
+
+
+def test_embed_never_walks_the_whole_ball():
+    assert relator_walks_calls(SRC / "embed.py") == []
+
+
+def test_guard_catches_relator_walks_in_embed(tmp_path):
+    (tmp_path / "embed.py").write_text(
+        "def matched(emb, relators):\n"
+        "    return {eids for _, _, eids in\n"
+        "            emb.ball.relator_walks(relators)}\n")
+    assert relator_walks_calls(tmp_path / "embed.py") == [3]
 
 
 def test_package_walks_the_ball_once():

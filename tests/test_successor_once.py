@@ -1,9 +1,10 @@
 """One face successor per embedding.
 
 A ``RotationEmbedding`` builds its face-successor permutation once, as the
-cached ``successor``: ``check_consistency``, ``trace_faces`` with any
-bound, ``to_dict`` and ``sphere_faces()`` all read it, and the spin route
-of ``planarity_check`` is ``spin_embedding(ball).sphere_faces()``.  The
+cached ``successor``, over the ball's own ``edges`` list (an ``Edge``
+starts with its two ends): ``check_consistency``, ``trace_faces`` with
+any bound, ``to_dict`` and ``sphere_faces()`` all read it, and the spin
+route of ``planarity_check`` is ``spin_embedding(ball).sphere_faces()``.  The
 counts below monkeypatch ``embed.face_successor``.  ``successor_callers``
 reads the package with ``ast`` and reports every call of
 ``face_successor`` outside ``RotationEmbedding`` and the networkx route's
@@ -67,7 +68,7 @@ def test_planarity_check_builds_one_successor(monkeypatch, type_id, n, m,
     assert len(calls) == 1 and networkx == []
     # the one successor is the spin embedding's own, cached on it
     assert len(made) == 1 and "successor" in vars(made[0])
-    assert calls[0][0] is made[0].ends
+    assert calls[0][0] is ball.edges
 
 
 def _enclosing(tree):
@@ -119,13 +120,13 @@ def test_guard_catches_other_successor_builds(tmp_path):
     (tmp_path / "embed.py").write_text(
         "class RotationEmbedding:\n"
         "    def successor(self):\n"
-        "        return face_successor(self.ends, self.rotation)\n"
+        "        return face_successor(self.ball.edges, self.rotation)\n"
         "\n"
         "def sphere_faces(n, c, ends, rotation):\n"
         "    return face_successor(ends, rotation)\n"
         "\n"
         "def trace_faces(emb, bound=None):\n"
-        "    return face_successor(emb.ends, emb.rotation)\n"
+        "    return face_successor(emb.ball.edges, emb.rotation)\n"
         "\n"
         "class Other:\n"
         "    def sphere_faces(self):\n"
@@ -133,7 +134,7 @@ def test_guard_catches_other_successor_builds(tmp_path):
     (tmp_path / "cli.py").write_text(
         "from . import embed\n"
         "def run(emb):\n"
-        "    return embed.face_successor(emb.ends, emb.rotation)\n")
+        "    return embed.face_successor(emb.ball.edges, emb.rotation)\n")
     assert successor_callers(tmp_path) == [
         ("cli.py", 3, None, "run"),
         ("embed.py", 9, None, "trace_faces"),
