@@ -570,15 +570,15 @@ def nos_properties_check(ball: CayleyBall) -> dict:
                        for j in _partners(cut_pass, later, edges=True)]
     # the one cut pass over G - v gives the bridges here, the separating
     # pairs {v, y} of connectivity_diagnostics for nosiii, and for nosiv
-    # the hinges from v, its edges to its partners y > v
-    sep_pairs, hinges = [], []
+    # the hinges from v, its edges to its partners
+    sep_pairs, at = [], []
     for v, cut_pass, partners in _vertex_partners(ball, sorted(deep)):
         free = [i for i in deep_eids if ball.edges[i].colour != "d"
                 and v not in (ball.edges[i].u, ball.edges[i].v)]
         violations += [("vertex+edge", v, ball.edges[i]) for i in
                        _partners(cut_pass, free, edges=True)]
         sep_pairs += [(v, y) for y in partners if y != v]
-        hinges += [eid for eid, y in ball.adjacency[v] if y in partners]
+        at.append((v, partners))
     report["nosii"] = {"ok": not violations, "violations": violations}
 
     cycles = _relator_cycles(ball, rel)
@@ -597,7 +597,7 @@ def nos_properties_check(ball: CayleyBall) -> dict:
     report["nosiii"] = {"ok": not violations, "violations": violations}
 
     # (nosiv): no hinge, in edge-id order as ``find_hinges`` lists them
-    hinges = [ball.edges[i] for i in sorted(hinges)]
+    hinges = _hinge_edges(ball, at)
     report["nosiv"] = {"ok": not hinges, "violations": hinges}
 
     # (nosvi): b edges of a relator cycle have a detour avoiding the cycle;

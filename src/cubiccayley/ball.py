@@ -27,7 +27,8 @@ explored in the order of ``Presentation.letters``, which makes vertex
 ``i``'s word label the shortlex-minimal representative.  ``make_ball``
 does this numbering on the ``RawGraph`` a builder grows;
 ``RawGraph.grow``, whose search numbers the elements this way as it
-finds them, builds its ball itself.
+finds them, builds its ball itself.  Both end in ``_walked_ball``, the
+one place that sets a ball's radius and interior, from its walk.
 
 Two functions pause the cyclic garbage collector: ``RawGraph.grow``
 for its search and its ball's build, and ``make_ball`` for its build.
@@ -417,23 +418,27 @@ class RawGraph:
         self.letters = presentation.letters
         self.L = len(self.letters)
         involutions = presentation.involutions
-        # letter at u -> (column at u, column at v, directed)
+        # letter at u -> (column at u, column at v, colour, directed,
+        # stored tail last: a directed letter of sign -1)
         column = {letter: i for i, letter in enumerate(self.letters)}
         self._ends = {}
         for g, s in self.letters:
             if g in involutions:
-                self._ends[(g, 1)] = self._ends[(g, -1)] = (
-                    column[(g, 1)], column[(g, 1)], False)
+                k = column[(g, 1)]
+                self._ends[(g, 1)] = self._ends[(g, -1)] = (k, k, g, False,
+                                                            False)
             else:
-                self._ends[(g, s)] = (column[(g, s)], column[(g, -s)], True)
+                self._ends[(g, s)] = (column[(g, s)], column[(g, -s)], g,
+                                      True, s < 0)
         self.nbr: List[int] = []
         self.edges: List[Tuple[int, int, str, bool]] = []
 
     @classmethod
     def grow(cls, p: Presentation, identity, moves, apply,
              radius: int) -> CayleyBall:
-        """The ball of radius ``radius`` around ``identity`` in the group
-        where ``apply(x, moves[k])`` is x times the k-th letter of
+        """The ball of radius ``radius`` (less when the group is finite
+        and held whole) around ``identity`` in the group where
+        ``apply(x, moves[k])`` is x times the k-th letter of
         ``p.letters``: one breadth-first search over its elements, each
         taking the next id when it is discovered (vertex 0 is
         ``identity``).  A letter's image is computed only while its slot
@@ -470,12 +475,8 @@ class RawGraph:
         still look for edges among themselves."""
         ends, letters = cls(p)._ends, p.letters
         L, nbr, edges = len(letters), [], []
-        # per column: its move, the column it fills at the far end, the
-        # colour, how it is stored (tail last: a directed letter of sign -1)
-        plan = []
-        for k, (g, s) in enumerate(letters):
-            _, far, directed = ends[(g, s)]
-            plan.append((k, moves[k], far, g, directed, directed and s < 0))
+        # per column: its move, then its ``_ends`` entry past the column
+        plan = [(k, moves[k], *ends[x][1:]) for k, x in enumerate(letters)]
         bipartite = all(len(rel) % 2 == 0 for rel in p.relators)
         blank = [-1] * L
         nbr += blank
@@ -520,7 +521,7 @@ class RawGraph:
                 if resort:
                     edges[first:] = sorted(edges[first:], key=_ball_order)
             del ids, elements, nbr, apply
-            return _walked_ball(p, radius, edges, parent, letter, dist)
+            return _walked_ball(p, edges, parent, letter, dist)
 
     @classmethod
     def glue(cls, p: Presentation, seed, polygons, hinge: Letter,
@@ -554,18 +555,9 @@ class RawGraph:
         graph = cls(p)
         L, letters, nbr, edges = graph.L, graph.letters, graph.nbr, graph.edges
         ends = graph._ends
-
-        def plan(seq):
-            # per letter: its column, the column it fills at the far end,
-            # the colour, how it is stored (tail last: a directed letter
-            # of sign -1)
-            steps = []
-            for g, s in seq:
-                near, far, directed = ends[(g, s)]
-                steps.append((near, far, g, directed, directed and s < 0))
-            return steps
-
-        fits = [(ends[arrival][0], plan(seq)) for seq, arrival in polygons]
+        # a polygon's steps: the ``_ends`` entry of each of its letters
+        fits = [(ends[arrival][0], [ends[x] for x in seq])
+                for seq, arrival in polygons]
         hinge_col = ends[hinge][0]
         blank = [-1] * L
         dist = []
@@ -599,7 +591,7 @@ class RawGraph:
 
         dist.append(0)
         nbr.extend(blank)
-        trace(0, plan(seed))
+        trace(0, [ends[x] for x in seed])
         for v, d in enumerate(dist):
             row = v * L
             if d > radius or -1 not in nbr[row:row + L]:
@@ -657,7 +649,7 @@ class RawGraph:
     def add_edge(self, u: int, v: int, g: str, s: int):
         """The edge at u for the letter (g, s), ending at v.  Raises
         ConstructionIncomplete if either end already has that slot."""
-        cu, cv, directed = self._ends[(g, s)]
+        cu, cv, _, directed, flip = self._ends[(g, s)]
         nbr, ku, kv = self.nbr, u * self.L + cu, v * self.L + cv
         if nbr[ku] >= 0 or nbr[kv] >= 0:
             end, k = (u, cu) if nbr[ku] >= 0 else (v, cv)
@@ -665,8 +657,7 @@ class RawGraph:
                 f"slot {self.letters[k]} already used at vertex {end}")
         nbr[ku] = v
         nbr[kv] = u
-        self.edges.append((v, u, g, True) if directed and s < 0
-                          else (u, v, g, directed))
+        self.edges.append((v, u, g, True) if flip else (u, v, g, directed))
 
 
 def make_ball(presentation: Presentation, graph: RawGraph,
@@ -678,7 +669,7 @@ def make_ball(presentation: Presentation, graph: RawGraph,
     graph's letters are the presentation's; ``words`` is built on its
     first read.  Each edge within the radius is renumbered and the list
     sorted by the order's key; the keys are freed before the slot index
-    is built.
+    is built.  The radius and interior follow ``_walked_ball``'s rule.
 
     Everything built here is acyclic (sort keys, edges, int lists and
     pairs), so the cyclic garbage collector is paused for the build: its
@@ -693,17 +684,24 @@ def make_ball(presentation: Presentation, graph: RawGraph,
             if u >= 0 and v >= 0:
                 edges.append(new(Edge, (u, v, colour, directed)))
         edges.sort(key=_ball_order)
-        return _walked_ball(presentation, radius, edges, parent, letter, dist)
+        return _walked_ball(presentation, edges, parent, letter, dist)
 
 
-def _walked_ball(p: Presentation, radius: int, edges: List[Edge],
-                 parent: List[int], letter: List[int],
-                 dist: List[int]) -> CayleyBall:
-    """The ball on ids in walk order, out to ``radius`` from vertex 0,
-    from its edges in ball order and each vertex's walk parent, letter
-    column and distance; ``words`` is built on its first read."""
-    # the walk's distances never decrease
-    interior = frozenset(range(bisect_left(dist, radius)))
+def _walked_ball(p: Presentation, edges: List[Edge], parent: List[int],
+                 letter: List[int], dist: List[int]) -> CayleyBall:
+    """The ball on ids in walk order around vertex 0, from its edges in
+    ball order and each vertex's walk parent, letter column and distance;
+    ``words`` is built on its first read.
+
+    The one rule for a ball's layers: its radius is the walk's largest
+    distance, and its interior is every vertex when every slot is filled
+    (2·|E| = n·L: a finite group held whole has no boundary), otherwise
+    the vertices below that radius."""
+    radius, n = dist[-1], len(dist)
+    if 2 * len(edges) == n * len(p.letters):
+        interior = frozenset(range(n))
+    else:  # the walk's distances never decrease
+        interior = frozenset(range(bisect_left(dist, radius)))
     return CayleyBall(p, 0, radius, edges,
                       lambda: _word_labels(p, parent, letter), interior, dist)
 

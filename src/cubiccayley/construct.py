@@ -262,9 +262,9 @@ def construct(tp: TypeParams, radius: int) -> CayleyBall:
     pres = tp.presentation()
     if tp.type_id == "IX":
         # the whole graph, whatever radius is asked: the 2n-cycle has
-        # diameter n, and a truncated copy would leave interior slots empty
+        # diameter n, and with every slot filled the cut makes every
+        # vertex interior
         ball = make_ball(pres, _build_type_ix(tp.n), tp.n)
-        ball.interior = frozenset(ball.vertices())
     elif tp.family.hinge:
         ball = make_ball(pres, _build_glue_tree(tp, radius), radius)
     else:

@@ -10,7 +10,9 @@ table entry is a consequence of a relator trace or involution symmetry,
 so a truncated (overflowed) table is still sound and can be cut into a
 ball around the identity coset: ``ball_from_table`` numbers the cosets
 within the radius densely in distance order, the identity coset as 0,
-into a ``ball.RawGraph`` that ``make_ball`` cuts.
+into a ``ball.RawGraph`` that ``make_ball`` cuts by the rule of every
+ball, never reading ``complete``: cosets filling every slot are all
+interior, at any cap.
 
 ``max_cosets`` bounds the number of cosets one table ever creates (live or
 dead).  Hitting it is reported as ``complete = False`` on the returned
@@ -297,9 +299,8 @@ def ball_from_table(table: CosetTable, radius: int) -> CayleyBall:
     Raises NotCubic if a generator fixes a coset of the ball: entries are
     consequences of the relators, so the generator is then trivial in the
     group, even in a truncated table, and its edges would be loops.
-    For complete tables the radius is clamped to the eccentricity of the
-    identity coset, and a ball that holds every live coset (the whole
-    group) has no boundary: all its vertices are interior.
+    ``make_ball`` sets the ball's radius and interior from its walk, as
+    for every cut.
     """
     p = table.presentation
     rows, parent, columns = table.rows, table.parent, table.columns
@@ -309,9 +310,6 @@ def ball_from_table(table: CosetTable, radius: int) -> CayleyBall:
             col = next(c for k, c in enumerate(columns) if k not in rows[v])
             raise UndefinedInterior(
                 f"coset at distance {d} lacks image under {col}")
-
-    if table.complete:
-        radius = min(radius, max(dist.values(), default=0))
 
     # dense ids in distance order: the identity coset is vertex 0
     graph = RawGraph(p)
@@ -332,8 +330,4 @@ def ball_from_table(table: CosetTable, radius: int) -> CayleyBall:
                     "group, so its Cayley graph edges are loops")
             if w in ids and (not involution or v < w):
                 graph.add_edge(ids[v], ids[w], g, 1)
-    ball = make_ball(p, graph, radius)
-    if table.complete and len(dist) == len(table.live_cosets()):
-        # whole graph: no truncation boundary
-        ball.interior = frozenset(ball.vertices())
-    return ball
+    return make_ball(p, graph, radius)

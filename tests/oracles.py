@@ -1452,7 +1452,9 @@ def make_ball(presentation: Presentation, root,
     and renumber vertices canonically (shortlex BFS order).
 
     Raw vertices may be arbitrary hashable objects.  Directed edges are given
-    as (u, v, colour, True) with v = u * colour.
+    as (u, v, colour, True) with v = u * colour.  The ball's radius is the
+    largest distance met, and its interior every vertex when every slot is
+    filled (2·|E| = n·L), else the vertices below that radius.
     """
     # adjacency by letter on the raw vertices
     slot_map: Dict[object, Dict[Letter, object]] = {}
@@ -1498,8 +1500,12 @@ def make_ball(presentation: Presentation, root,
     for rv, i in order.items():
         word_list[i] = words[rv] or "1"
         dist_list[i] = dist[rv]
-    interior = frozenset(i for i in range(len(order))
-                         if dist_list[i] <= radius - 1)
+    radius = max(dist_list)
+    if 2 * len(kept_edges) == len(order) * len(presentation.letters):
+        interior = frozenset(range(len(order)))
+    else:
+        interior = frozenset(i for i in range(len(order))
+                             if dist_list[i] <= radius - 1)
     return CayleyBall(presentation, 0, radius, kept_edges, word_list,
                       interior, dist_list)
 
@@ -1512,9 +1518,7 @@ def ball_from_table(table: CosetTable, radius: int) -> CayleyBall:
     Raises NotCubic if a generator fixes a coset of the ball: entries are
     consequences of the relators, so the generator is then trivial in the
     group, even in a truncated table, and its edges would be loops.
-    For complete tables the radius is clamped to the eccentricity of the
-    identity coset, and a ball that holds every live coset (the whole
-    group) has no boundary: all its vertices are interior.
+    ``make_ball`` sets the radius and the interior.
     """
     p = table.presentation
     root = table.rep(0)
@@ -1525,9 +1529,6 @@ def ball_from_table(table: CosetTable, radius: int) -> CayleyBall:
                 if table.get(v, col) is None:
                     raise UndefinedInterior(
                         f"coset at distance {d} lacks image under {col}")
-
-    if table.complete:
-        radius = min(radius, max(dist.values(), default=0))
 
     raw_edges = []
     for v in dist:
@@ -1544,11 +1545,7 @@ def ball_from_table(table: CosetTable, radius: int) -> CayleyBall:
                 raw_edges.append((v, w, g, True))
             elif v < w:
                 raw_edges.append((v, w, g, False))
-    ball = make_ball(p, root, raw_edges, radius)
-    if table.complete and len(dist) == len(table.live_cosets()):
-        # whole graph: no truncation boundary
-        ball.interior = frozenset(ball.vertices())
-    return ball
+    return make_ball(p, root, raw_edges, radius)
 
 
 # ---------------------------------------------------------------------------

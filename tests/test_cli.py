@@ -469,3 +469,18 @@ def test_unwritable_grid_output_exits_2(tmp_path, capsys, output, named,
     assert code == 2 and out == ""
     assert err == f"error: cannot write {named}: {reason}\n"
     assert (tmp_path / "file").read_text() == "kept\n"
+
+
+def test_capped_finite_ball_reads_back(tmp_path, capsys):
+    # S4 at a radius beyond its diameter 6 and a cap below its order 24:
+    # the file holds radius 6 and every vertex interior, as at any cap,
+    # so classify reads it and reaches the classifier
+    out = tmp_path / "s4.json"
+    code, _, err = run(capsys, "build", "--presentation",
+                       "<b,c,d|b^2,c^2,d^2,(bc)^3,(cd)^3,(bd)^2>",
+                       "--radius", "12", "--cap", "8", "-o", str(out))
+    assert code == 0
+    assert "24 vertices, 36 edges, 24 interior, radius 6" in err
+    code, _, err = run(capsys, "classify", str(out))
+    assert code == 3
+    assert "three finite colour pairs" in err

@@ -1,10 +1,12 @@
 """Raw edges are added in one place, ``ball.RawGraph``.
 
-Every builder grows a ``RawGraph`` and calls ``add_edge``, which fills
-both slots of an edge and rejects a used one.  No other code of the
-package may build a raw edge list of its own.  ``raw_edge_violations``
-reads the source with ``ast`` and reports, outside ``class RawGraph`` of
-``ball.py``:
+Every builder grows a ``RawGraph``.  The IX cycle and the coset cut call
+``add_edge``; ``grow`` and ``glue`` write each edge's two slots and its
+record inline, from the letter's ``_ends`` entry, inside the class.
+Either way both slots of an edge are filled and a used one is rejected.
+No other code of the package may build a raw edge list of its own.
+``raw_edge_violations`` reads the source with ``ast`` and reports,
+outside ``class RawGraph`` of ``ball.py``:
 
 * a four-item tuple, other than an unpacking target, whose last item is
   the constant ``True`` or ``False`` (``(u, v, g, False)``);
