@@ -7,12 +7,13 @@ vertices, because finite balls of infinite graphs develop spurious cuts
 near their truncation boundary.
 
 Every reachability question on a ball is answered by one traversal,
-``CayleyBall.bfs``, over the ball's per-vertex edge lists in edge-id
-order (``CayleyBall.adjacency``): here the component sweeps, shortest
-paths (a walk up its parent map), the type V (nos) detour and linkage
-tests and the cycle space forest; elsewhere the distances of a loaded
-ball and the spin propagation of an embedding.
-The loops that stay do something else:
+``CayleyBall.bfs``, over the ball's letter columns, each vertex's slots
+in the order ``_index_slots`` fills them, which is edge-id order: here
+the component sweeps, shortest paths (a walk up its parent map), the
+type V (nos) detour and linkage tests and the cycle space forest;
+elsewhere the distances of a loaded ball and the spin propagation of an
+embedding.  The loops that stay do something else, and read the same
+columns through ``CayleyBall.slot_columns``:
 
 * ``_cut_vertices`` is a low-link depth-first pass, another algorithm;
 * ``independent_paths`` searches a flow's residual graph on split
@@ -84,11 +85,15 @@ class ColourPairOrder:
 # reachability helpers
 # ---------------------------------------------------------------------------
 
-def _cut_vertices(adj, witnesses, removed, removed_edges=()):
+def _cut_vertices(columns, n, witnesses, removed, removed_edges=()):
     """``(separated, cuts, bridges)``: whether G minus the ``removed``
     vertices and ``removed_edges`` separates ``witnesses``, and the
-    vertices and edge ids whose further removal changes that.  ``adj`` is
-    ``CayleyBall.adjacency``.
+    vertices and edge ids whose further removal changes that.  G has the
+    n vertices ``range(n)``, and ``columns`` are its
+    ``CayleyBall.slot_columns``: ``(neighbour, edge id)`` column pairs,
+    the neighbour -1 where a vertex has no edge in that column.  Which
+    column a vertex's edge sits in, and so the order of the pass, does
+    not change the answer.
 
     Cost: one iterative depth-first pass (Hopcroft & Tarjan), linear in
     the ball.  It skips the parent edge by id, so parallel edges count as
@@ -98,24 +103,28 @@ def _cut_vertices(adj, witnesses, removed, removed_edges=()):
     they are separated, only removing the lone witness of one of exactly
     two trees that hold any joins them again.
     """
-    disc = [0] * len(adj)  # discovery time; 0 unvisited, -1 removed
-    low = [0] * len(adj)
-    below = [0] * len(adj)  # witnesses in the depth-first subtree
+    disc = [0] * n  # discovery time; 0 unvisited, -1 removed
+    low = [0] * n
+    below = [0] * n  # witnesses in the depth-first subtree
     for v in removed:
         disc[v] = -1
     total = sum(not disc[w] for w in witnesses)
     cuts, bridges, spans = set(), set(), []
     t = 0
-    for root in range(len(adj)):
+    for root in range(n):
         if disc[root]:
             continue
         t += 1
         disc[root] = low[root] = t
         below[root] = root in witnesses
-        stack = [(root, -1, iter(adj[root]))]
+        stack = [(root, -1, iter(columns))]
         while stack:
             v, parent_eid, edges = stack[-1]
-            for eid, w in edges:
+            for nbr, ids in edges:
+                w = nbr[v]
+                if w < 0:
+                    continue
+                eid = ids[v]
                 if eid == parent_eid or removed_edges and eid in removed_edges:
                     continue
                 dw = disc[w]
@@ -123,7 +132,7 @@ def _cut_vertices(adj, witnesses, removed, removed_edges=()):
                     t += 1
                     disc[w] = low[w] = t
                     below[w] = w in witnesses
-                    stack.append((w, eid, iter(adj[w])))
+                    stack.append((w, eid, iter(columns)))
                     break
                 if 0 < dw < low[v]:
                     low[v] = dw
@@ -164,9 +173,9 @@ def _vertex_partners(ball, deep):
     order: one cut pass over G - x, the deep vertices as witnesses, and
     the vertices y >= x of ``deep`` that separate them with x, the
     partner x meaning x alone."""
-    witnesses, adj = set(deep), ball.adjacency
+    witnesses, columns = set(deep), ball.slot_columns
     for i, x in enumerate(deep):
-        cut_pass = _cut_vertices(adj, witnesses, (x,))
+        cut_pass = _cut_vertices(columns, ball.n_vertices, witnesses, (x,))
         yield x, cut_pass, list(_partners(cut_pass, deep[i:]))
 
 
@@ -280,7 +289,8 @@ def _hinge_edges(ball, at) -> List[Edge]:
     hinges = []
     for x, partners in at:
         partners = set(partners)
-        hinges += [eid for eid, y in ball.adjacency[x] if y in partners]
+        hinges += [eid[x] for nbr, eid in ball.slot_columns
+                   if nbr[x] in partners]
     return [ball.edges[i] for i in sorted(hinges)]
 
 
@@ -292,8 +302,8 @@ class _CenterPass:
     def __init__(self, ball: CayleyBall, margin: int):
         self.ball = ball
         self.deep = _deep_vertices(ball, margin)
-        self.cut_pass = _cut_vertices(ball.adjacency, set(self.deep),
-                                      (ball.center,))
+        self.cut_pass = _cut_vertices(ball.slot_columns, ball.n_vertices,
+                                      set(self.deep), (ball.center,))
 
     def separator(self) -> SeparationCertificate:
         """The certificate of the center's nearest partner, ties broken
@@ -399,7 +409,7 @@ def independent_paths(ball: CayleyBall, x: int, y: int) -> int:
         raise InvalidParams("endpoints must differ")
     if x not in ball.interior or y not in ball.interior:
         raise InvalidParams("endpoints must be interior")
-    adj = ball.adjacency
+    columns = ball.slot_columns
     used = set()  # arcs on a path: darts 2 * eid + (head > tail), ~vertex
     source, sink = 2 * x + 1, 2 * y
     for paths in itertools.count():
@@ -407,11 +417,13 @@ def independent_paths(ball: CayleyBall, x: int, y: int) -> int:
         for s in queue:
             v = s >> 1
             if s & 1:  # leave v by a free dart, or go back into v
-                moves = [(2 * w, 2 * eid + (w > v)) for eid, w in adj[v]
-                         if 2 * eid + (w > v) not in used]
+                moves = [(2 * w, arc) for nbr, eid in columns
+                         if (w := nbr[v]) >= 0
+                         and (arc := 2 * eid[v] + (w > v)) not in used]
             else:  # enter v: back along its used dart, or through v
-                moves = [(2 * u + 1, 2 * eid + (v > u)) for eid, u in adj[v]
-                         if 2 * eid + (v > u) in used]
+                moves = [(2 * u + 1, arc) for nbr, eid in columns
+                         if (u := nbr[v]) >= 0
+                         and (arc := 2 * eid[v] + (v > u)) in used]
             if (~v in used) == s & 1:
                 moves.append((s ^ 1, ~v))
             for t, arc in moves:
@@ -565,7 +577,8 @@ def nos_properties_check(ball: CayleyBall) -> dict:
         ei = ball.edges[i]
         later = [j for j in deep_eids[k + 1:]
                  if ei.colour != "d" or ball.edges[j].colour != "d"]
-        cut_pass = _cut_vertices(ball.adjacency, deep, (), (i,))
+        cut_pass = _cut_vertices(ball.slot_columns, ball.n_vertices, deep,
+                                 (), (i,))
         violations += [("edges", ei, ball.edges[j])
                        for j in _partners(cut_pass, later, edges=True)]
     # the one cut pass over G - v gives the bridges here, the separating

@@ -11,14 +11,18 @@ fills ``(g, 1)`` at u and ``(g, -1)`` at v, an involution edge fills
 ``(g, 1)`` at both ends.  A ball holds its slots in flat int arrays, one
 column per letter (the presentation's letters first, in their order):
 ``nbr[i][v]`` is the neighbour of v through letter i and ``eid[i][v]``
-that edge's id, -1 for an empty slot.  Beside them each vertex keeps
-its ``(edge id, neighbour)`` pairs in edge-id order, which is the order
-every traversal scans.  ``step_edge(v, letter)`` reads one slot and
-``column(letter)`` a letter's two columns.  With no loop and no second
-edge in a slot (both rejected), an involution column is its own inverse
-and a directed colour's two columns are each other's inverse, so a
-two-letter relator that steps back along its first edge (a ``g^2``
-marker) closes by construction; ``certify_ball`` does not walk it.
+that edge's id, -1 for an empty slot.  The columns are the ball's only
+adjacency: ``step_edge(v, letter)`` reads one slot, ``column(letter)`` a
+letter's two columns, and ``slot_columns`` lists every distinct pair of
+columns once, for the passes that visit all of a vertex's edges.  Beside
+them each vertex keeps one small int naming the order in which
+``_index_slots`` filled its slots, which is its edge-id order; ``bfs``,
+``degree`` and ``incident_edges`` read a vertex's columns in that order.
+With no loop and no second edge in a slot (both rejected), an involution
+column is its own inverse and a directed colour's two columns are each
+other's inverse, so a two-letter relator that steps back along its first
+edge (a ``g^2`` marker) closes by construction; ``certify_ball`` does not
+walk it.
 A ``RawGraph`` keeps its slots row by row, the neighbour through
 letter i at ``nbr[v * L + i]``.
 
@@ -59,6 +63,17 @@ class Edge(NamedTuple):
 
     def other(self, x: int) -> int:
         return self.v if x == self.u else self.u
+
+
+def _rebased(code: int, base: int) -> int:
+    """The int whose base-``base + 1`` digits are ``code``'s in base
+    ``base``."""
+    out, place = 0, 1
+    while code:
+        code, digit = divmod(code, base)
+        out += digit * place
+        place *= base + 1
+    return out
 
 
 def _ball_order(edge) -> tuple:
@@ -106,23 +121,37 @@ class CayleyBall:
         return self._words
 
     def _index_slots(self):
-        """One pass over the edges fills the letter columns and the
-        per-vertex edge lists, and rejects a loop (the edge of a trivial
-        generator) and a second edge in a slot."""
+        """One pass over the edges fills the letter columns and records
+        the order in which each vertex's slots fill, and rejects a loop
+        (the edge of a trivial generator) and a second edge in a slot.
+
+        The pass visits the edges in id order, so a vertex's fill order is
+        its edge-id order.  ``fill[v]`` keeps it as the digits, column
+        index + 1, of one int in base ``len(letters) + 1``; a column the
+        presentation lacks (a loaded ball's colour it does not name, or
+        stores the other way) rewrites the orders so far in the next base
+        up.  The distinct orders, few in a ball, are then numbered, and
+        ``_fill[v]`` names v's entry of ``_orders``: its ``(neighbour, edge
+        id)`` column pairs in order."""
         n = len(self.distances)
         letters = list(self.presentation.letters) if self.presentation else []
         col = {letter: i for i, letter in enumerate(letters)}
         nbr = [[-1] * n for _ in letters]
         eid = [[-1] * n for _ in letters]
-        adj = [[] for _ in range(n)]
+        base = len(letters) + 1
+        fill = [0] * n
 
         def column(letter):
+            nonlocal base
             i = col.get(letter)
             if i is None:
                 i = col[letter] = len(letters)
                 letters.append(letter)
                 nbr.append([-1] * n)
                 eid.append([-1] * n)
+                fill[:] = [_rebased(code, base) if code else 0
+                           for code in fill]
+                base += 1
             return i
 
         # per directedness, colour -> the columns filled at u and at v
@@ -142,16 +171,26 @@ class CayleyBall:
                 raise CubicCayleyError(
                     f"duplicate {letters[a]} slot at vertex {u}")
             nbr_a[u], eid_a[u] = v, i
+            fill[u] = fill[u] * base + a + 1
             if nbr_b[v] >= 0:
                 raise CubicCayleyError(
                     f"duplicate {letters[b]} slot at vertex {v}")
             nbr_b[v], eid_b[v] = u, i
-            adj[u].append((i, v))
-            adj[v].append((i, u))
+            fill[v] = fill[v] * base + b + 1
 
+        pairs = list(zip(nbr, eid))
+        orders = dict.fromkeys(fill)  # distinct fill orders, numbered
+        table = []
+        for k, code in enumerate(orders):
+            orders[code] = k
+            digits = []
+            while code:
+                code, digit = divmod(code, base)
+                digits.append(pairs[digit - 1])
+            table.append(tuple(reversed(digits)))
         # the columns a step reads: (g, -1) of an involution colour is
         # its (g, 1) edge, as ``Word.inverse`` writes involutions
-        walk = {letter: (nbr[i], eid[i]) for letter, i in col.items()}
+        walk = {letter: pairs[i] for letter, i in col.items()}
         for g in ends[False]:
             if g in ends[True]:
                 raise CubicCayleyError(
@@ -160,7 +199,8 @@ class CayleyBall:
             walk[(g, -1)] = walk[(g, 1)]
         # the slots proper, per letter: neighbour columns
         self._nbr = {letter: nbr[i] for letter, i in col.items()}
-        self._adj, self._walk = adj, walk
+        self._walk, self._pairs, self._orders = walk, pairs, table
+        self._fill = list(map(orders.__getitem__, fill))
 
     # -- structure ---------------------------------------------------------
 
@@ -172,16 +212,21 @@ class CayleyBall:
         return range(len(self.distances))
 
     @property
-    def adjacency(self) -> List[List[Tuple[int, int]]]:
-        """Per vertex, its ``(edge id, neighbour)`` pairs in edge-id
-        order.  Shared: do not mutate."""
-        return self._adj
+    def slot_columns(self) -> List[Tuple[List[int], List[int]]]:
+        """Every distinct ``(neighbour column, edge-id column)`` pair
+        once, in column order: both columns of a directed colour, the one
+        column of an involution colour, and those of colours the
+        presentation lacks.  ``nbr[v]`` is -1 at an empty slot.  Shared:
+        do not mutate."""
+        return self._pairs
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self._orders[self._fill[v]])
 
-    def incident_edges(self, v: int):
-        return [eid for eid, _ in self._adj[v]]
+    def incident_edges(self, v: int) -> List[int]:
+        """v's edge ids in the order ``_index_slots`` fills v's slots,
+        which is edge-id order."""
+        return [eid[v] for _, eid in self._orders[self._fill[v]]]
 
     def bfs(self, sources, removed_vertices=(), removed_edges=(),
             until=None) -> Dict[int, Tuple[Optional[int], Optional[int]]]:
@@ -190,22 +235,24 @@ class CayleyBall:
         ``until`` if given; each source maps to ``(None, None)``.
 
         Order rule: the sources are enqueued in the order given, and each
-        dequeued vertex scans its edges in edge-id order.  A vertex's
-        parent is its first discoverer under this rule, so the paths read
-        off the tree, and the separator certificates and tie-breaks built
-        on them, depend on nothing else.
+        dequeued vertex v scans its slots in the order ``_index_slots``
+        fills v's slots, which is v's edge-id order.  A vertex's parent is
+        its first discoverer under this rule, so the paths read off the
+        tree, and the separator certificates and tie-breaks built on them,
+        depend on nothing else.
         """
         tree = {}
         for s in sources:
             if s not in removed_vertices:
                 tree.setdefault(s, (None, None))
         queue = list(tree)
-        adj = self._adj
+        orders, fill = self._orders, self._fill
         for v in queue:
-            for eid, w in adj[v]:
+            for nbr, eid in orders[fill[v]]:
+                w = nbr[v]
                 if w not in tree and w not in removed_vertices and \
-                        eid not in removed_edges:
-                    tree[w] = (v, eid)
+                        eid[v] not in removed_edges:
+                    tree[w] = (v, eid[v])
                     if w == until:
                         return tree
                     queue.append(w)

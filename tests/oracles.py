@@ -27,8 +27,10 @@ which fed it coset numbers: each builder now hands the library's
 ``make_ball`` a ``RawGraph`` on dense ids, walked with lists.  So are
 the ball's slot map, one dict per vertex (``ball_slots``), and
 ``certify_ball`` walking every relator through it: the library keeps
-flat letter columns and per-vertex edge lists, and compiles each
-relator to its columns once.  So are
+flat letter columns, and compiles each relator to its columns once.  So
+is the per-vertex list of ``(edge id, neighbour)`` pairs the ball kept
+beside its columns (``adjacency``): the library's traversals read the
+columns, ``bfs`` in each vertex's edge-id order.  So are
 the face walk ``trace_faces``, which stepped tuple darts through
 ``rot.index`` lookups, and the orbit count ``_count_faces`` on networkx's
 ``(a, b, key)`` darts: the library builds one face-successor permutation
@@ -230,6 +232,7 @@ def _translation_spot_check(emb: RotationEmbedding) -> bool:
     p = ball.presentation
     faces = trace_faces(emb, 4 * len(ball.edges) + 4)
     closed_keys = {frozenset(f.edge_ids()) for f in faces if f.closed}
+    adj = adjacency(ball)
     letters = []
     for g in p.generator_names:
         if g in p.involutions:
@@ -244,7 +247,7 @@ def _translation_spot_check(emb: RotationEmbedding) -> bool:
         for v in queue:
             if phi.get(v) is None:
                 continue
-            for slot, (eid, w) in slots(ball, v).items():
+            for slot, (eid, w) in slots(ball, v, adj).items():
                 g, s = slot
                 img = ball.step(phi[v], (g, s))
                 if w not in phi:
@@ -357,6 +360,7 @@ def translation_spot_check_dict(emb: RotationEmbedding) -> bool:
              for u, v, _, _ in edges]
     at = [[(x, hit[1]) for x in letters if (hit := ball.step_edge(v, x))]
           for v in ball.vertices()]
+    adj = adjacency(ball)
     for letter in letters:
         phi = {ball.center: ball.step(ball.center, letter)}
         queue = [ball.center]
@@ -377,7 +381,7 @@ def translation_spot_check_dict(emb: RotationEmbedding) -> bool:
                 iu, iv = phi.get(u), phi.get(v)
                 if iu is None or iv is None:
                     break
-                hit = min((i for i, w in ball.adjacency[iu] if w == iv
+                hit = min((i for i, w in adj[iu] if w == iv
                            and edges[i].colour == colour), default=None)
                 if hit is None:
                     break
@@ -849,8 +853,9 @@ def _propagate(ball: CayleyBall, colour_spin: Dict[str, str]) -> List[int]:
     spin = [-1] * ball.n_vertices
     spin[ball.center] = 0
     queue = [ball.center]
+    adj = adjacency(ball)
     for v in queue:
-        for slot, (eid, w) in sorted(slots(ball, v).items()):
+        for slot, (eid, w) in sorted(slots(ball, v, adj).items()):
             colour = ball.edges[eid].colour
             want = spin[v] ^ (0 if colour_spin[colour] == PRESERVING else 1)
             if spin[w] < 0:
@@ -1383,14 +1388,28 @@ def ball_slots(ball: CayleyBall) -> List[Dict[Letter, Tuple[int, int]]]:
     return slots
 
 
-def slots(ball: CayleyBall, v: int) -> Dict[Letter, Tuple[int, int]]:
+def adjacency(ball: CayleyBall) -> List[List[Tuple[int, int]]]:
+    """``CayleyBall.adjacency`` as it was: per vertex, its ``(edge id,
+    neighbour)`` pairs in edge-id order, a loop once per end.  The
+    library keeps only its letter columns, which ``bfs`` reads in this
+    order."""
+    adj: List[List[Tuple[int, int]]] = [[] for _ in ball.vertices()]
+    for eid, (u, v, _, _) in enumerate(ball.edges):
+        adj[u].append((eid, v))
+        adj[v].append((eid, u))
+    return adj
+
+
+def slots(ball: CayleyBall, v: int,
+          adj: List[List[Tuple[int, int]]]) -> Dict[Letter, Tuple[int, int]]:
     """``CayleyBall.slots(v)`` as it was: ``{letter: (edge id,
     neighbour)}`` of the filled slots at v, in edge-id order, read off
-    v's edge list, each edge keyed by the letter of its end at v (a
-    directed loop: ``(g, 1)`` first).  The library reads one slot at a
-    time from its letter columns with ``step_edge``."""
+    v's edge list in ``adj``, ``adjacency(ball)``, each edge keyed by
+    the letter of its end at v (a directed loop: ``(g, 1)`` first).  The
+    library reads one slot at a time from its letter columns with
+    ``step_edge``."""
     out = {}
-    for eid, w in ball.adjacency[v]:
+    for eid, w in adj[v]:
         e = ball.edges[eid]
         if e.directed and e.v == v and (e.u != v or (e.colour, 1) in out):
             out[(e.colour, -1)] = (eid, w)

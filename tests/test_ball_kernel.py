@@ -7,11 +7,12 @@
   ``RawGraph``, ``RawGraph.grow``'s own for the amalgams) gives the
   words (built on first read), edges, interior and distances of
   ``oracles.make_ball`` on the same raw edges;
-  ``oracles.slots(ball, v)``, the edge-list reading that
-  ``CayleyBall.slots`` was, and the flat ball's ``adjacency`` read back
-  the slot dicts that ``oracles.ball_slots`` builds from the same edges,
-  in the same order; and ``step_edge`` over the letter columns finds
-  the same slots.
+  ``oracles.slots(ball, v, adj)``, the edge-list reading that
+  ``CayleyBall.slots`` was, and ``oracles.adjacency``, the per-vertex
+  edge lists the ball kept, read back the slot dicts that
+  ``oracles.ball_slots`` builds from the same edges, in the same order;
+  ``incident_edges`` lists v's edge ids in that order; and ``step_edge``
+  over the letter columns finds the same slots.
 * ``certify_ball`` gives ``oracles.certify_ball``'s (empty) list.
 
 Cells: hypothesis draws over the amalgam families with n, m <= 6 and
@@ -83,11 +84,12 @@ def _assert_ball_matches_oracle(p, built, radius):
     assert new.edges == old.edges
     assert new.interior == old.interior
     assert new.distances == old.distances
-    slots = O.ball_slots(new)
+    slots, adj = O.ball_slots(new), O.adjacency(new)
     for v in new.vertices():
-        reading = O.slots(new, v)
+        reading = O.slots(new, v, adj)
         assert list(reading.items()) == list(slots[v].items()), v
-        assert new.adjacency[v] == list(slots[v].values()), v
+        assert adj[v] == list(slots[v].values()), v
+        assert new.incident_edges(v) == [eid for eid, _ in adj[v]], v
         assert {x: hit for x in p.letters
                 if (hit := new.step_edge(v, x))} == reading, v
     assert certify_ball(new, p) == O.certify_ball(new, p) == []

@@ -75,9 +75,9 @@ def _center_passes(monkeypatch):
     calls = []
     real = A._cut_vertices
 
-    def counting(adj, witnesses, removed, removed_edges=()):
+    def counting(columns, n, witnesses, removed, removed_edges=()):
         calls.append(tuple(removed))
-        return real(adj, witnesses, removed, removed_edges)
+        return real(columns, n, witnesses, removed, removed_edges)
     monkeypatch.setattr(A, "_cut_vertices", counting)
     return calls
 

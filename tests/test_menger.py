@@ -77,7 +77,7 @@ def test_random_pairs_match_networkx(type_id, dn, dm, radius, i, j,
     interior = sorted(ball.interior)
     x = interior[i % len(interior)]
     if adjacent:
-        others = [w for _, w in ball.adjacency[x]
+        others = [w for _, w in O.adjacency(ball)[x]
                   if w != x and w in ball.interior]
     else:
         others = [w for w in interior if w != x]

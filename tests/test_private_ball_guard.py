@@ -1,9 +1,10 @@
 """A ball's flat slot arrays are private to ``ball.py``.
 
-``CayleyBall`` keeps its letter columns, per-vertex edge lists and step
-table under leading-underscore names; other code reads them through
-``column``, ``step_edge``, ``trace_walk``, ``bfs`` and ``adjacency``, so
-the layout can change in one file.  ``RawGraph`` keeps its letter ends
+``CayleyBall`` keeps its letter columns, their distinct pairs, each
+vertex's fill order and its step table under leading-underscore names;
+other code reads them through ``column``, ``step_edge``, ``trace_walk``,
+``bfs``, ``degree``, ``incident_edges`` and ``slot_columns``, so the
+layout can change in one file.  ``RawGraph`` keeps its letter ends
 the same way; other code reads its slots through ``letters``, ``L`` and
 ``nbr`` and writes them through ``add_edge``.  ``private_reads`` reads the
 source with ``ast`` and reports every read of such a name outside
@@ -53,7 +54,7 @@ def private_reads(names, *dirs: Path):
 
 def test_ball_privates_are_read_only_in_ball_py():
     names = private_names(SRC / "ball.py")
-    assert {"_adj", "_walk", "_nbr"} <= names
+    assert {"_pairs", "_fill", "_orders", "_walk", "_nbr"} <= names
     assert private_reads(names, SRC, TESTS) == []
 
 

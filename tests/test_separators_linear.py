@@ -116,12 +116,17 @@ def test_cut_pass_matches_removal(n, seed, every_vertex):
     rng = random.Random(seed)
     edges = [(rng.randrange(n), rng.randrange(n))
              for _ in range(rng.randrange(2 * n + 1))]
-    # CayleyBall.adjacency format: per vertex, (edge id, neighbour) pairs
-    # in edge-id order, a loop once per end
+    # per vertex, (edge id, neighbour) pairs in edge-id order, a loop once
+    # per end
     adj = [[] for _ in range(n)]
     for eid, (u, v) in enumerate(edges):
         adj[u].append((eid, v))
         adj[v].append((eid, u))
+    # CayleyBall.slot_columns format: column j holds the j-th dart at each
+    # vertex, -1 where there is none
+    columns = [([at[j][1] if j < len(at) else -1 for at in adj],
+                [at[j][0] if j < len(at) else -1 for at in adj])
+               for j in range(max(map(len, adj)))]
     removed = frozenset(rng.sample(range(n), rng.randrange(2)))
     removed_edges = frozenset(rng.sample(range(len(edges)),
                                          min(len(edges), rng.randrange(2))))
@@ -137,8 +142,8 @@ def test_cut_pass_matches_removal(n, seed, every_vertex):
             if separated(removed | {v}, removed_edges) != base}
     bridges = {eid for eid in range(len(edges))
                if separated(removed, removed_edges | {eid}) != base}
-    assert A._cut_vertices(adj, witnesses, removed, removed_edges) == \
-        (base, cuts, bridges)
+    assert A._cut_vertices(columns, n, witnesses, removed,
+                           removed_edges) == (base, cuts, bridges)
 
 
 def _counting(calls, real):
