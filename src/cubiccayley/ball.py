@@ -221,6 +221,8 @@ class CayleyBall:
         return self._pairs
 
     def degree(self, v: int) -> int:
+        """The number of v's edges: its slots in the order
+        ``_index_slots`` fills v's slots, counted."""
         return len(self._orders[self._fill[v]])
 
     def incident_edges(self, v: int) -> List[int]:
