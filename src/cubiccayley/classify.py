@@ -211,7 +211,7 @@ def classify_ball(ball: CayleyBall) -> ClassificationReport:
     VIII(m) verdict's evidence names ``"alternative"``: V(n', m) under
     b<->c for every n' > radius/2.
     """
-    if ball.radius < 3 and len(ball.interior) != ball.n_vertices:
+    if ball.radius < 3 and not ball.whole:
         raise Inconclusive("hinge")
     colours = sorted({e.colour for e in ball.edges})
     directed = sorted({e.colour for e in ball.edges if e.directed})
@@ -249,7 +249,7 @@ def classify_ball(ball: CayleyBall) -> ClassificationReport:
         parallel = sorted({frozenset(cs) for cs in pair_edges.values()
                            if len(cs) > 1})
         if parallel:
-            if len(ball.interior) != ball.n_vertices:
+            if not ball.whole:
                 raise Inconclusive("finite-order (ball is truncated but "
                                    "parallel edges demand a finite graph)")
             tp = TypeParams("IX", n=ball.n_vertices // 2)

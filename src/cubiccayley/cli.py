@@ -163,7 +163,8 @@ def cmd_render(args) -> int:
         rotation = _embedding(args, ball).rotation
     except CubicCayleyError:
         pass
-    spec = render_mod.RenderSpec(depth=args.depth)
+    depth = min(3, ball.radius) if args.depth is None else args.depth
+    spec = render_mod.RenderSpec(depth=depth)
     _write_text(render_mod.to_svg(ball, spec, rotation), args.output)
     return EXIT_OK
 
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_type(p)
     p.add_argument("source", nargs="?", default=None)
     p.add_argument("--format", choices=("svg", "dot"), default="svg")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=int, default=None)  # min(3, radius)
 
     p = subcommand("verify", cmd_verify, "run verification checks")
     _add_size(p)

@@ -86,8 +86,8 @@ def layout_positions(ball: CayleyBall, spec: RenderSpec,
                      rotation=None) -> Dict[int, tuple]:
     """Radial tree positions: each vertex owns an angular wedge inside its
     parent's wedge, at ring radius proportional to its distance."""
-    depth = min(spec.depth, ball.radius) if ball.radius > 0 else spec.depth
-    if spec.depth > ball.radius and len(ball.interior) != ball.n_vertices:
+    depth = min(spec.depth, ball.radius)
+    if spec.depth > ball.radius and not ball.whole:
         raise RenderError(
             f"depth {spec.depth} exceeds ball radius {ball.radius}")
     shown = [v for v in ball.vertices() if ball.distances[v] <= depth]

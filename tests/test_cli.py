@@ -276,6 +276,19 @@ def test_render_depth_overflow(capsys):
     assert code == 5
 
 
+def test_render_depth_defaults_to_the_radius(capsys):
+    # at most 3 rings, as verify --grid draws, and never more than the
+    # ball has; an explicit --depth keeps its check (above)
+    render = cli.render_mod
+    code, out, err = run(capsys, "render", "--type", "I", "--n", "3",
+                         "--radius", "2")
+    assert code == 0 and err == ""
+    tp = cli.TypeParams("I", n=3)
+    ball = construct_mod.construct(tp, 2)
+    rotation = cli.embed_mod.embed(ball, tp).rotation
+    assert out == render.to_svg(ball, render.RenderSpec(depth=2), rotation)
+
+
 def test_verify_k33(capsys):
     code, out, _ = run(capsys, "verify", "--check", "k33-scaffold")
     assert code == 0
