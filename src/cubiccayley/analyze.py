@@ -38,8 +38,9 @@ or edge for the all-pairs and nos searches, so their cost is the ball's
 size times its deep part.  The hinges at v are the edges
 from v to its partners, read off the pass over G - v by ``find_hinges``
 and by the nos check, which takes its vertex+edge cuts and separating
-pairs off the same pass; the certificates of every pair {x, y} come off
-one breadth-first tree from x, and the all-pairs separator is their least.
+pairs off the same pass; the paths of every pair {x, y} come off one
+breadth-first tree from x (``_separating_paths``), and the all-pairs
+separator certifies only the least of them.
 The GF(2) and nos checks filter the closed relator walks the ball keeps
 (``CayleyBall.relator_walks``): ``two_basis_check`` is linear in them;
 ``cycle_space_span_check`` builds one breadth-first forest of the
@@ -242,6 +243,22 @@ def _deep_vertices(ball: CayleyBall, margin: int) -> List[int]:
     return [v for v in ball.vertices() if ball.distances[v] <= limit]
 
 
+def _separating_paths(ball: CayleyBall, margin: int):
+    """``(cut, paths)``: whether some deep vertex alone separates the deep
+    witnesses, and for each deep separating pair {x, y}, x < y, the path
+    from x to y, by x and then y.  One cut pass over G - x per deep x
+    (``_vertex_partners``), x heading its own candidates, and one
+    breadth-first tree from each x with partners."""
+    cut, paths = False, []
+    for x, _, partners in _vertex_partners(ball, _deep_vertices(ball, margin)):
+        cut |= x in partners
+        ys = [y for y in partners if y != x]
+        if ys:
+            tree = ball.bfs((x,))
+            paths += [_tree_path(tree, x, y) for y in ys]
+    return cut, paths
+
+
 def connectivity_diagnostics(ball: CayleyBall, margin: int = 1) -> dict:
     """Enumerate deep cut vertices and deep 2-separators.
 
@@ -249,19 +266,12 @@ def connectivity_diagnostics(ball: CayleyBall, margin: int = 1) -> dict:
     inside the interior; anything closer to the boundary is dropped as a
     possible truncation artifact.  The default margin is the minimal
     discipline; ``sound_margin`` gives the relator-aware one.
-    Cost, also of all-pairs ``shortest_separating_path``: one cut pass
-    over G - x per deep x (``_vertex_partners``), x heading its own
-    candidates, and one breadth-first tree from each x with partners.
+    Cost: ``_separating_paths``, and a certificate (path word and z^2
+    trace) per pair.
     """
-    cut, separators = False, []
-    for x, _, partners in _vertex_partners(ball, _deep_vertices(ball, margin)):
-        cut |= x in partners
-        ys = [y for y in partners if y != x]
-        if ys:
-            tree = ball.bfs((x,))
-            separators += [_certificate(ball, _tree_path(tree, x, y))
-                           for y in ys]
-    return {"has_interior_cutvertex": cut, "two_separators": separators}
+    cut, paths = _separating_paths(ball, margin)
+    return {"has_interior_cutvertex": cut,
+            "two_separators": [_certificate(ball, path) for path in paths]}
 
 
 def find_hinges(ball: CayleyBall, margin: int = 1,
@@ -332,20 +342,22 @@ def shortest_separating_path(ball: CayleyBall, margin: int = 1,
     With ``center_only`` the first endpoint is pinned to the center
     (sound by vertex-transitivity) and candidates are scanned in
     distance order, so the first hit is minimal.  Otherwise the answer
-    is the least of ``connectivity_diagnostics``' certificates by (path
-    length, distance sum, x, y, path).
+    certifies the least of ``_separating_paths``' paths by (length,
+    distance sum, x, y, path), the least certificate of
+    ``connectivity_diagnostics``.
     Cost: one cut pass over G - center and one breadth-first tree from
-    it, stopped at the first partner; all-pairs, the diagnostics' cost.
+    it, stopped at the first partner; all-pairs, ``_separating_paths``
+    and one certificate.
     """
     if center_only:
         return _CenterPass(ball, margin).separator()
-    certs = connectivity_diagnostics(ball, margin)["two_separators"]
-    if not certs:
+    _, paths = _separating_paths(ball, margin)
+    if not paths:
         raise NoSeparatorFound(
             "no interior separating pair at this radius; report, do not guess")
     dist = ball.distances
-    return min(certs, key=lambda c: (len(c.path), dist[c.x] + dist[c.y],
-                                     c.x, c.y, c.path))
+    return _certificate(ball, min(paths, key=lambda p: (
+        len(p), dist[p[0]] + dist[p[-1]], p[0], p[-1], p)))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .coset import ball_from_table, enumerate_cosets
 from .construct import FAMILIES, TypeParams, construct_presentation_ball
 from .errors import (BallTooSmall, CubicCayleyError, Inconclusive,
                      InvalidParams, NoSeparatorFound, NotCubic,
-                     NotInCatalogue, Overflow, ParseError)
+                     NotInCatalogue, Overflow)
 from .presentation import (GeneratorSymbol, Presentation, Word,
                            relator_multiset_normal_form)
 
@@ -105,16 +105,20 @@ def _rename(p: Presentation, sigma: Dict[str, str]) -> Presentation:
     return Presentation(gens, relators)
 
 
-def _catalogue_hint(p: Presentation) -> str:
+def _catalogue_hint(p: Presentation) -> NotInCatalogue:
+    """Why ``p`` is not in the catalogue, with the case of the non-planar
+    screen its pattern shows, if any."""
     inv = p.involutions
     if len(p.generator_names) == 2:
         for w in p.essentials:
             gens = {g for g, _ in w}
             if len(gens) == 1 and next(iter(gens)) not in inv and len(w) > 2:
-                return (f"case-1 pattern: pure power {w.pretty()} of the "
-                        "non-involution generator without the matching "
-                        "(a^2 b)^n completion")
-        return "2-generator relator multiset matches no catalogue family"
+                return NotInCatalogue(
+                    f"case-1 pattern: pure power {w.pretty()} of the "
+                    "non-involution generator without the matching "
+                    "(a^2 b)^n completion", case=1)
+        return NotInCatalogue(
+            "2-generator relator multiset matches no catalogue family")
     for w in p.essentials:
         gens = sorted({g for g, _ in w})
         if len(gens) == 2 and len(w) >= 6 and len(w) % 2 == 0:
@@ -122,9 +126,11 @@ def _catalogue_hint(p: Presentation) -> str:
             if all(seq[i] != seq[i + 1] for i in range(len(seq) - 1)):
                 k = len(w) // 2
                 if k % 2 == 1:
-                    return (f"case-2 pattern: 2-coloured exponent {k} is odd "
-                            "(non-planar for odd exponents)")
-    return "3-generator relator multiset matches no catalogue family"
+                    return NotInCatalogue(
+                        f"case-2 pattern: 2-coloured exponent {k} is odd "
+                        "(non-planar for odd exponents)", case=2)
+    return NotInCatalogue(
+        "3-generator relator multiset matches no catalogue family")
 
 
 def _letter_counts(p: Presentation) -> Counter:
@@ -163,8 +169,7 @@ def classify_presentation(p: Presentation) -> ClassificationReport:
                 tp = TypeParams(type_id, **family.params(counts))
                 if _catalogue_counts(tp) != counts:
                     continue  # cannot match: skip the normal form
-            except (InvalidParams, ParseError):
-                # ParseError: the guess spells a relator too long to parse
+            except InvalidParams:
                 continue
             nf = nf or relator_multiset_normal_form(q)
             if _catalogue_normal_form(tp) != nf:
@@ -174,7 +179,7 @@ def classify_presentation(p: Presentation) -> ClassificationReport:
                 continue
             matches.append((tp, sigma))
     if not matches:
-        raise NotInCatalogue(_catalogue_hint(p))
+        raise _catalogue_hint(p)
     distinct = {(tp.type_id, tp.n, tp.m) for tp, _ in matches}
     if len(distinct) > 1:
         raise NotInCatalogue(
@@ -292,7 +297,7 @@ def classify_ball(ball: CayleyBall) -> ClassificationReport:
                 if k % 2:
                     raise NotInCatalogue(
                         f"odd 2-coloured order {k} with (cbcd)^{m} closed: "
-                        "case-2 pattern, non-planar for odd exponents")
+                        "case-2 pattern, non-planar for odd exponents", case=2)
                 tp = (TypeParams("IV", m=m) if k == 2
                       else TypeParams("V", n=k // 2, m=m))
                 renaming = {names["b"]: "b", names["c"]: "c", d: "d"}
@@ -378,9 +383,7 @@ def nonplanar_screen(p: Presentation, cap: int = 20000) -> dict:
         hit = classify_presentation(p)
         return {"in_catalogue": True, "type": hit.type_id, "case": None}
     except NotInCatalogue as exc:
-        hint = str(exc)
-    case = 1 if "case-1" in hint else 2 if "case-2" in hint else None
-    report = {"in_catalogue": False, "case": case, "hint": hint}
+        report = {"in_catalogue": False, "case": exc.case, "hint": str(exc)}
     try:
         ball = construct_presentation_ball(p, radius=4, cap=cap)
         verdict = planarity_check(ball)

@@ -163,8 +163,7 @@ def cmd_render(args) -> int:
         rotation = _embedding(args, ball).rotation
     except CubicCayleyError:
         pass
-    depth = min(3, ball.radius) if args.depth is None else args.depth
-    spec = render_mod.RenderSpec(depth=depth)
+    spec = render_mod.RenderSpec(depth=args.depth)
     _write_text(render_mod.to_svg(ball, spec, rotation), args.output)
     return EXIT_OK
 
@@ -189,8 +188,7 @@ def _smoke_cell(type_id, n, m, radius, cap):
     rt = classify.classify_presentation(tp.presentation())
     want = {k: v for k, v in (("n", n), ("m", m)) if v is not None}
     checks["classify_roundtrip"] = (rt.type_id == type_id and rt.params == want)
-    svg = render_mod.to_svg(ball, render_mod.RenderSpec(depth=min(3, radius)),
-                            emb.rotation)
+    svg = render_mod.to_svg(ball, rotation=emb.rotation)
     return tp, checks, svg
 
 
@@ -315,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_type(p)
     p.add_argument("source", nargs="?", default=None)
     p.add_argument("--format", choices=("svg", "dot"), default="svg")
-    p.add_argument("--depth", type=int, default=None)  # min(3, radius)
+    p.add_argument("--depth", type=int, default=None)  # None: RenderSpec's
 
     p = subcommand("verify", cmd_verify, "run verification checks")
     _add_size(p)

@@ -43,9 +43,10 @@ from .ball import (CayleyBall, RawGraph, certify_ball, make_ball,
                    rooted_isomorphic)
 from .coset import ball_from_table, complete_ball_region, enumerate_cosets
 from .errors import (ConstructionIncomplete, InvalidParams, OracleInconclusive,
-                     UndefinedInterior)
+                     ParseError, UndefinedInterior)
 from .groups import Amalgam, Cyclic, Dihedral
-from .presentation import Presentation, parse_presentation
+from .presentation import (MAX_RELATOR_LETTERS, Presentation, Word,
+                           parse_presentation)
 
 PRESERVING = "preserving"
 REVERSING = "reversing"
@@ -143,8 +144,17 @@ class TypeParams:
 
     @functools.lru_cache(maxsize=256)
     def presentation(self) -> Presentation:
-        """The parsed row, one object shared by all: it is frozen."""
-        return parse_presentation(self.presentation_text())
+        """The parsed row, one object shared by all: it is frozen.
+        InvalidParams when n and m spell a relator longer than the
+        parser reads."""
+        try:
+            return parse_presentation(self.presentation_text())
+        except ParseError:
+            params = ", ".join(f"{k}={v}" for k, v in
+                               (("n", self.n), ("m", self.m)) if v is not None)
+            raise InvalidParams(
+                f"type {self.type_id} with {params} has a relator longer "
+                f"than {MAX_RELATOR_LETTERS} letters") from None
 
 
 # ---------------------------------------------------------------------------
@@ -279,19 +289,44 @@ def construct_presentation_ball(p: Presentation, radius: int,
 
     A truncated table must give the same ball at ``cap`` and ``2·cap``
     cosets: with no builder to compare against, agreement at a smaller
-    size is no evidence (see the ``coset`` docstring)."""
+    size is no evidence (see the ``coset`` docstring).
+
+    The table's cosets are group elements, so a relator trace that
+    revisits a vertex shows a proper subword of the relator trivial in
+    the group, an input error (InvalidParams) that names the subword; the
+    builders' balls carry no such fact, and a revisit there fails them."""
     if radius < 0:
         raise InvalidParams("radius must be >= 0")
-    return _certified(_doubling_ball(p, radius, cap, cap), p)
+    return _certified(_doubling_ball(p, radius, cap, cap), p, cosets=True)
 
 
-def _certified(ball: CayleyBall, p: Presentation) -> CayleyBall:
-    """``ball``, certified against ``p``; ConstructionIncomplete if not."""
+def _certified(ball: CayleyBall, p: Presentation,
+               cosets: bool = False) -> CayleyBall:
+    """``ball``, certified against ``p``; ConstructionIncomplete if not,
+    or InvalidParams for a revisit in a ball of ``cosets``."""
     violations = certify_ball(ball, p)
+    if cosets:
+        for v, name, kind in violations:
+            if kind == "trace-revisit":
+                raise InvalidParams(_trivial_subword(ball, p, v, name))
     if violations:
         raise ConstructionIncomplete(
             f"{len(violations)} certification violations, first: {violations[0]}")
     return ball
+
+
+def _trivial_subword(ball: CayleyBall, p: Presentation, v: int,
+                     name: str) -> str:
+    """Name the proper subword of the relator ``name`` between the first
+    two visits of one vertex on its trace from v."""
+    rel = next(w for w in p.relators if w.pretty() == name)
+    seen = {}
+    for j, x in enumerate(ball.trace_walk(v, rel)[0]):
+        if x in seen:
+            sub = Word(rel.letters[seen[x]:j])
+            return (f"relator {name} has the proper subword {sub.pretty()}, "
+                    "trivial in the group")
+        seen[x] = j
 
 
 def _cap_schedule(start: int, cap: int) -> List[int]:

@@ -35,9 +35,13 @@ class NotCubic(CubicCayleyError):
 class NotInCatalogue(CubicCayleyError):
     """Presentation is cubic-eligible but matches none of the nine families.
 
-    The message names the nearest pattern the input resembles, such as
-    the case of the non-planar screen.
+    The message names the nearest pattern the input resembles; ``case``
+    is 1 or 2 when that is a case of the non-planar screen, else None.
     """
+
+    def __init__(self, message, case=None):
+        super().__init__(message)
+        self.case = case
 
 
 class Overflow(CubicCayleyError):

@@ -22,15 +22,16 @@ WIDTH = HEIGHT = 840  # the SVG canvas
 
 @dataclass(frozen=True)
 class RenderSpec:
+    """``depth`` rings, None for the ball's radius, at most 3."""
     # radial, tree or auto: validated but never read, every value draws
     # the radial tree; the field can go only with a benchmark change
     layout: str = "auto"
-    depth: int = 3
+    depth: Optional[int] = None
 
     def __post_init__(self):
         if self.layout not in ("radial", "tree", "auto"):
             raise RenderError(f"unknown layout {self.layout!r}")
-        if self.depth < 0:
+        if self.depth is not None and self.depth < 0:
             raise RenderError("depth must be >= 0")
 
 
@@ -85,34 +86,27 @@ def _bfs_children(ball: CayleyBall, rotation, depth: int):
 def layout_positions(ball: CayleyBall, spec: RenderSpec,
                      rotation=None) -> Dict[int, tuple]:
     """Radial tree positions: each vertex owns an angular wedge inside its
-    parent's wedge, at ring radius proportional to its distance."""
-    depth = min(spec.depth, ball.radius)
-    if spec.depth > ball.radius and not ball.whole:
-        raise RenderError(
-            f"depth {spec.depth} exceeds ball radius {ball.radius}")
-    shown = [v for v in ball.vertices() if ball.distances[v] <= depth]
-    max_d = max((ball.distances[v] for v in shown), default=0)
-    unit = (min(WIDTH, HEIGHT) / 2 - 40) / max(max_d, 1)
+    parent's wedge, at ring radius proportional to its distance.  The
+    rings are ``spec.depth``, past the radius only for a ball held whole,
+    or with None the radius, at most 3; a ball's distances run from 0 to
+    its radius.  ``_bfs_children`` lists every parent before its children."""
+    depth = min(3, ball.radius) if spec.depth is None else spec.depth
+    if depth > ball.radius and not ball.whole:
+        raise RenderError(f"depth {depth} exceeds ball radius {ball.radius}")
+    depth = min(depth, ball.radius)
+    unit = (min(WIDTH, HEIGHT) / 2 - 40) / max(depth, 1)
     cx, cy = WIDTH / 2, HEIGHT / 2
-    children = _bfs_children(ball, rotation, depth)
     pos = {ball.center: (cx, cy)}
     wedge = {ball.center: (0.0, 2 * math.pi)}
-
-    def place(v):
+    for v, kids in _bfs_children(ball, rotation, depth).items():
         lo, hi = wedge[v]
-        kids = [w for w in children[v] if ball.distances[w] <= depth]
-        if not kids:
-            return
-        step = (hi - lo) / len(kids)
+        step = (hi - lo) / max(len(kids), 1)
         for i, w in enumerate(kids):
             a, b = lo + i * step, lo + (i + 1) * step
             wedge[w] = (a, b)
             theta = (a + b) / 2
             r = unit * ball.distances[w]
             pos[w] = (cx + r * math.cos(theta), cy + r * math.sin(theta))
-            place(w)
-
-    place(ball.center)
     return pos
 
 
@@ -126,7 +120,7 @@ def _fmt(x: float) -> str:
 
 def to_svg(ball: CayleyBall, spec: Optional[RenderSpec] = None,
            rotation=None) -> str:
-    """Deterministic SVG document for the ball, truncated at spec.depth."""
+    """Deterministic SVG document for the ball, drawn to spec's depth."""
     spec = spec or RenderSpec()
     pos = layout_positions(ball, spec, rotation)
     parts = [

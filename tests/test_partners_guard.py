@@ -1,9 +1,9 @@
 """One cut pass per deep vertex, read by the searches that need it.
 
 ``analyze._vertex_partners`` runs one cut pass over G - x per deep
-vertex x.  ``connectivity_diagnostics`` lists every deep separating pair
-off those passes, and all-pairs ``shortest_separating_path`` takes the
-least of its certificates rather than running the passes again.
+vertex x.  ``_separating_paths`` reads every deep separating pair's path
+off those passes; ``connectivity_diagnostics`` certifies each path, and
+all-pairs ``shortest_separating_path`` certifies only the least.
 ``find_hinges`` and ``nos_properties_check`` read other things off the
 same passes.  ``partner_callers`` reads the package with ``ast`` and
 reports every call of ``_vertex_partners`` from any other function.
@@ -16,7 +16,7 @@ import cubiccayley
 from test_successor_once import _enclosing
 
 SRC = Path(cubiccayley.__file__).resolve().parent
-READERS = {"connectivity_diagnostics", "find_hinges", "nos_properties_check"}
+READERS = {"_separating_paths", "find_hinges", "nos_properties_check"}
 
 
 def partner_callers(src: Path):
