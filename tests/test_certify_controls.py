@@ -18,7 +18,10 @@ lists with the oracle's, order included.  ``certify_ball`` skips a
 two-letter relator that steps back along its first edge by the ball's
 columns; a hand-built ball whose involution colour forms a directed
 triangle checks that the ``g^2`` marker of a colour stored directed is
-still walked.
+still walked, and one that stores a directed colour undirected checks
+that the interior slot of its inverse letter, empty in the
+presentation's own column, is reported missing although ``step``
+follows that letter along the undirected edge.
 """
 
 import pytest
@@ -181,3 +184,19 @@ def test_marker_of_a_directed_colour_is_walked():
     marker = p.relators[0].pretty()
     assert certify_ball(ball, p) == O.certify_ball(ball, p) == [
         (v, marker, "open-trace") for v in range(3)]
+
+
+def test_directed_colour_stored_undirected_misses_its_inverse_slot():
+    # a^4 makes a directed, but the ball stores its edge undirected, so
+    # the edge fills (a, 1) at both ends; step answers (a, -1) along it,
+    # while the missing-slot check reads the presentation's own, empty,
+    # (a, -1) column
+    p = parse_presentation("<a,b|b^2,a^4,(a^2b)^2>")
+    ball = CayleyBall(p, 0, 1, [Edge(0, 1, "a", False),
+                                Edge(0, 1, "b", False)],
+                      ["1", "a"], frozenset({0}), [0, 1])
+    assert ball.step(0, ("a", -1)) == 1
+    found = certify_ball(ball, p)
+    assert found == O.certify_ball(ball, p)
+    assert [v for v in found if v[2] == "missing-slot"] == [
+        (0, ("a", -1), "missing-slot")]
